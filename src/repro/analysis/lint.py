@@ -139,25 +139,24 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/dram/controller.py::ChannelController._service_at",
     "repro/dram/bank.py::Bank.access",
     # the migration datapath's batched transaction pattern, and the
-    # kernels' swap sinks that merge it into buffered demand columns
+    # kernels' swap sink that merges it into buffered demand columns
     "repro/core/datapath.py::MigrationEngine.swap_pages",
     "repro/kernel/replay.py::_swap_merged_buffers",
-    "repro/kernel/replay.py::_swap_merged_rows",
-    # tracker batch twins the columnar kernels drive (bit-identical to
-    # the per-record loops by the tracker differential suite)
+    # the tracker updates the kernels drive: MEA per record, hma's
+    # interval engine one full-counter batch per slice
     "repro/tracking/mea.py::MeaTracker.record",
-    "repro/tracking/mea.py::MeaTracker.record_batch",
-    "repro/tracking/competing.py::CompetingCounterArray.access_batch",
-    "repro/tracking/competing.py::CompetingCounterArray._access_loop",
     "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
-    # the memory-mapped trace path: the streamed grouping and the
-    # per-mechanism decode helpers must keep matching the eager plane
-    # builders bit for bit (windowed-vs-in-memory differential suite)
+    # the memory-mapped trace path: the streamed grouping, the windowed
+    # record source of the per-record loops, and the decode helpers must
+    # keep matching the eager plane builders bit for bit
+    # (windowed-vs-in-memory differential suite)
     "repro/trace/packed.py::PackedTrace.chunk_groups",
     "repro/trace/packed.py::PackedTrace.chunk_groups_streamed",
     "repro/trace/packed.py::PackedTrace.from_planes",
     "repro/kernel/replay.py::_single_decode_np",
     "repro/kernel/replay.py::_hybrid_decode_np",
+    "repro/kernel/replay.py::_hybrid_decode",
+    "repro/kernel/replay.py::_record_stream",
     "repro/kernel/replay.py::_stream_window",
 )
 

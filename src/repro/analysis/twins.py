@@ -1,11 +1,12 @@
 """Twin-parity checker (``repro lint --deep``).
 
 The fast kernels keep numpy and pure-Python implementations of the same
-semantics side by side — ``MeaTracker.record_batch`` next to
-``_record_loop``, ``_replay_mempod`` next to ``_replay_mempod_pure``,
-and so on.  Runtime differential suites prove the twins bit-identical,
-but only when someone runs them: editing one leg and shipping is the
-failure mode.  This registry makes the pairing a static contract:
+semantics side by side — hma's ``_columnar_interval_replay`` next to
+``_replay_hma_pure``, ``PackedTrace.chunk_groups_streamed`` next to
+``chunk_groups``, and so on.  Runtime differential suites prove the
+twins bit-identical, but only when someone runs them: editing one leg
+and shipping is the failure mode.  This registry makes the pairing a
+static contract:
 
 * every twin pair (and every *fused* twin — one function holding both
   an ``if _np is not None`` leg and its pure fallback) is fingerprinted
@@ -49,34 +50,9 @@ class TwinPair:
 #: drift detection still applies, signature agreement is trivial.
 TWIN_PAIRS: Tuple[TwinPair, ...] = (
     TwinPair(
-        "mempod-replay",
-        "repro/kernel/replay.py::_replay_mempod",
-        "repro/kernel/replay.py::_replay_mempod_pure",
-    ),
-    TwinPair(
         "hma-replay",
-        "repro/kernel/replay.py::_replay_hma",
+        "repro/kernel/replay.py::_columnar_interval_replay",
         "repro/kernel/replay.py::_replay_hma_pure",
-    ),
-    TwinPair(
-        "thm-replay",
-        "repro/kernel/replay.py::_replay_thm",
-        "repro/kernel/replay.py::_replay_thm_pure",
-    ),
-    TwinPair(
-        "swap-merge-sink",
-        "repro/kernel/replay.py::_swap_merged_buffers",
-        "repro/kernel/replay.py::_swap_merged_rows",
-    ),
-    TwinPair(
-        "mea-record",
-        "repro/tracking/mea.py::MeaTracker.record_batch",
-        "repro/tracking/mea.py::MeaTracker._record_loop",
-    ),
-    TwinPair(
-        "competing-access",
-        "repro/tracking/competing.py::CompetingCounterArray.access_batch",
-        "repro/tracking/competing.py::CompetingCounterArray._access_loop",
     ),
     TwinPair(
         "controller-batch",
@@ -111,9 +87,7 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
     TwinPair("trace-v2-encode-plane", "repro/trace/io.py::_encode_plane"),
     TwinPair("trace-v2-load-planes", "repro/trace/io.py::load_columnar_planes"),
     TwinPair("single-plane", "repro/kernel/replay.py::_single_plane"),
-    TwinPair("hybrid-plane", "repro/kernel/replay.py::_hybrid_plane"),
-    TwinPair("mempod-pod-plane", "repro/kernel/replay.py::_mempod_pod_plane"),
-    TwinPair("thm-segment-plane", "repro/kernel/replay.py::_thm_segment_plane"),
+    TwinPair("hybrid-decode", "repro/kernel/replay.py::_hybrid_decode"),
 )
 
 _TWIN_MANIFEST_FILE = Path(__file__).resolve().parent / "twin_manifest.json"

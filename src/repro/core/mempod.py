@@ -133,20 +133,6 @@ class MemPodManager(ComposedManager):
         """MemPod shards its remap table per pod; flip the owning shard."""
         return self.pods[pod].remap.swap_frames(frame_a, frame_b)
 
-    def remap_columns(self) -> "tuple[list[int], list[int]]":
-        """Merged sorted ``(pages, frames)`` view across the pod shards.
-
-        Pods own disjoint page ranges, so the shard union is itself a
-        bijective sparse remap; the columnar kernel's translation pass
-        can binary-search one merged table instead of routing each
-        record to its pod first.
-        """
-        merged = {}
-        for pod in self.pods:
-            merged.update(pod.remap._forward)
-        items = sorted(merged.items())
-        return [page for page, _ in items], [frame for _, frame in items]
-
     def _remap_lookup(self, pod: Pod, page: int, at_ps: int) -> int:
         """Consult the pod's remap cache; return the miss penalty in ps.
 

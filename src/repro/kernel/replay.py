@@ -7,9 +7,8 @@ times.  The kernels here replay the *identical* sequence of state
 mutations with the per-record overhead hoisted out:
 
 * input comes from a :class:`~repro.trace.packed.PackedTrace`: columnar
-  record fields plus precomputed page numbers and per-record address
-  decodes (channel/bank/row), vectorised through numpy when available
-  and memoised on the trace;
+  record fields plus per-record page numbers and address decodes
+  (channel/bank/row), vectorised through numpy when available;
 * one specialised loop per manager type inlines ``handle`` with every
   attribute lookup bound to a local and the common case fast-pathed —
   no blocked page (both block structures empty), identity remapping
@@ -21,23 +20,28 @@ mutations with the per-record overhead hoisted out:
   points; the peak-bus probe itself goes through the memory's
   dirty-channel cache instead of scanning every controller per sample;
 * the DRAM datapath is **batched**: instead of one
-  ``ChannelController.enqueue`` call per record, each throttle chunk is
-  regrouped by controller index (``PackedTrace.chunk_groups``, memoised
-  per memory layout, numpy stable-argsort with a pure-Python twin) and
-  whole columns go down one ``enqueue_batch`` call per controller —
-  exact because controllers share no state, intra-controller order is
-  preserved within a chunk, and the offset only changes at chunk
-  boundaries.  Direct kernels (tlm / single-level) batch every chunk
-  this way; the migrating kernels (mempod / hma / thm) run a columnar
-  interval engine: a binary search over the arrival column locates
-  where the next event lands (an interval boundary, a due swap, an
-  inline THM migration trigger), the event-free slice before it is
-  processed with vectorised penalty/translation/grouping passes and
-  batched tracker updates (``record_batch`` / ``access_batch``), the
-  event itself replays scalar, and swap traffic goes down the same
-  ``enqueue_batch`` datapath (``MigrationEngine.batch_swaps``).  Every
-  numpy kernel has a per-record pure-Python twin (``*_pure``) that the
-  no-numpy leg dispatches to.
+  ``ChannelController.enqueue`` call per record, transactions are
+  regrouped by controller index and whole columns go down one
+  ``enqueue_batch`` call per controller — exact because controllers
+  share no state, intra-controller order is preserved, and the offset
+  only changes at chunk boundaries.
+
+Each mechanism has one kernel, chosen because it measured fastest:
+
+* tlm / single-level replay every chunk pre-grouped by controller
+  (``PackedTrace.chunk_groups``, numpy stable-argsort with a
+  pure-Python twin);
+* mempod, thm and cameo are per-record loops over
+  :func:`_record_stream`, which decodes the trace one bounded window
+  at a time.  MemPod's per-pod MEA and THM's competing counters are
+  per-access state machines, and batched numpy recurrences for them
+  measured slower than these loops;
+* hma keeps two: with numpy, a columnar interval engine
+  (:func:`_columnar_interval_replay`) replays event-free slices with
+  vectorised penalty/translation/grouping passes and one
+  ``FullCountersTracker.record_batch`` per slice — faster on cold
+  sweep cells — and without numpy the per-record
+  :func:`_replay_hma_pure`.
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -61,22 +65,19 @@ anything it cannot accelerate it still simulates correctly.
 
 **Mapped traces** (``packed.mapped`` — columns are memory-mapped planes
 of a columnar trace file, see :mod:`repro.trace.store`) replay through
-the same loops in *streaming* form: the direct kernels consume
-``chunk_groups_streamed`` (per-window decode instead of memoised
-trace-length planes), the interval and THM engines replace the decode
-planes with per-slice decodes of the address column (identity-mapped
-records decode to exactly the plane values, by definition), and scalar
-paths decode inline through the mappers.  Peak Python-heap usage is
+the same loops without trace-length derived columns: the direct
+kernels consume ``chunk_groups_streamed``, the per-record loops read
+:func:`_record_stream` windows, and the hma interval engine decodes
+each slice from the address column (identity-mapped records decode to
+exactly the plane values, by definition).  Peak Python-heap usage is
 bounded by the streaming window instead of the trace length; results
 are pinned byte-identical to the in-memory path by
-``tests/test_trace_store.py``.  CAMEO is the documented exception: its
-per-record predictor-free loop still materialises the line/decode
-planes, so it replays mapped traces correctly but not with flat RSS.
+``tests/test_trace_store.py``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 from ..core.mempod import MemPodManager
 from ..dram.request import DEMAND, MIGRATION
@@ -108,9 +109,11 @@ _SCALAR_SLICE = 32
 # -- decode planes ---------------------------------------------------------
 #
 # A plane is a per-record column of precomputed address decode results,
-# cached on the PackedTrace under a key derived from the memory layout —
-# two managers over the same geometry share planes, and a trace replayed
-# at several configurations computes each plane once.
+# cached on an in-memory PackedTrace under a key derived from the memory
+# layout — two managers over the same geometry share planes, and a
+# trace replayed at several configurations computes each plane once.
+# Only the chunk-grouped direct kernels and hma's interval engine read
+# planes; mapped traces never build them.
 
 
 def _mapper_key(mapper) -> tuple:
@@ -131,8 +134,8 @@ def _tier_table(memory):
     """Per-tier decode rows: ``(start, end, ctrl_base, mapper)``.
 
     One row per tier in address order, with flat controller indices
-    (tier 0's channels first) — the table the decode planes index
-    instead of re-deriving the old single fast/slow threshold.
+    (tier 0's channels first) — the table the decoders index instead
+    of re-deriving the old single fast/slow threshold.
     """
     table = []
     start = 0
@@ -153,163 +156,55 @@ def _hybrid_layout_key(memory) -> tuple:
 
 def _single_plane(packed, device):
     """(controller, bank, row) columns for a single-device memory."""
-    mapper = device.mapper
     key = _single_layout_key(device)
     plane = packed.planes.get(key)
     if plane is None:
         addresses = packed.np_addresses()
         if addresses is not None:
-            ctrls = ((addresses >> mapper._bank_shift) & mapper._chan_mask).tolist()
-            banks = ((addresses >> mapper._row_shift) & mapper._bank_mask).tolist()
-            rows = (addresses >> mapper._chan_shift).tolist()
+            plane = tuple(
+                column.tolist() for column in _single_decode_np(device)(addresses)
+            )
         else:
-            decode = mapper.fast_decode
+            decode = device.mapper.fast_decode
             ctrls, banks, rows = [], [], []
             for address in packed.addresses:
                 channel, bank, row = decode(address)
                 ctrls.append(channel)
                 banks.append(bank)
                 rows.append(row)
-        plane = (ctrls, banks, rows)
+            plane = (ctrls, banks, rows)
         packed.planes[key] = plane
     return plane
 
 
 def _hybrid_plane(packed, memory):
-    """(controller, bank, row) columns for a tiered memory.
-
-    Controller indices are flat across every tier — tier 0's channels
-    first — matching the ``enqueues`` list the replay loops build.
-    Tiers are indexed through the :func:`_tier_table` rows rather than
-    a single fast/slow threshold; on two-tier systems the chained
-    ``where`` collapses to exactly the old ``is_fast`` select.
-    """
-    table = _tier_table(memory)
+    """(controller, bank, row) columns for a tiered memory — the whole
+    trace through :func:`_hybrid_decode`, memoised per layout."""
     key = _hybrid_layout_key(memory)
     plane = packed.planes.get(key)
     if plane is None:
-        addresses = packed.np_addresses()
-        if addresses is not None:
-            ctrl_col = bank_col = row_col = None
-            # Walk the table last tier first: the final tier is the
-            # unconditional branch (the old else-arm), earlier tiers
-            # overlay it under their `address < end` condition.
-            for start, end, base, mapper in reversed(table):
-                off = addresses - start
-                tier_ctrl = base + ((off >> mapper._bank_shift) & mapper._chan_mask)
-                tier_bank = (off >> mapper._row_shift) & mapper._bank_mask
-                tier_row = off >> mapper._chan_shift
-                if ctrl_col is None:
-                    ctrl_col, bank_col, row_col = tier_ctrl, tier_bank, tier_row
-                else:
-                    here = addresses < end
-                    ctrl_col = _np.where(here, tier_ctrl, ctrl_col)
-                    bank_col = _np.where(here, tier_bank, bank_col)
-                    row_col = _np.where(here, tier_row, row_col)
-            ctrls = ctrl_col.tolist()
-            banks = bank_col.tolist()
-            rows = row_col.tolist()
-        else:
-            last = table[-1]
-            ctrls, banks, rows = [], [], []
-            for address in packed.addresses:
-                entry = last
-                for row in table:
-                    if address < row[1]:
-                        entry = row
-                        break
-                start, _, base, mapper = entry
-                channel, bank, row_id = mapper.fast_decode(address - start)
-                ctrls.append(base + channel)
-                banks.append(bank)
-                rows.append(row_id)
-        plane = (ctrls, banks, rows)
-        packed.planes[key] = plane
-    return plane
-
-
-def _mempod_pod_key(manager) -> tuple:
-    return (
-        "mempod-pods",
-        manager._page_shift,
-        manager._fast_pages,
-        manager._ppr,
-        manager._fast_chan,
-        manager._fast_cpp,
-        manager._slow_chan,
-        manager._slow_cpp,
-    )
-
-
-def _mempod_pod_plane(packed, manager):
-    """Owning-pod id per record (MemPod's inlined pod-of-page formula)."""
-    key = _mempod_pod_key(manager)
-    plane = packed.planes.get(key)
-    if plane is None:
-        pages = packed.pages(manager._page_shift)
-        fast_pages = manager._fast_pages
-        ppr = manager._ppr
-        fast_chan = manager._fast_chan
-        fast_cpp = manager._fast_cpp
-        slow_chan = manager._slow_chan
-        slow_cpp = manager._slow_cpp
-        if _np is not None:
-            page_col = _np.asarray(pages, dtype=_np.int64)
-            plane = _np.where(
-                page_col < fast_pages,
-                ((page_col // ppr) % fast_chan) // fast_cpp,
-                (((page_col - fast_pages) // ppr) % slow_chan) // slow_cpp,
-            ).tolist()
-        else:
-            plane = [
-                ((page // ppr) % fast_chan) // fast_cpp
-                if page < fast_pages
-                else (((page - fast_pages) // ppr) % slow_chan) // slow_cpp
-                for page in pages
-            ]
-        packed.planes[key] = plane
-    return plane
-
-
-def _thm_segment_plane(packed, manager):
-    """THM segment id per record (``segment_of`` over the page column)."""
-    fast_pages = manager.geometry.fast_pages
-    shift = manager._page_shift
-    key = ("thm-segments", shift, fast_pages)
-    plane = packed.planes.get(key)
-    if plane is None:
-        pages = packed.pages(shift)
-        if _np is not None:
-            page_col = _np.asarray(pages, dtype=_np.int64)
-            plane = _np.where(
-                page_col < fast_pages, page_col, (page_col - fast_pages) % fast_pages
-            ).tolist()
-        else:
-            plane = [
-                page if page < fast_pages else (page - fast_pages) % fast_pages
-                for page in pages
-            ]
+        addresses = packed.np_addresses() if _np is not None else None
+        plane = _hybrid_decode(memory)(
+            packed.addresses if addresses is None else addresses
+        )
         packed.planes[key] = plane
     return plane
 
 
 def _hybrid_controllers(memory):
-    """Flat controller list matching :func:`_hybrid_plane` indices."""
+    """Flat controller list matching :func:`_hybrid_decode` indices."""
     return list(memory._controllers)
 
 
-# -- streaming decode (mapped traces) --------------------------------------
+# -- windowed decode -------------------------------------------------------
 #
-# A mapped trace's columns live on disk; memoising trace-length decode
-# planes on it would defeat the point.  These helpers package the exact
-# numpy decode formulas of _single_plane/_hybrid_plane as per-window
-# callables for PackedTrace.chunk_groups_streamed, so the direct kernels
-# decode one bounded window at a time.
+# The decode formulas, packaged as callables over one window of
+# addresses: chunk_groups_streamed takes the numpy forms, and
+# _record_stream the list form of either leg.
 
 
 def _single_decode_np(device):
-    """Windowed (ctrl, bank, row) decoder for a single-device memory —
-    the same formulas as :func:`_single_plane`'s numpy leg."""
+    """Windowed (ctrl, bank, row) decoder for a single-device memory."""
     mapper = device.mapper
     row_shift = mapper._row_shift
     bank_shift = mapper._bank_shift
@@ -328,9 +223,15 @@ def _single_decode_np(device):
 
 
 def _hybrid_decode_np(memory):
-    """Windowed (ctrl, bank, row) decoder for a tiered memory — the
-    same tier-table walk as :func:`_hybrid_plane`'s numpy leg (flat
-    controller indices, tier 0's channels first)."""
+    """Windowed (ctrl, bank, row) array decoder for a tiered memory.
+
+    Controller indices are flat across every tier — tier 0's channels
+    first — matching :func:`_hybrid_controllers`.  The table is walked
+    last tier first: the final tier is the unconditional branch and
+    earlier tiers overlay it under their ``address < end`` condition,
+    so on two-tier systems the chained ``where`` is exactly the
+    fast/slow select.
+    """
     table = _tier_table(memory)
     where = _np.where
 
@@ -353,10 +254,90 @@ def _hybrid_decode_np(memory):
     return decode
 
 
+def _hybrid_decode(memory):
+    """Windowed (ctrl, bank, row) *list* decoder for a tiered memory:
+    :func:`_hybrid_decode_np` over an int64 array with numpy, else the
+    same tier-table walk through each tier's ``mapper.fast_decode``."""
+    if _np is not None:
+        decode_np = _hybrid_decode_np(memory)
+        asarray = _np.asarray
+        int64 = _np.int64
+
+        def decode(addresses):
+            return tuple(
+                column.tolist()
+                for column in decode_np(asarray(addresses, dtype=int64))
+            )
+
+        return decode
+    table = _tier_table(memory)
+    last = table[-1]
+
+    def decode(addresses):
+        ctrls, banks, rows = [], [], []
+        for address in addresses:
+            entry = last
+            for row in table:
+                if address < row[1]:
+                    entry = row
+                    break
+            start, _, base, mapper = entry
+            channel, bank, row_id = mapper.fast_decode(address - start)
+            ctrls.append(base + channel)
+            banks.append(bank)
+            rows.append(row_id)
+        return ctrls, banks, rows
+
+    return decode
+
+
 def _stream_window(packed) -> int:
-    """The streaming window for a mapped trace (a positive multiple of
-    the 128-record throttle chunk, validated at open)."""
+    """The streaming window in records: a mapped trace's own (a positive
+    multiple of the 128-record throttle chunk, validated at open), else
+    the default."""
     return packed.window or DEFAULT_TRACE_WINDOW
+
+
+def _record_stream(packed, memory, page_shift):
+    """The trace's records for the per-record loops, one window at a time.
+
+    Returns an iterator of ``(arrival, is_write, address, core, page,
+    ctrl, bank, row)`` tuples: ``page`` is ``address >> page_shift`` and
+    ``ctrl/bank/row`` decode the original address through
+    :func:`_hybrid_decode`.  Windows of :func:`_stream_window` records
+    are decoded lazily as the loop reaches them, so at most one window
+    of derived columns is alive — for mapped and in-memory traces alike
+    — and nothing is memoised on ``packed``.
+    """
+    window = _stream_window(packed)
+    decode = _hybrid_decode(memory)
+    arrivals = packed.arrivals
+    is_writes = packed.is_writes
+    addresses = packed.addresses
+    cores = packed.cores
+    mapped_col = packed.np_addresses() if packed.mapped and _np is not None else None
+
+    def windows():
+        for lo in range(0, packed.length, window):
+            hi = lo + window
+            address_w = addresses[lo:hi]
+            if _np is None:
+                col = address_w
+                pages = [address >> page_shift for address in address_w]
+            else:
+                col = (
+                    _np.asarray(address_w, dtype=_np.int64)
+                    if mapped_col is None
+                    else mapped_col[lo:hi]
+                )
+                pages = (col >> page_shift).tolist()
+            ctrls, banks, rows = decode(col)
+            yield zip(
+                arrivals[lo:hi], is_writes[lo:hi], address_w, cores[lo:hi], pages,
+                ctrls, banks, rows,
+            )
+
+    return chain.from_iterable(windows())
 
 
 # -- replay loops ----------------------------------------------------------
@@ -444,14 +425,14 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
 def _swap_merged_buffers(ctrls, batch):
     """Per-controller column buffers with the swap datapath merged in.
 
-    Returns ``((bk, rw, wr, ar, ac, kd), flush_ctrl, flush_all, sink)``.
-    The first five column lists accumulate deferred demand per
-    controller; ``kd`` — the per-element request-kind column — is lazy:
-    ``None`` while a controller's buffer holds pure demand, materialised
-    the first time ``sink`` merges swap traffic into that buffer (from
-    then on the owning kernel mirrors its demand appends into it).
-    ``flush_ctrl(c)`` / ``flush_all()`` hand the columns to
-    ``enqueue_batch`` and reset them.
+    Shared by every migrating kernel.  Returns ``((bk, rw, wr, ar, ac,
+    kd), flush_all, sink)``.  The first five column lists accumulate
+    deferred demand per controller; ``kd`` — the per-element
+    request-kind column — is lazy: ``None`` while a controller's buffer
+    holds pure demand, materialised the first time ``sink`` merges swap
+    traffic into that buffer (from then on the owning kernel mirrors its
+    demand appends into it).  ``flush_all()`` hands every controller's
+    columns to ``enqueue_batch`` and resets them.
 
     ``sink`` has the ``MigrationEngine.swap_sink`` signature: it merges
     one swap's per-controller transaction pattern — exactly the pattern
@@ -459,15 +440,15 @@ def _swap_merged_buffers(ctrls, batch):
     enqueuing it.  A distinct-controller side (``lines`` same-bank
     same-row reads, then ``lines`` writes — the overwhelmingly common
     shape) *closes* the controller's open buffer segment (a list swap,
-    no copying) and queues a run item behind it, so ``flush_ctrl``
-    replays the controller as whole ``enqueue_batch`` segments
+    no copying) and queues a run item behind it, so a flush replays
+    the controller as whole ``enqueue_batch`` segments
     alternating with closed-form ``enqueue_run`` calls.  This keeps the
     page copies off the per-element path entirely: expanding them into
     the columns costs list extends plus the engine's run re-detection,
     and slicing one big column back apart at flush time costs segment
-    copies — both measured slower (see EXPERIMENTS.md).  Only
-    same-controller swaps, whose two banks interleave per line, expand
-    per element (and materialise the lazy ``kd`` column).
+    copies — both measured slower.  Only same-controller swaps, whose
+    two banks interleave per line, expand per element (and materialise
+    the lazy ``kd`` column).
 
     Exact because kernels only issue swaps due at or before the current
     cut, and every already-buffered element arrived strictly before
@@ -564,16 +545,15 @@ def _swap_merged_buffers(ctrls, batch):
             merge_side(ca, bank_a, row_a, at_ps, write_ps, lines)
             merge_side(cb, bank_b, row_b, at_ps, write_ps, lines)
 
-    return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_ctrl, flush_all, sink
+    return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_all, sink
 
 
-def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_trackers):
-    """Columnar engine shared by the boundary-triggered kernels.
+def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
+    """HMA's numpy kernel: the trace replayed interval by interval.
 
-    Replays the trace interval by interval instead of record by record:
-    within each throttle chunk, one ``searchsorted`` over the arrival
+    Within each throttle chunk, one binary search over the arrival
     column (:meth:`PackedTrace.cut_at`) finds where the next event — an
-    interval boundary or a due paced swap — lands, and everything before
+    epoch boundary or a due paced swap — lands, and everything before
     the cut is one *event-free slice* processed with vectorised column
     arithmetic:
 
@@ -583,7 +563,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
       entries expired for an earlier record yield no penalty for any
       later one and nothing is added mid-slice;
     * translation via binary search against a sorted snapshot of the
-      remap table (``remap_columns``); when any record hits, the whole
+      page table (``remap_columns``); when any record hits, the whole
       slice's channel/bank/row columns are recomputed densely from the
       translated addresses (identity records decode identically, so no
       scatter is needed), otherwise the memoised decode plane is used
@@ -594,22 +574,19 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
       controllers share no state and per-controller order is preserved;
       a due swap *merges* its migration runs into the buffered demand
       columns through the engine's swap sink (see
-      :func:`_swap_merged_buffers`) instead of flushing them, so only a
-      boundary (whose plans may touch any controller and may stall the
+      :func:`_swap_merged_buffers`) instead of flushing them, so only an
+      epoch (whose plans may touch any controller and may stall the
       machine) and the chunk-end throttle probe flush everything;
-    * tracker updates deferred and flushed in one ``record_batch`` call
-      right before each boundary runs (trackers are only *read* at
-      boundaries and never touch the controllers, so deferral commutes);
-      ``flush_trackers(lo, hi)`` is the kernel-specific hook;
-    * migration traffic batched too: ``engine.batch_swaps`` routes
-      ``swap_pages`` through ``enqueue_batch`` for the kernel's
-      duration.
+    * full-counter updates deferred and applied with one
+      ``FullCountersTracker.record_batch`` call right before each epoch
+      runs (the tracker is only *read* at epochs and never touches the
+      controllers, so deferral commutes).
 
     At the cut the event fires exactly as the reference per-record check
-    would: elapsed boundaries run in order (trackers flushed first),
-    then due swaps issue; both invalidate the snapshots.  The
-    ``finally`` restores the engine flag, writes the boundary cursor
-    back, and flushes trackers for every record already replayed, so an
+    would: elapsed epochs run in order (tracker updated first), then due
+    swaps issue; both invalidate the snapshots.  The ``finally``
+    restores the engine flag, writes the boundary cursor back, and
+    records the tracker updates of every record already replayed, so an
     exception mid-chunk cannot leave the manager with stale state.
     """
     memory = manager.memory
@@ -634,6 +611,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     page_mask = manager._page_mask
     pages_l = packed.pages(page_shift)
     (page_col,) = packed.np_columns(("pages", page_shift), (pages_l,))
+    record_batch = manager.tracker.record_batch
     (arr_col, write_col) = packed.np_columns(
         ("records",), (packed.arrivals, packed.is_writes)
     )
@@ -671,7 +649,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     # engine's swap sink — flushing through one enqueue_batch per
     # controller; per-controller order — the only order that matters,
     # controllers share no state — is preserved.
-    bufs, flush_ctrl, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
     buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
     total = packed.length
@@ -844,7 +822,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                 # -- the record at the cut fires the event(s) -----------
                 arrival = arrivals[i] + offset
                 if arrival >= next_boundary:
-                    flush_trackers(flushed, i)
+                    if i > flushed:
+                        record_batch(page_col[flushed:i])
                     flushed = i
                     # Boundary plans may issue swaps to any controller
                     # and may stall the whole machine (block_until
@@ -879,7 +858,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                 if backlog > throttle_cap_ps:
                     offset += backlog - throttle_cap_ps
             pos = end
-        flush_trackers(flushed, total)
+        if total > flushed:
+            record_batch(page_col[flushed:total])
         flushed = i = total
         manager._next_boundary_ps = next_boundary
         # finish() issues the still-scheduled swaps and drains the
@@ -892,142 +872,31 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
         if flushed < i:
-            flush_trackers(flushed, i)
+            record_batch(page_col[flushed:i])
             flushed = i
     return collect_result(manager, trace, end_ps)
-
-
-def _swap_merged_rows(ctrls, buffers):
-    """Tuple-row twin of :func:`_swap_merged_buffers` for the pure
-    kernels: a ``MigrationEngine.swap_sink`` that merges one swap's
-    per-controller transaction pattern into the dict-of-rows buffers
-    (``(bank, row, is_write, arrival, account, kind)`` per row) the
-    per-record twins accumulate demand in.  The same exactness argument
-    applies: swaps are only issued once due at or before the current
-    record's arrival, and every buffered row arrived strictly before
-    that, so appending *is* the reference per-controller enqueue order.
-    """
-    ctrl_index = {id(ctrl): ci for ci, ctrl in enumerate(ctrls)}
-    migration = MIGRATION
-
-    def sink(ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b, at_ps, write_ps, lines):
-        ca = ctrl_index[id(ctrl_a)]
-        cb = ctrl_index[id(ctrl_b)]
-        if ca == cb:
-            # Interleaved a/b pattern on the one shared controller:
-            # 2*lines reads, then 2*lines writes (cf. swap_pages).
-            buffered = buffers.get(ca)
-            if buffered is None:
-                buffers[ca] = buffered = []
-            append = buffered.append
-            for _ in range(lines):
-                append((bank_a, row_a, False, at_ps, at_ps, migration))
-                append((bank_b, row_b, False, at_ps, at_ps, migration))
-            for _ in range(lines):
-                append((bank_a, row_a, True, write_ps, write_ps, migration))
-                append((bank_b, row_b, True, write_ps, write_ps, migration))
-        else:
-            for ci, bank, row in ((ca, bank_a, row_a), (cb, bank_b, row_b)):
-                buffered = buffers.get(ci)
-                if buffered is None:
-                    buffers[ci] = buffered = []
-                buffered.extend(
-                    [(bank, row, False, at_ps, at_ps, migration)] * lines
-                )
-                buffered.extend(
-                    [(bank, row, True, write_ps, write_ps, migration)] * lines
-                )
-
-    return sink
 
 
 def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     """MemPod without a metadata cache: boundary ticks, paced swaps,
     per-pod MEA recording and remap lookup, block penalties.
 
-    With numpy the columnar interval engine replays whole event-free
-    slices at once (see :func:`_columnar_interval_replay`); the MEA
-    updates deferred across a slice flush through
-    :meth:`~repro.tracking.mea.MeaTracker.record_batch` per pod, each
-    pod seeing exactly its own page subsequence in order.  Without
-    numpy the pure twin below walks the records one by one.
-    """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_mempod_pure(trace, packed, manager, throttle_cap_ps)
-    shift = manager._page_shift
-    (page_col,) = packed.np_columns(("pages", shift), (packed.pages(shift),))
-    record_batches = [pod.mea.record_batch for pod in manager.pods]
-    if len(record_batches) == 1:
-        only = record_batches[0]
-
-        def flush_trackers(lo, hi):
-            if hi > lo:
-                only(page_col[lo:hi])
-
-    elif packed.mapped:
-        # Mapped traces compute pod ids per flushed slice with the same
-        # inlined pod-of-page formula as :func:`_mempod_pod_plane`, so
-        # no trace-length pod plane is ever materialised.
-        fast_pages = manager._fast_pages
-        ppr = manager._ppr
-        fast_chan = manager._fast_chan
-        fast_cpp = manager._fast_cpp
-        slow_chan = manager._slow_chan
-        slow_cpp = manager._slow_cpp
-        where = _np.where
-
-        def flush_trackers(lo, hi):
-            if hi > lo:
-                pages_slice = page_col[lo:hi]
-                pods_slice = where(
-                    pages_slice < fast_pages,
-                    ((pages_slice // ppr) % fast_chan) // fast_cpp,
-                    (((pages_slice - fast_pages) // ppr) % slow_chan) // slow_cpp,
-                )
-                for pod_id, record_batch in enumerate(record_batches):
-                    member = pages_slice[pods_slice == pod_id]
-                    if len(member):
-                        record_batch(member)
-
-    else:
-        (pod_col,) = packed.np_columns(
-            (_mempod_pod_key(manager),), (_mempod_pod_plane(packed, manager),)
-        )
-
-        def flush_trackers(lo, hi):
-            if hi > lo:
-                pods_slice = pod_col[lo:hi]
-                pages_slice = page_col[lo:hi]
-                for pod_id, record_batch in enumerate(record_batches):
-                    member = pages_slice[pods_slice == pod_id]
-                    if len(member):
-                        record_batch(member)
-
-    return _columnar_interval_replay(
-        trace, packed, manager, throttle_cap_ps, flush_trackers
-    )
-
-
-def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the MemPod kernel (the no-numpy leg).
-
-    The manager-side work stays per record, but the DRAM side batches:
-    each record's decoded transaction is appended to a per-controller
-    column buffer, flushed through ``enqueue_batch`` at every chunk end
-    and — to preserve the reference's per-controller enqueue order —
-    right before an interval boundary.  A due swap no longer flushes:
-    its transaction pattern *merges* into the buffered columns through
-    the engine's swap sink.  Remapped frames decode inline through the mappers instead
-    of ``memory.access``: remap tables only ever hold in-range frames,
-    so the routing is identical and the bounds check is vacuous.
+    The manager-side work runs per record over :func:`_record_stream`,
+    but the DRAM side batches: each record's decoded transaction is
+    appended to the per-controller columns of
+    :func:`_swap_merged_buffers`, flushed through ``enqueue_batch`` at
+    every chunk end and — to preserve the reference's per-controller
+    enqueue order — right before an interval boundary.  A due swap does
+    not flush: its transaction pattern *merges* into the buffered
+    columns through the engine's swap sink.  Remapped frames decode
+    inline through the mappers instead of ``memory.access``: remap
+    tables only ever hold in-range frames, so the routing is identical
+    and the bounds check is vacuous.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
-    pod_ids = _mempod_pod_plane(packed, manager)
     observe = [pod.mea.record for pod in manager.pods]
     forward_get = [pod.remap._forward.get for pod in manager.pods]
     block_penalty = manager._block_penalty_ps
@@ -1045,24 +914,17 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
     slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
     demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
+    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
-
+    fast_pages = manager._fast_pages
+    ppr = manager._ppr
+    fast_chan = manager._fast_chan
+    fast_cpp = manager._fast_cpp
+    slow_chan = manager._slow_chan
+    slow_cpp = manager._slow_cpp
     arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages, pod_ids,
-        plane_ctrl, plane_bank, plane_row,
-    )
+    records = _record_stream(packed, memory, page_shift)
     total = packed.length
     last_ps = 0
     offset = 0
@@ -1070,7 +932,6 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
     # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
     try:
@@ -1078,7 +939,7 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
             end = pos + sample if sample else total
             if end > total:
                 end = total
-            for arrival, is_write, address, page, pod_id, ci, bank, row in islice(
+            for arrival, is_write, address, _, page, ci, bank, row in islice(
                 records, end - pos
             ):
                 arrival += offset
@@ -1087,8 +948,7 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
                     # issue their own swaps), so deferred demand must
                     # reach the controllers first and the sink must not
                     # capture the boundary's migration traffic.
-                    if buffers:
-                        flush_buffers()
+                    flush_all()
                     engine.swap_sink = None
                     while arrival >= next_boundary:
                         run_boundary(next_boundary)
@@ -1100,6 +960,11 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
                     # reference's because every buffered demand arrival
                     # precedes the swap's issue time.
                     issue_swaps(arrival)
+                # The owning pod, inlined from MemPodManager.handle.
+                if page < fast_pages:
+                    pod_id = ((page // ppr) % fast_chan) // fast_cpp
+                else:
+                    pod_id = (((page - fast_pages) // ppr) % slow_chan) // slow_cpp
                 observe[pod_id](page)
                 if blocked or expiry:
                     penalty = block_penalty(page, arrival)
@@ -1113,17 +978,15 @@ def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
                     else:
                         ci, bank, row = slow_decode(translated - fast_bytes)
                         ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
+                buf_bk[ci].append(bank)
+                buf_rw[ci].append(row)
+                buf_wr[ci].append(is_write)
+                buf_ar[ci].append(arrival)
+                buf_ac[ci].append(arrival - penalty)
+                kd = buf_kd[ci]
+                if kd is not None:
+                    kd.append(demand)
+            flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
                 backlog = peak_bus() - last_ps
@@ -1149,30 +1012,18 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     recording, page-table lookup, block penalties.
 
     With numpy the columnar interval engine replays whole event-free
-    slices (see :func:`_columnar_interval_replay`); the full-counter
-    updates deferred across a slice flush through one
-    :meth:`~repro.tracking.full_counters.FullCountersTracker.record_batch`
-    call per epoch.  Without numpy the pure twin walks the records.
+    slices (see :func:`_columnar_interval_replay`); without numpy the
+    per-record :func:`_replay_hma_pure` walks the records.
     """
     if _np is None or packed.np_addresses() is None:
         return _replay_hma_pure(trace, packed, manager, throttle_cap_ps)
-    shift = manager._page_shift
-    (page_col,) = packed.np_columns(("pages", shift), (packed.pages(shift),))
-    record_batch = manager.tracker.record_batch
-
-    def flush_trackers(lo, hi):
-        if hi > lo:
-            record_batch(page_col[lo:hi])
-
-    return _columnar_interval_replay(
-        trace, packed, manager, throttle_cap_ps, flush_trackers
-    )
+    return _columnar_interval_replay(trace, packed, manager, throttle_cap_ps)
 
 
 def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
     """Per-record twin of the HMA kernel (the no-numpy leg).
 
-    Batches the DRAM side exactly like :func:`_replay_mempod_pure`:
+    Batches the DRAM side exactly like :func:`_replay_mempod`:
     per-controller column buffers flushed at chunk ends and before
     epoch work (``_run_boundary`` may ``block_until`` the whole machine
     in stall mode, so deferred demand must land first); paced due swaps
@@ -1182,8 +1033,6 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
     record = manager.tracker.record
     location_get = manager._location.get
     block_penalty = manager._block_penalty_ps
@@ -1201,24 +1050,11 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
     slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
     demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
-
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
+    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
     arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages,
-        plane_ctrl, plane_bank, plane_row,
-    )
+    records = _record_stream(packed, memory, page_shift)
     total = packed.length
     last_ps = 0
     offset = 0
@@ -1226,7 +1062,6 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
     # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
     try:
@@ -1234,7 +1069,7 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
             end = pos + sample if sample else total
             if end > total:
                 end = total
-            for arrival, is_write, address, page, ci, bank, row in islice(
+            for arrival, is_write, address, _, page, ci, bank, row in islice(
                 records, end - pos
             ):
                 arrival += offset
@@ -1242,8 +1077,7 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
                     # Epochs may block_until the whole machine in stall
                     # mode, so deferred demand lands first and the sink
                     # stays out of the epoch's own swap issues.
-                    if buffers:
-                        flush_buffers()
+                    flush_all()
                     engine.swap_sink = None
                     while arrival >= next_boundary:
                         run_epoch(next_boundary)
@@ -1267,17 +1101,15 @@ def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
                     else:
                         ci, bank, row = slow_decode(translated - fast_bytes)
                         ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
+                buf_bk[ci].append(bank)
+                buf_rw[ci].append(row)
+                buf_wr[ci].append(is_write)
+                buf_ar[ci].append(arrival)
+                buf_ac[ci].append(arrival - penalty)
+                kd = buf_kd[ci]
+                if kd is not None:
+                    kd.append(demand)
+            flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
                 backlog = peak_bus() - last_ps
@@ -1299,365 +1131,18 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     """THM without an SRT cache: competing counters, inline migration,
     segment-local remap, block penalties.
 
-    THM has no boundaries, but its only event is the inline migration,
-    and :meth:`CompetingCounterArray.access_batch` both applies a run of
-    counter updates vectorised *and* reports where the first threshold
-    crossing lands.  So each throttle chunk replays as: translate the
-    chunk densely (one binary search against the remap snapshot),
-    classify every record as challenger or defender from its effective
-    frame, let ``access_batch`` find the first trigger, accumulate the
-    trigger-free prefix into per-controller column buffers (penalties,
-    translation), then replay the triggering record itself through the
-    exact scalar path — its migration's swap traffic merges into the
-    buffered columns through the engine's swap sink, and the trigger's
-    own transaction is buffered right behind it — and repeat from the
-    next record with fresh snapshots.  The buffers flush through one
-    ``enqueue_batch`` call per controller at each chunk end (before the
-    throttle probe reads the bus cursors), so the migration backlog
-    lands in the batched path's episode engine instead of a scalar
-    drain.
-    """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_thm_pure(trace, packed, manager, throttle_cap_ps)
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    bufs, flush_ctrl, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
-    peak_bus = memory.peak_bus_free_ps
-    mapped = packed.mapped
-    shift = manager._page_shift
-    pages = packed.pages(shift)
-    fast_pages = manager.geometry.fast_pages
-    if mapped:
-        # Mapped traces keep every derived column per-chunk: segments
-        # compute from the page slice (the same ``segment_of`` formula
-        # as :func:`_thm_segment_plane`), the vector path decodes each
-        # slice densely from the address column, and the scalar trigger
-        # path decodes inline — no trace-length plane is materialised.
-        plane_ctrl = plane_bank = plane_row = None
-        ctrl_col = bank_col = row_col = None
-        segments = seg_col = None
-    else:
-        plane = _hybrid_plane(packed, memory)
-        plane_ctrl, plane_bank, plane_row = plane
-        ctrl_col, bank_col, row_col = packed.np_columns(
-            _hybrid_layout_key(memory), plane
-        )
-        segments = _thm_segment_plane(packed, manager)
-        (seg_col,) = packed.np_columns(
-            ("thm-segments", shift, fast_pages), (segments,)
-        )
-    (page_col,) = packed.np_columns(("pages", shift), (pages,))
-    (arr_col, write_col) = packed.np_columns(
-        ("records",), (packed.arrivals, packed.is_writes)
-    )
-    addr_col = packed.np_addresses()
-    access_batch = manager.counters.access_batch
-    access_resident = manager.counters.access_resident
-    access_challenger = manager.counters.access_challenger
-    migrate = manager._migrate
-    location_get = manager._location.get
-    resident_get = manager.remap._resident.get
-    block_penalty = manager._block_penalty_ps
-    blocked = manager._blocked
-    expiry = manager._blocked_expiry
-    prune_blocked = manager._prune_blocked
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    fast_bytes = memory.geometry.fast_bytes
-    fm = memory.fast.mapper
-    sm = memory.slow.mapper
-    fast_decode = fm.fast_decode
-    slow_decode = sm.fast_decode
-    fast_channels = memory.fast.channels
-    demand = DEMAND
-    engine = manager.engine
-    arrivals = packed.arrivals
-    is_writes = packed.is_writes
-    addresses = packed.addresses
-    asarray = _np.asarray
-    int64 = _np.int64
-    searchsorted = _np.searchsorted
-    flatnonzero = _np.flatnonzero
-    where = _np.where
-    argsort = _np.argsort
-
-    total = packed.length
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_np = None
-    blocked_np = None
-    last_ps = 0
-    offset = 0
-    pos = 0
-
-    empty = _np.empty
-    concatenate = _np.concatenate
-
-    def shifted_in(arr, idx, value):
-        out = empty(len(arr) + 1, dtype=arr.dtype)
-        out[:idx] = arr[:idx]
-        out[idx] = value
-        out[idx + 1 :] = arr[idx:]
-        return out
-
-    def patch_remap(snapshot, moved_page):
-        # One migration changes at most two forward entries; patching the
-        # sorted snapshot in place (O(len) insert/delete at worst) beats
-        # re-sorting the whole table after every trigger.
-        rpages, rframes = snapshot
-        idx = int(searchsorted(rpages, moved_page))
-        present = idx < len(rpages) and rpages[idx] == moved_page
-        new_frame = location_get(moved_page, moved_page)
-        if new_frame != moved_page:
-            if present:
-                rframes[idx] = new_frame
-                return snapshot
-            return (
-                shifted_in(rpages, idx, moved_page),
-                shifted_in(rframes, idx, new_frame),
-            )
-        if present:
-            keep = (rpages[:idx], rpages[idx + 1 :])
-            return (
-                concatenate(keep),
-                concatenate((rframes[:idx], rframes[idx + 1 :])),
-            )
-        return snapshot
-
-    # hoists: engine.batch_swaps, engine.swap_sink
-    engine.batch_swaps = True
-    engine.swap_sink = swap_sink
-    try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            i = pos
-            while i < end:
-                pg = page_col[i:end]
-                if remap_np is None:
-                    rpages, rframes = manager.remap_columns()
-                    remap_np = (
-                        asarray(rpages, dtype=int64),
-                        asarray(rframes, dtype=int64),
-                    )
-                rpages, rframes = remap_np
-                frames = pg
-                rhit = None
-                if len(rpages):
-                    ridx = searchsorted(rpages, pg)
-                    _np.minimum(ridx, len(rpages) - 1, out=ridx)
-                    rhit = rpages[ridx] == pg
-                    if rhit.any():
-                        frames = pg.copy()
-                        frames[rhit] = rframes[ridx[rhit]]
-                    else:
-                        rhit = None
-                # Challenger iff the *effective* frame lives in slow
-                # memory — the same test the scalar path's frame branch
-                # makes (location_get default = identity).
-                seg = (
-                    where(pg < fast_pages, pg, (pg - fast_pages) % fast_pages)
-                    if mapped
-                    else seg_col[i:end]
-                )
-                trigger = access_batch(seg, pg, frames >= fast_pages)
-                cut = end if trigger is None else i + trigger
-                if cut > i:
-                    # -- trigger-free slice [i, cut) --------------------
-                    m = cut - i
-                    arr = arr_col[i:cut]
-                    if offset:
-                        arr = arr + offset
-                    pslice = pg[:m]
-                    acct = None
-                    if blocked or expiry:
-                        if blocked:
-                            if blocked_np is None:
-                                bpages, buntils = manager.blocked_columns()
-                                blocked_np = (
-                                    asarray(bpages, dtype=int64),
-                                    asarray(buntils, dtype=int64),
-                                )
-                            bpages, buntils = blocked_np
-                            bidx = searchsorted(bpages, pslice)
-                            _np.minimum(bidx, len(bpages) - 1, out=bidx)
-                            bhit = bpages[bidx] == pslice
-                            if bhit.any():
-                                pen = buntils[bidx[bhit]] - arr[bhit]
-                                stalled = pen > 0
-                                hits = int(stalled.sum())
-                                if hits:
-                                    manager.blocked_hits += hits
-                                    acct = arr.copy()
-                                    acct[flatnonzero(bhit)[stalled]] -= pen[stalled]
-                        size = len(blocked)
-                        prune_blocked(arrivals[cut - 1] + offset)
-                        if len(blocked) != size:
-                            blocked_np = None
-                    if rhit is not None and rhit[:m].any():
-                        translated = (frames[:m] << page_shift) | (
-                            addr_col[i:cut] & page_mask
-                        )
-                    elif mapped:
-                        # No remap hit: identity decode of the original
-                        # addresses equals the plane values, so the
-                        # mapped leg shares the dense-decode path.
-                        translated = addr_col[i:cut]
-                    else:
-                        translated = None
-                    if translated is not None:
-                        is_fast = translated < fast_bytes
-                        off = where(is_fast, translated, translated - fast_bytes)
-                        ci = where(
-                            is_fast,
-                            (off >> fm._bank_shift) & fm._chan_mask,
-                            fast_channels
-                            + ((off >> sm._bank_shift) & sm._chan_mask),
-                        )
-                        bk = where(
-                            is_fast,
-                            (off >> fm._row_shift) & fm._bank_mask,
-                            (off >> sm._row_shift) & sm._bank_mask,
-                        )
-                        rw = where(
-                            is_fast, off >> fm._chan_shift, off >> sm._chan_shift
-                        )
-                    else:
-                        ci = ctrl_col[i:cut]
-                        bk = bank_col[i:cut]
-                        rw = row_col[i:cut]
-                    order = argsort(ci, kind="stable")
-                    ci_s = ci[order]
-                    cuts = flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
-                    bounds = [0, *cuts.tolist(), m]
-                    ci_l = ci_s.tolist()
-                    bk_l = bk[order].tolist()
-                    rw_l = rw[order].tolist()
-                    wr_l = write_col[i:cut][order].tolist()
-                    ar_l = arr[order].tolist()
-                    ac_l = None if acct is None else acct[order].tolist()
-                    for gi in range(len(bounds) - 1):
-                        lo = bounds[gi]
-                        hi = bounds[gi + 1]
-                        c = ci_l[lo]
-                        buf_bk[c].extend(bk_l[lo:hi])
-                        buf_rw[c].extend(rw_l[lo:hi])
-                        buf_wr[c].extend(wr_l[lo:hi])
-                        buf_ar[c].extend(ar_l[lo:hi])
-                        buf_ac[c].extend(
-                            ar_l[lo:hi] if ac_l is None else ac_l[lo:hi]
-                        )
-                        kd = buf_kd[c]
-                        if kd is not None:
-                            kd.extend([demand] * (hi - lo))
-                    i = cut
-                if trigger is None:
-                    break
-                # -- the triggering record replays scalar ---------------
-                arrival = arrivals[i] + offset
-                page = pages[i]
-                segment = (
-                    (page if page < fast_pages else (page - fast_pages) % fast_pages)
-                    if mapped
-                    else segments[i]
-                )
-                if blocked or expiry:
-                    bsize = len(blocked)
-                    penalty = block_penalty(page, arrival)
-                    if blocked_np is not None and len(blocked) != bsize:
-                        blocked_np = None
-                else:
-                    penalty = 0
-                frame = location_get(page)
-                if (frame if frame is not None else page) < fast_pages:
-                    access_resident(segment)
-                else:
-                    challenger = access_challenger(segment, page)
-                    if challenger is not None:
-                        # Capture the two pages the swap will remap
-                        # *before* it runs; a stale trigger (challenger
-                        # already resident) moves nothing.
-                        challenger_frame = location_get(challenger, challenger)
-                        if challenger_frame != segment:
-                            moved_a = resident_get(segment, segment)
-                            moved_b = resident_get(
-                                challenger_frame, challenger_frame
-                            )
-                        else:
-                            moved_a = moved_b = None
-                        penalty += migrate(segment, challenger, arrival)
-                        frame = location_get(page, page)
-                        if moved_a is not None:
-                            remap_np = patch_remap(remap_np, moved_a)
-                            remap_np = patch_remap(remap_np, moved_b)
-                            blocked_np = None
-                if frame is None and not mapped:
-                    ci = plane_ctrl[i]
-                    bank = plane_bank[i]
-                    row = plane_row[i]
-                else:
-                    # Identity-mapped records decode from the original
-                    # address — the plane value by definition — so the
-                    # mapped leg shares the translated-decode path.
-                    translated = (
-                        addresses[i]
-                        if frame is None
-                        else (frame << page_shift) | (addresses[i] & page_mask)
-                    )
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                # The trigger record lands in the buffer *after* any
-                # swap traffic its migration merged through the sink —
-                # exactly the reference's per-controller enqueue order.
-                buf_bk[ci].append(bank)
-                buf_rw[ci].append(row)
-                buf_wr[ci].append(is_writes[i])
-                buf_ar[ci].append(arrival)
-                buf_ac[ci].append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
-                i += 1
-            # The throttle probe reads controller bus cursors, so the
-            # deferred columns must land first.
-            flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty at chunk boundaries; finish() runs direct.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
-    finally:
-        engine.batch_swaps = False
-        engine.swap_sink = None
-    return collect_result(manager, trace, end_ps)
-
-
-def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the THM kernel (the no-numpy leg).
-
-    Batches the DRAM side with per-controller column buffers flushed at
-    chunk ends; an inline migration's swap traffic *merges* into the
-    buffered columns through the engine's swap sink instead of forcing
-    a flush (``_migrate`` never reads controller state, and buffered
-    demand arrivals precede the swap's issue time, so the flushed
-    column replays the reference per-controller enqueue order).
+    Per record over :func:`_record_stream`, with the DRAM side batched
+    into per-controller column buffers flushed at chunk ends; an inline
+    migration's swap traffic *merges* into the buffered columns through
+    the engine's swap sink instead of forcing a flush (``_migrate``
+    never reads controller state, and buffered demand arrivals precede
+    the swap's issue time, so the flushed column replays the reference
+    per-controller enqueue order).
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
-    segments = _thm_segment_plane(packed, manager)
     access_resident = manager.counters.access_resident
     access_challenger = manager.counters.access_challenger
     migrate = manager._migrate
@@ -1673,24 +1158,11 @@ def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
     slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
     demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
-
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
+    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
     arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages, segments,
-        plane_ctrl, plane_bank, plane_row,
-    )
+    records = _record_stream(packed, memory, page_shift)
     total = packed.length
     last_ps = 0
     offset = 0
@@ -1698,7 +1170,6 @@ def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
     # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
     try:
@@ -1706,7 +1177,7 @@ def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
             end = pos + sample if sample else total
             if end > total:
                 end = total
-            for arrival, is_write, address, page, segment, ci, bank, row in islice(
+            for arrival, is_write, address, _, page, ci, bank, row in islice(
                 records, end - pos
             ):
                 arrival += offset
@@ -1715,32 +1186,21 @@ def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
                 else:
                     penalty = 0
                 frame = location_get(page)
-                if frame is None:
-                    # Identity mapping: the decode plane is exact, and a
-                    # fast-resident page only defends its counter.
-                    if page < fast_pages:
-                        access_resident(segment)
-                    else:
-                        challenger = access_challenger(segment, page)
-                        if challenger is not None:
-                            # The swap traffic merges into the buffered
-                            # columns through the sink; _migrate itself
-                            # never reads controller state, so deferred
-                            # demand need not land first.
-                            penalty += migrate(segment, challenger, arrival)
-                            frame = location_get(page, page)
+                if page < fast_pages:
+                    segment = page  # ThmManager.segment_of, inlined
                 else:
-                    if frame < fast_pages:
-                        access_resident(segment)
-                    else:
-                        challenger = access_challenger(segment, page)
-                        if challenger is not None:
-                            # The swap traffic merges into the buffered
-                            # columns through the sink; _migrate itself
-                            # never reads controller state, so deferred
-                            # demand need not land first.
-                            penalty += migrate(segment, challenger, arrival)
-                            frame = location_get(page, page)
+                    segment = (page - fast_pages) % fast_pages
+                if (page if frame is None else frame) < fast_pages:
+                    access_resident(segment)
+                else:
+                    challenger = access_challenger(segment, page)
+                    if challenger is not None:
+                        # The swap traffic merges into the buffered
+                        # columns through the sink; _migrate itself never
+                        # reads controller state, so deferred demand need
+                        # not land first.
+                        penalty += migrate(segment, challenger, arrival)
+                        frame = location_get(page, page)
                 if frame is not None:
                     translated = (frame << page_shift) | (address & page_mask)
                     if translated < fast_bytes:
@@ -1748,17 +1208,15 @@ def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
                     else:
                         ci, bank, row = slow_decode(translated - fast_bytes)
                         ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
+                buf_bk[ci].append(bank)
+                buf_rw[ci].append(row)
+                buf_wr[ci].append(is_write)
+                buf_ar[ci].append(arrival)
+                buf_ac[ci].append(arrival - penalty)
+                kd = buf_kd[ci]
+                if kd is not None:
+                    kd.append(demand)
+            flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
                 backlog = peak_bus() - last_ps
@@ -1778,7 +1236,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     """CAMEO without the location predictor.
 
     Fast path: an identity-mapped fast-resident line that is not on the
-    untouched list — serve it directly (the decode plane is computed
+    untouched list — serve it directly (the record's decode is computed
     from the original address, whose low six line-offset bits sit below
     every mapper shift, so channel/bank/row match ``line * 64``
     exactly).  Everything else — any slow access (it always swaps), any
@@ -1789,8 +1247,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     ctrls = _hybrid_controllers(memory)
     enqueues = [ctrl.enqueue for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    lines = packed.pages(LINE_SHIFT)
     location_get = manager._location.get
     untouched = manager._untouched_in_fast
     fast_lines = manager.fast_lines
@@ -1801,10 +1257,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     demand = DEMAND
 
     arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, packed.cores, lines,
-        plane_ctrl, plane_bank, plane_row,
-    )
+    records = _record_stream(packed, memory, LINE_SHIFT)
     total = packed.length
     last_ps = 0
     offset = 0

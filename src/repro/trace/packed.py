@@ -191,9 +191,8 @@ class PackedTrace:
         (memoised per shift — managers at different page sizes coexist).
 
         Mapped traces serve the stored shift as a zero-copy view of the
-        on-disk page plane; other shifts (only CAMEO's line shift in
-        practice) are computed once into an int64 array and wrapped, an
-        O(length) allocation documented as outside the flat-RSS claim.
+        on-disk page plane; other shifts are computed once into an int64
+        array and wrapped.
         """
         cached = self._pages.get(page_shift)
         if cached is None:

@@ -21,13 +21,10 @@ from typing import List, Optional
 from ..common.config import require_positive_int
 from .base import ActivityTracker
 
-try:  # optional accelerator; access_batch has a pure-Python twin
+try:  # only to accept ndarray batches; the counters themselves are pure Python
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
-
-#: Below this many records the numpy set-up cost exceeds the loop.
-_BATCH_MIN = 32
 
 
 class CompetingCounterArray(ActivityTracker):
@@ -94,87 +91,12 @@ class CompetingCounterArray(ActivityTracker):
         crossing access itself is **not** applied; its index is
         returned so the caller can replay it through
         :meth:`access_challenger` and handle the migration it demands.
-        Returns ``None`` when the whole run is trigger-free.
-
-        The numpy path closes the clamped counter recursion per segment
-        (a Lindley recursion: ``c_i = S_i + max(c_0, -min_{k<=i} S_k)``
-        over the ±1 prefix sums ``S``) with grouped cumulative sums and
-        running minima.  Upper saturation never binds before a trigger
-        when ``threshold <= 2**counter_bits - 1``; otherwise — and
-        without numpy, or for short runs — the pure twin walks the run
-        scalar.
+        Returns ``None`` when the whole run is trigger-free.  An ndarray
+        ``pages`` column is converted first so stored challengers stay
+        plain ints.
         """
-        n = len(segments)
-        if n == 0:
-            return None
-        if _np is None:
-            return self._access_loop(segments, pages, challenger)
-        if self.threshold > self._max_count or n < _BATCH_MIN:
-            # Keep stored pages plain ints even for ndarray columns.
-            if isinstance(pages, _np.ndarray):
-                pages = pages.tolist()
-            return self._access_loop(segments, pages, challenger)
-        seg = _np.asarray(segments, dtype=_np.int64)
-        chal = _np.asarray(challenger, dtype=bool)
-        order = _np.argsort(seg, kind="stable")
-        sseg = seg[order]
-        schal = chal[order]
-        delta = _np.where(schal, 1, -1)
-        starts = _np.ones(n, dtype=bool)
-        starts[1:] = sseg[1:] != sseg[:-1]
-        start_pos = _np.flatnonzero(starts)
-        gid = _np.cumsum(starts) - 1
-        counts = self._counts
-        group_segs = sseg[start_pos].tolist()
-        c0 = _np.asarray([counts[s] for s in group_segs], dtype=_np.int64)
-        prefix = _np.cumsum(delta)
-        base = (prefix - delta)[start_pos]
-        within = prefix - base[gid]
-        # Grouped running minimum via the offset trick: stagger groups
-        # far enough apart (|within| <= n) that an accumulate never
-        # crosses a group boundary.
-        big = 2 * (n + 1)
-        staggered = within - gid * big
-        running_min = _np.minimum.accumulate(staggered) + gid * big
-        c = within + _np.maximum(c0[gid], -running_min)
-        triggered = schal & (c >= self.threshold)
-        if triggered.any():
-            first = int(order[triggered].min())
-            if first:
-                # Apply the trigger-free prefix.  Short prefixes replay
-                # scalar — a second full vector pass costs more than the
-                # records it would collapse (frequent triggers otherwise
-                # pay the set-up twice per crossing).
-                if first < 4 * _BATCH_MIN:
-                    self._access_loop(
-                        segments[:first],
-                        pages[:first].tolist()
-                        if isinstance(pages, _np.ndarray)
-                        else pages[:first],
-                        challenger[:first],
-                    )
-                else:
-                    self.access_batch(
-                        segments[:first], pages[:first], challenger[:first]
-                    )
-            return first
-        end_pos = _np.append(start_pos[1:], n) - 1
-        for s, value in zip(group_segs, c[end_pos].tolist()):
-            counts[s] = value
-        # Last challenger per segment: running max of challenger
-        # positions, same offset trick (positions are >= 0, misses -1).
-        marked = _np.where(schal, _np.arange(n), -1) + gid * (n + 1)
-        last_pos = (_np.maximum.accumulate(marked) - gid * (n + 1))[end_pos]
-        sorted_pages = _np.asarray(pages, dtype=_np.int64)[order]
-        last = self._last_challenger
-        for s, li in zip(group_segs, last_pos.tolist()):
-            if li >= 0:
-                last[s] = int(sorted_pages[li])
-        return None
-
-    def _access_loop(self, segments, pages, challenger) -> Optional[int]:
-        """Pure-Python twin of :meth:`access_batch` (also the exact
-        fallback when upper saturation can bind before a trigger)."""
+        if _np is not None and isinstance(pages, _np.ndarray):
+            pages = pages.tolist()
         counts = self._counts
         last = self._last_challenger
         threshold = self.threshold

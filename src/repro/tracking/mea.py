@@ -30,25 +30,10 @@ from typing import Dict, List, Sequence
 from ..common.config import require_positive_int
 from .base import ActivityTracker
 
-try:  # optional accelerator; record_batch has a pure-Python twin
+try:  # only to accept ndarray batches; the tracker itself is pure Python
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
-
-#: Below this many records the numpy set-up cost exceeds the loop it
-#: replaces; fall through to the pure twin.
-_BATCH_MIN = 32
-
-#: A decrement round forces scalar processing of its arriving record.
-#: When ``_STALL_LIMIT`` consecutive stretches advance fewer than
-#: ``_STALL_PROGRESS`` records each, the per-stretch membership scans
-#: cost more than they save — finish with the pure twin instead.  The
-#: thresholds are deliberately aggressive: once the table is full,
-#: rounds recur every few records (evictions refill fast under skewed
-#: traffic), and only the long insert stretch right after a reset
-#: reliably amortises the numpy set-up.
-_STALL_LIMIT = 2
-_STALL_PROGRESS = 64
 
 
 class MeaTracker(ActivityTracker):
@@ -127,106 +112,12 @@ class MeaTracker(ActivityTracker):
     def record_batch(self, pages: Sequence[int]) -> None:
         """Replay :meth:`record` over every page of ``pages``, in order.
 
-        Bit-identical to the per-record loop — same final table, same
-        aggregate event counters — but vectorised between decrement
-        rounds: within a stretch where the table does not overflow, the
-        outcome is order-free (saturating increments commute), so the
-        stretch collapses to one ``unique``/bincount pass.  The stretch
-        ends at the first occurrence of the ``(free + 1)``-th distinct
-        untracked page — the record that would trigger a decrement
-        round — which is replayed through :meth:`record` exactly, and
-        the segmentation restarts with the post-round table.
-
-        Without numpy (or for short batches) the pure twin runs the
-        per-record semantics with the table and counters hoisted into
-        locals.
+        The per-record semantics with the table and counters hoisted
+        into locals.  An ndarray batch is converted first so table keys
+        stay plain ints.
         """
-        n = len(pages)
-        if _np is None:
-            self._record_loop(pages)
-            return
-        if n < _BATCH_MIN:
-            # Too short to amortise the numpy set-up; keep table keys
-            # plain ints even when handed an ndarray slice.
-            self._record_loop(
-                pages.tolist() if isinstance(pages, _np.ndarray) else pages
-            )
-            return
-        col = _np.asarray(pages, dtype=_np.int64)
-        table = self._table
-        limit = self._insert_limit
-        max_count = self._max_count
-        # Bound each membership scan to a window instead of the whole
-        # remaining suffix: a stretch that outruns the window simply
-        # continues in the next iteration (stretch-end detection only
-        # looks forward, so it composes), while frequent decrement
-        # rounds no longer pay a full-suffix scan each — that was
-        # quadratic on near-uniform traffic.
-        window = 4 * limit
-        if window < 256:
-            window = 256
-        start = 0
-        stalled = 0
-        while start < n:
-            sub = col[start : start + window]
-            if table:
-                keys = _np.fromiter(table.keys(), dtype=_np.int64, count=len(table))
-                keys.sort()
-                idx = _np.searchsorted(keys, sub)
-                _np.minimum(idx, len(keys) - 1, out=idx)
-                untracked = keys[idx] != sub
-            else:
-                untracked = _np.ones(len(sub), dtype=bool)
-            free = limit - len(table)
-            upos = _np.flatnonzero(untracked)
-            if len(upos) <= free:
-                stop = len(sub)
-            elif free == 0:
-                stop = int(upos[0])
-            else:
-                # Position of the (free + 1)-th *distinct* untracked
-                # page: first occurrences in arrival order.
-                uvals = sub[upos]
-                order = _np.argsort(uvals, kind="stable")
-                svals = uvals[order]
-                first = _np.ones(len(svals), dtype=bool)
-                first[1:] = svals[1:] != svals[:-1]
-                first_pos = _np.sort(upos[order[first]])
-                stop = int(first_pos[free]) if len(first_pos) > free else len(sub)
-            if stop:
-                prefix = sub[:stop]
-                uniq, occ = _np.unique(prefix, return_counts=True)
-                increments = 0
-                insertions = 0
-                for page, count in zip(uniq.tolist(), occ.tolist()):
-                    current = table.get(page)
-                    if current is not None:
-                        total = current + count
-                        table[page] = total if total < max_count else max_count
-                        increments += count
-                    else:
-                        table[page] = count if count < max_count else max_count
-                        increments += count - 1
-                        insertions += 1
-                self.increments += increments
-                self.insertions += insertions
-            start += stop
-            if start < n:
-                # The stretch-ending record: a full-table miss — replay
-                # its decrement round through the scalar path.
-                self.record(int(col[start]))
-                start += 1
-            if stop < _STALL_PROGRESS:
-                stalled += 1
-                if stalled >= _STALL_LIMIT:
-                    self._record_loop(col[start:].tolist())
-                    return
-            else:
-                stalled = 0
-
-    def _record_loop(self, pages: Sequence[int]) -> None:
-        """Pure-Python twin of :meth:`record_batch`: the per-record
-        semantics with every table and counter reference a local."""
+        if _np is not None and isinstance(pages, _np.ndarray):
+            pages = pages.tolist()
         table = self._table
         limit = self._insert_limit
         max_count = self._max_count

@@ -117,7 +117,7 @@ class TestFallbackConfigurations:
 
 class TestPurePythonTwins:
     """numpy is an accelerator, never a dependency: with it patched out,
-    the comprehension-based plane/grouping twins must drive the batched
+    the comprehension-based decode/grouping legs must drive the batched
     datapath to the same bit-identical results.  (CI also runs this
     whole file on a numpy-free interpreter; these tests keep the twins
     covered on developer machines that do have numpy.)"""
@@ -132,13 +132,15 @@ class TestPurePythonTwins:
 
         monkeypatch.setattr(repro.trace.packed, "_np", None)
         monkeypatch.setattr(repro.kernel.replay, "_np", None)
-        # The tracker twins too: the no-numpy leg must cover
-        # record_batch/access_batch falling back to their scalar loops.
+        # The trackers too, as on a numpy-free install: hma's columnar
+        # engine is skipped and the full-counter batch runs its pure leg.
         monkeypatch.setattr(repro.tracking.mea, "_np", None)
         monkeypatch.setattr(repro.tracking.competing, "_np", None)
         monkeypatch.setattr(repro.tracking.full_counters, "_np", None)
 
-    @pytest.mark.parametrize("kind", ["tlm", "mempod", "thm", "hma", "hbm-only"])
+    @pytest.mark.parametrize(
+        "kind", ["tlm", "mempod", "thm", "hma", "cameo", "hbm-only"]
+    )
     def test_without_numpy(self, geometry, kind, no_numpy):
         assert_kernels_agree(_trace(geometry, "mix8", length=3_000), geometry, kind)
 

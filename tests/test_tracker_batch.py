@@ -1,12 +1,17 @@
-"""Differential suite for the columnar tracker update paths.
+"""Differential suite for the tracker batch update paths.
 
 ``record_batch`` / ``access_batch`` must replay the per-record tracker
 semantics **bit for bit** — same tables, same counters, same aggregate
-event stats — on both the numpy path and the pure-Python twin.  The
-cases here are adversarial on purpose: tiny saturating counters,
-full-table decrement rounds with evictions, the strict paper capacity
-variant, empty batches, and chunkings that land batch boundaries on
-every alignment.
+event stats.  Every case runs in two modes: ``numpy`` hands the batches
+over as int64 ndarrays (and drives ``FullCountersTracker``'s numpy
+pass), ``pure`` patches numpy out of the tracker modules and hands over
+lists.  MEA and the competing counters batch with one scalar loop
+either way; the modes pin that ndarray input replays exactly like
+list input and never leaks numpy scalars into tracker state.  The
+cases are adversarial on purpose: tiny saturating counters, full-table
+decrement rounds with evictions, the strict paper capacity variant,
+empty batches, and chunkings that land batch boundaries on every
+alignment.
 """
 
 import random
@@ -32,6 +37,13 @@ def mode(request, monkeypatch):
     elif mea_mod._np is None:
         pytest.skip("numpy not installed")
     return request.param
+
+
+def _column(values, mode):
+    """``values`` as the batch column a caller in ``mode`` passes."""
+    if mode == "numpy":
+        return mea_mod._np.asarray(values, dtype=mea_mod._np.int64)
+    return values
 
 
 def _streams(seed=11, length=3_000):
@@ -82,26 +94,25 @@ class TestMeaBatch:
             capacity=capacity, counter_bits=counter_bits, strict_paper_capacity=strict
         )
         for chunk in _chunked(stream):
-            batched.record_batch(chunk)
+            batched.record_batch(_column(chunk, mode))
         assert self._mea_state(batched) == self._mea_state(reference)
 
     def test_single_batch_with_decrement_rounds(self, mode):
         # Capacity 4 with a wide stream: the table overflows constantly,
-        # exercising the decrement-round segmentation (and, on the numpy
-        # path, the stall fallback to the pure loop).
+        # so one batch runs many decrement rounds with evictions.
         stream = _streams()["uniform"][:1_500]
         reference = MeaTracker(capacity=4, counter_bits=2)
         for page in stream:
             reference.record(page)
         batched = MeaTracker(capacity=4, counter_bits=2)
-        batched.record_batch(stream)
+        batched.record_batch(_column(stream, mode))
         assert self._mea_state(batched) == self._mea_state(reference)
         assert batched.decrement_rounds > 0
         assert batched.evictions > 0
 
     def test_empty_batch(self, mode):
         tracker = MeaTracker(capacity=8)
-        tracker.record_batch([])
+        tracker.record_batch(_column([], mode))
         assert self._mea_state(tracker) == ({}, 0, 0, 0, 0, [])
 
     def test_table_keys_stay_plain_ints(self):
@@ -122,13 +133,13 @@ class TestFullCountersBatch:
             reference.record(page)
         batched = FullCountersTracker(20_000, counter_bits=counter_bits)
         for chunk in _chunked(stream):
-            batched.record_batch(chunk)
+            batched.record_batch(_column(chunk, mode))
         assert {int(k): int(v) for k, v in batched.counts().items()} == reference.counts()
         assert batched.hot_pages() == reference.hot_pages()
 
     def test_empty_batch(self, mode):
         tracker = FullCountersTracker(16)
-        tracker.record_batch([])
+        tracker.record_batch(_column([], mode))
         assert tracker.counts() == {}
 
 
@@ -145,15 +156,16 @@ def _drive_scalar(counters, accesses):
     return triggers
 
 
-def _drive_batched(counters, accesses):
+def _drive_batched(counters, accesses, mode="pure"):
     """Chunked access_batch with scalar replay of each trigger record."""
     segments = [segment for segment, _, _ in accesses]
     pages = [page for _, page, _ in accesses]
     attacks = [attack for _, _, attack in accesses]
+    page_col = _column(pages, mode)
     triggers = []
     i = 0
     while i < len(accesses):
-        stop = counters.access_batch(segments[i:], pages[i:], attacks[i:])
+        stop = counters.access_batch(segments[i:], page_col[i:], attacks[i:])
         if stop is None:
             break
         j = i + stop
@@ -193,25 +205,25 @@ class TestCompetingBatch:
         reference = CompetingCounterArray(32, threshold=threshold, counter_bits=counter_bits)
         expected = _drive_scalar(reference, accesses)
         batched = CompetingCounterArray(32, threshold=threshold, counter_bits=counter_bits)
-        actual = _drive_batched(batched, accesses)
+        actual = _drive_batched(batched, accesses, mode)
         assert actual == expected
         assert _competing_state(batched) == _competing_state(reference)
 
     def test_saturating_threshold_takes_exact_fallback(self, mode):
-        # threshold > max_count: upper saturation can bind before a
-        # trigger, so the closed form is invalid; the scalar fallback
-        # must still be exact (and can never trigger).
+        # threshold > max_count: the counter saturates below the
+        # threshold, so the batch can never trigger — and must still
+        # leave exactly the per-record state.
         accesses = self._accesses(8, length=600)
         reference = CompetingCounterArray(8, threshold=300, counter_bits=4)
         expected = _drive_scalar(reference, accesses)
         batched = CompetingCounterArray(8, threshold=300, counter_bits=4)
-        actual = _drive_batched(batched, accesses)
+        actual = _drive_batched(batched, accesses, mode)
         assert expected == actual == []
         assert _competing_state(batched) == _competing_state(reference)
 
     def test_empty_batch(self, mode):
         counters = CompetingCounterArray(4, threshold=2)
-        assert counters.access_batch([], [], []) is None
+        assert counters.access_batch([], _column([], mode), []) is None
         assert _competing_state(counters) == ([0] * 4, [None] * 4, 0, [])
 
 
