@@ -1,9 +1,9 @@
 """Twin-parity checker (``repro lint --deep``).
 
 The fast kernels keep numpy and pure-Python implementations of the same
-semantics side by side — hma's ``_columnar_interval_replay`` next to
-``_replay_hma_pure``, ``PackedTrace.chunk_groups_streamed`` next to
-``chunk_groups``, and so on.  Runtime differential suites prove the
+semantics side by side — ``PackedTrace.chunk_groups_streamed`` next
+to ``chunk_groups``, ``ChannelController.enqueue_batch`` next to
+``enqueue``, and so on.  Runtime differential suites prove the
 twins bit-identical, but only when someone runs them: editing one leg
 and shipping is the failure mode.  This registry makes the pairing a
 static contract:
@@ -50,11 +50,6 @@ class TwinPair:
 #: drift detection still applies, signature agreement is trivial.
 TWIN_PAIRS: Tuple[TwinPair, ...] = (
     TwinPair(
-        "hma-replay",
-        "repro/kernel/replay.py::_columnar_interval_replay",
-        "repro/kernel/replay.py::_replay_hma_pure",
-    ),
-    TwinPair(
         "controller-batch",
         "repro/dram/controller.py::ChannelController.enqueue_batch",
         "repro/dram/controller.py::ChannelController.enqueue",
@@ -88,6 +83,7 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
     TwinPair("trace-v2-load-planes", "repro/trace/io.py::load_columnar_planes"),
     TwinPair("single-plane", "repro/kernel/replay.py::_single_plane"),
     TwinPair("hybrid-decode", "repro/kernel/replay.py::_hybrid_decode"),
+    TwinPair("hma-interval-replay", "repro/kernel/replay.py::_columnar_interval_replay"),
 )
 
 _TWIN_MANIFEST_FILE = Path(__file__).resolve().parent / "twin_manifest.json"

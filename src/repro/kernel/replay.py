@@ -36,12 +36,12 @@ Each mechanism has one kernel, chosen because it measured fastest:
   at a time.  MemPod's per-pod MEA and THM's competing counters are
   per-access state machines, and batched numpy recurrences for them
   measured slower than these loops;
-* hma keeps two: with numpy, a columnar interval engine
-  (:func:`_columnar_interval_replay`) replays event-free slices with
-  vectorised penalty/translation/grouping passes and one
-  ``FullCountersTracker.record_batch`` per slice — faster on cold
-  sweep cells — and without numpy the per-record
-  :func:`_replay_hma_pure`.
+* hma is an interval engine (:func:`_columnar_interval_replay`): it
+  cuts the trace at epoch boundaries and due swaps, replays short
+  event-free slices per record against the live page table, and —
+  with numpy — longer ones with vectorised penalty/translation/grouping
+  passes; without numpy every slice replays per record.  Full-counter
+  updates are batched into ``FullCountersTracker.record_batch`` calls.
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -69,7 +69,8 @@ the same loops without trace-length derived columns: the direct
 kernels consume ``chunk_groups_streamed``, the per-record loops read
 :func:`_record_stream` windows, and the hma interval engine decodes
 each slice from the address column (identity-mapped records decode to
-exactly the plane values, by definition).  Peak Python-heap usage is
+exactly the plane values, by definition) and applies its deferred
+tracker updates at least once per window.  Peak Python-heap usage is
 bounded by the streaming window instead of the trace length; results
 are pinned byte-identical to the in-memory path by
 ``tests/test_trace_store.py``.
@@ -101,8 +102,9 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
 #: Event-free slices at or below this length replay per record inside the
-#: columnar engine: a handful of scalar buffer appends is cheaper than the
-#: per-slice column set-up (snapshot searches, argsort, tolist).
+#: interval engine: a handful of scalar buffer appends is cheaper than the
+#: per-slice column set-up (snapshot searches, argsort, tolist).  Without
+#: numpy every slice replays per record.
 _SCALAR_SLICE = 32
 
 
@@ -549,13 +551,18 @@ def _swap_merged_buffers(ctrls, batch):
 
 
 def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
-    """HMA's numpy kernel: the trace replayed interval by interval.
+    """HMA without a counter cache — epoch ticks, paced swaps, full-counter
+    recording, page-table lookup, block penalties — replayed interval by
+    interval.
 
     Within each throttle chunk, one binary search over the arrival
     column (:meth:`PackedTrace.cut_at`) finds where the next event — an
     epoch boundary or a due paced swap — lands, and everything before
-    the cut is one *event-free slice* processed with vectorised column
-    arithmetic:
+    the cut is one *event-free slice*.  A slice of at most
+    ``_SCALAR_SLICE`` records — and, without numpy, every slice —
+    replays per record against the live page table and block table,
+    taking each trace column once per slice.  Longer slices are
+    processed with vectorised column arithmetic:
 
     * block penalties via binary search against a sorted snapshot of
       the block table (``blocked_columns``), pruned once per slice —
@@ -563,7 +570,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
       entries expired for an earlier record yield no penalty for any
       later one and nothing is added mid-slice;
     * translation via binary search against a sorted snapshot of the
-      page table (``remap_columns``); when any record hits, the whole
+      page table (``remap_columns``), built the first time a vector
+      slice needs it after an event; when any record hits, the whole
       slice's channel/bank/row columns are recomputed densely from the
       translated addresses (identity records decode identically, so no
       scatter is needed), otherwise the memoised decode plane is used
@@ -576,11 +584,14 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
       columns through the engine's swap sink (see
       :func:`_swap_merged_buffers`) instead of flushing them, so only an
       epoch (whose plans may touch any controller and may stall the
-      machine) and the chunk-end throttle probe flush everything;
-    * full-counter updates deferred and applied with one
-      ``FullCountersTracker.record_batch`` call right before each epoch
-      runs (the tracker is only *read* at epochs and never touches the
-      controllers, so deferral commutes).
+      machine) and the chunk-end throttle probe flush everything.
+
+    Full-counter updates are deferred and applied with one
+    ``FullCountersTracker.record_batch`` call right before each epoch
+    runs and at least once per :func:`_stream_window` records — the
+    tracker is only *read* at epochs and never touches the controllers,
+    so deferral commutes, and the window keeps the batch (and the peak
+    heap) independent of the trace length.
 
     At the cut the event fires exactly as the reference per-record check
     would: elapsed epochs run in order (tracker updated first), then due
@@ -594,30 +605,39 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
     mapped = packed.mapped
-    if mapped:
-        # Mapped traces never materialise trace-length decode planes:
-        # the vector path decodes each slice from the address column
-        # (identity records decode to exactly the plane values) and the
-        # scalar path decodes inline through the mappers.
-        plane_ctrl = plane_bank = plane_row = None
-        ctrl_col = bank_col = row_col = None
-    else:
-        plane = _hybrid_plane(packed, memory)
-        plane_ctrl, plane_bank, plane_row = plane
-        ctrl_col, bank_col, row_col = packed.np_columns(
-            _hybrid_layout_key(memory), plane
-        )
+    vector = _np is not None
     page_shift = manager._page_shift
     page_mask = manager._page_mask
     pages_l = packed.pages(page_shift)
-    (page_col,) = packed.np_columns(("pages", page_shift), (pages_l,))
+    plane_ctrl = plane_bank = plane_row = None
+    ctrl_col = bank_col = row_col = None
+    if not mapped:
+        # Only in-memory traces read the memoised decode planes.  Mapped
+        # traces never materialise trace-length planes: the vector path
+        # decodes each slice from the address column (identity records
+        # decode to exactly the plane values) and the scalar path
+        # decodes inline through the mappers.
+        plane = _hybrid_plane(packed, memory)
+        plane_ctrl, plane_bank, plane_row = plane
+        if vector:
+            ctrl_col, bank_col, row_col = packed.np_columns(
+                _hybrid_layout_key(memory), plane
+            )
+    if vector:
+        (page_col,) = packed.np_columns(("pages", page_shift), (pages_l,))
+        (arr_col, write_col) = packed.np_columns(
+            ("records",), (packed.arrivals, packed.is_writes)
+        )
+        addr_col = packed.np_addresses()
+    else:
+        page_col = pages_l
+    # Without numpy every slice replays per record.
+    scalar_slice = _SCALAR_SLICE if vector else packed.length
     record_batch = manager.tracker.record_batch
-    (arr_col, write_col) = packed.np_columns(
-        ("records",), (packed.arrivals, packed.is_writes)
-    )
-    addr_col = packed.np_addresses()
+    window = _stream_window(packed)
     addresses = packed.addresses
     is_writes = packed.is_writes
+    location_get = manager._location.get
     blocked = manager._blocked
     expiry = manager._blocked_expiry
     prune_blocked = manager._prune_blocked
@@ -637,12 +657,6 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
     engine = manager.engine
     arrivals = packed.arrivals
     cut_at = packed.cut_at
-    asarray = _np.asarray
-    int64 = _np.int64
-    searchsorted = _np.searchsorted
-    flatnonzero = _np.flatnonzero
-    where = _np.where
-    argsort = _np.argsort
 
     # Per-controller column buffers.  Demand accumulates here across
     # slices — and due swaps merge their traffic in through the
@@ -675,24 +689,19 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                 if queue and queue[0][0] < event:
                     event = queue[0][0]
                 cut = cut_at(event - offset, i, end)
-                if cut > i and remap_np is None:
-                    rpages_l, rframes_l = manager.remap_columns()
-                    remap_get = dict(zip(rpages_l, rframes_l)).get
-                    remap_np = (
-                        asarray(rpages_l, dtype=int64),
-                        asarray(rframes_l, dtype=int64),
-                    )
-                if i < cut <= i + _SCALAR_SLICE:
+                if i < cut <= i + scalar_slice:
                     # -- short event-free slice: per-record replay is
                     # cheaper than the column set-up --------------------
                     checked = len(blocked) if blocked_np is not None else -1
-                    for k in range(i, cut):
-                        arrival = arrivals[k] + offset
-                        page = pages_l[k]
+                    for k, arrival, page, address, is_write in zip(
+                        range(i, cut), arrivals[i:cut], pages_l[i:cut],
+                        addresses[i:cut], is_writes[i:cut],
+                    ):
+                        arrival += offset
                         penalty = (
                             block_penalty(page, arrival) if blocked or expiry else 0
                         )
-                        frame = remap_get(page)
+                        frame = location_get(page)
                         if frame is None and not mapped:
                             ck = plane_ctrl[k]
                             bank = plane_bank[k]
@@ -703,10 +712,9 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                             # definition — so the mapped leg shares the
                             # translated-decode path.
                             translated = (
-                                addresses[k]
+                                address
                                 if frame is None
-                                else (frame << page_shift)
-                                | (addresses[k] & page_mask)
+                                else (frame << page_shift) | (address & page_mask)
                             )
                             if translated < fast_bytes:
                                 ck, bank, row = fast_decode(translated)
@@ -715,7 +723,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                                 ck += fast_channels
                         buf_bk[ck].append(bank)
                         buf_rw[ck].append(row)
-                        buf_wr[ck].append(is_writes[k])
+                        buf_wr[ck].append(is_write)
                         buf_ar[ck].append(arrival)
                         buf_ac[ck].append(arrival - penalty)
                         kd = buf_kd[ck]
@@ -736,11 +744,11 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                             if blocked_np is None:
                                 bpages, buntils = manager.blocked_columns()
                                 blocked_np = (
-                                    asarray(bpages, dtype=int64),
-                                    asarray(buntils, dtype=int64),
+                                    _np.asarray(bpages, dtype=_np.int64),
+                                    _np.asarray(buntils, dtype=_np.int64),
                                 )
                             bpages, buntils = blocked_np
-                            bidx = searchsorted(bpages, pg)
+                            bidx = _np.searchsorted(bpages, pg)
                             _np.minimum(bidx, len(bpages) - 1, out=bidx)
                             bhit = bpages[bidx] == pg
                             if bhit.any():
@@ -750,15 +758,21 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                                 if hits:
                                     manager.blocked_hits += hits
                                     acct = arr.copy()
-                                    acct[flatnonzero(bhit)[stalled]] -= pen[stalled]
+                                    acct[_np.flatnonzero(bhit)[stalled]] -= pen[stalled]
                         size = len(blocked)
                         prune_blocked(arrivals[cut - 1] + offset)
                         if len(blocked) != size:
                             blocked_np = None
+                    if remap_np is None:
+                        rpages_l, rframes_l = manager.remap_columns()
+                        remap_np = (
+                            _np.asarray(rpages_l, dtype=_np.int64),
+                            _np.asarray(rframes_l, dtype=_np.int64),
+                        )
                     rpages, rframes = remap_np
                     translated = None
                     if len(rpages):
-                        ridx = searchsorted(rpages, pg)
+                        ridx = _np.searchsorted(rpages, pg)
                         _np.minimum(ridx, len(rpages) - 1, out=ridx)
                         rhit = rpages[ridx] == pg
                         if rhit.any():
@@ -779,24 +793,24 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                         rw = row_col[i:cut]
                     else:
                         is_fast = translated < fast_bytes
-                        off = where(is_fast, translated, translated - fast_bytes)
-                        ci = where(
+                        off = _np.where(is_fast, translated, translated - fast_bytes)
+                        ci = _np.where(
                             is_fast,
                             (off >> fm._bank_shift) & fm._chan_mask,
                             fast_channels
                             + ((off >> sm._bank_shift) & sm._chan_mask),
                         )
-                        bk = where(
+                        bk = _np.where(
                             is_fast,
                             (off >> fm._row_shift) & fm._bank_mask,
                             (off >> sm._row_shift) & sm._bank_mask,
                         )
-                        rw = where(
+                        rw = _np.where(
                             is_fast, off >> fm._chan_shift, off >> sm._chan_shift
                         )
-                    order = argsort(ci, kind="stable")
+                    order = _np.argsort(ci, kind="stable")
                     ci_s = ci[order]
-                    cuts = flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
+                    cuts = _np.flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
                     bounds = [0, *cuts.tolist(), cut - i]
                     ci_l = ci_s.tolist()
                     bk_l = bk[order].tolist()
@@ -817,6 +831,9 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
                         if kd is not None:
                             kd.extend([demand] * (hi - lo))
                     i = cut
+                if i - flushed >= window:
+                    record_batch(page_col[flushed:i])
+                    flushed = i
                 if i >= end:
                     break
                 # -- the record at the cut fires the event(s) -----------
@@ -1001,126 +1018,6 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     finally:
         # State write-back must survive a mid-chunk exception: a stale
         # boundary cursor would double-run boundaries on the next replay.
-        engine.batch_swaps = False
-        engine.swap_sink = None
-        manager._next_boundary_ps = next_boundary
-    return collect_result(manager, trace, end_ps)
-
-
-def _replay_hma(trace, packed, manager, throttle_cap_ps):
-    """HMA without a counter cache: epoch ticks, paced swaps, full-counter
-    recording, page-table lookup, block penalties.
-
-    With numpy the columnar interval engine replays whole event-free
-    slices (see :func:`_columnar_interval_replay`); without numpy the
-    per-record :func:`_replay_hma_pure` walks the records.
-    """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_hma_pure(trace, packed, manager, throttle_cap_ps)
-    return _columnar_interval_replay(trace, packed, manager, throttle_cap_ps)
-
-
-def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the HMA kernel (the no-numpy leg).
-
-    Batches the DRAM side exactly like :func:`_replay_mempod`:
-    per-controller column buffers flushed at chunk ends and before
-    epoch work (``_run_boundary`` may ``block_until`` the whole machine
-    in stall mode, so deferred demand must land first); paced due swaps
-    merge into the buffered columns through the engine's swap sink.
-    """
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
-    record = manager.tracker.record
-    location_get = manager._location.get
-    block_penalty = manager._block_penalty_ps
-    blocked = manager._blocked
-    expiry = manager._blocked_expiry
-    queue = manager._swap_queue
-    issue_swaps = manager._issue_due_swaps
-    run_epoch = manager._run_boundary
-    interval = manager.interval_ps
-    next_boundary = manager._next_boundary_ps
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
-    fast_channels = memory.fast.channels
-    demand = DEMAND
-    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
-
-    arrivals = packed.arrivals
-    records = _record_stream(packed, memory, page_shift)
-    total = packed.length
-    last_ps = 0
-    offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    engine.batch_swaps = True
-    engine.swap_sink = swap_sink
-    try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, _, page, ci, bank, row in islice(
-                records, end - pos
-            ):
-                arrival += offset
-                if arrival >= next_boundary:
-                    # Epochs may block_until the whole machine in stall
-                    # mode, so deferred demand lands first and the sink
-                    # stays out of the epoch's own swap issues.
-                    flush_all()
-                    engine.swap_sink = None
-                    while arrival >= next_boundary:
-                        run_epoch(next_boundary)
-                        next_boundary += interval
-                    engine.swap_sink = swap_sink
-                if queue and queue[0][0] <= arrival:
-                    # Paced due swaps merge into the buffered columns
-                    # through the sink (reference per-controller order:
-                    # buffered demand arrivals precede the issue time).
-                    issue_swaps(arrival)
-                record(page)
-                if blocked or expiry:
-                    penalty = block_penalty(page, arrival)
-                else:
-                    penalty = 0
-                frame = location_get(page)
-                if frame is not None:
-                    translated = (frame << page_shift) | (address & page_mask)
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buf_bk[ci].append(bank)
-                buf_rw[ci].append(row)
-                buf_wr[ci].append(is_write)
-                buf_ar[ci].append(arrival)
-                buf_ac[ci].append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
-            flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty at chunk boundaries; finish() runs direct.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
-    finally:
-        # Same mid-chunk exception guarantee as the MemPod twin.
         engine.batch_swaps = False
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
@@ -1337,7 +1234,9 @@ _SHAPE_KERNELS = {
         SingleLevelManager, "_replay_single", "single-level", _gate_none,
     ),
     ("interval", "pod"): (MemPodManager, "_replay_mempod", "mempod", _gate_mempod),
-    ("epoch", "global"): (HmaManager, "_replay_hma", "hma", _gate_metadata_cache),
+    ("epoch", "global"): (
+        HmaManager, "_columnar_interval_replay", "hma", _gate_metadata_cache,
+    ),
     ("threshold", "segment"): (
         ThmManager, "_replay_thm", "thm", _gate_metadata_cache,
     ),

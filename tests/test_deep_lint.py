@@ -188,18 +188,18 @@ class TestTwinParity:
     def test_drift_fires(self, tmp_path):
         manifest = tmp_path / "twins.json"
         prints = twin_fingerprints()
-        side = "repro/kernel/replay.py::_columnar_interval_replay"
+        side = "repro/trace/packed.py::PackedTrace.chunk_groups_streamed"
         prints[side] = "stale-fingerprint"
         write_twin_manifest(prints, manifest)
         findings = check_twin_parity(manifest_path=manifest)
         assert len(findings) == 1
-        assert findings[0][2] == "_columnar_interval_replay"
+        assert findings[0][2] == "PackedTrace.chunk_groups_streamed"
         assert "changed since" in findings[0][3]
 
     def test_unacknowledged_side_fires(self, tmp_path):
         manifest = tmp_path / "twins.json"
         prints = twin_fingerprints()
-        del prints["repro/kernel/replay.py::_replay_hma_pure"]
+        del prints["repro/trace/packed.py::PackedTrace.chunk_groups_streamed"]
         write_twin_manifest(prints, manifest)
         findings = check_twin_parity(manifest_path=manifest)
         assert len(findings) == 1

@@ -12,8 +12,12 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.kernel.replay
 from repro.common.errors import AddressError
+from repro.common.rng import DeterministicRng
+from repro.experiments.common import ExperimentConfig
 from repro.geometry import scaled_geometry
+from repro.managers.base import ComposedManager
 from repro.system.simulator import (
     MANAGER_KINDS,
     build_manager,
@@ -22,7 +26,9 @@ from repro.system.simulator import (
     simulate,
 )
 from repro.trace import build_trace, get_workload
+from repro.trace.io import save_columnar
 from repro.trace.record import Trace
+from repro.trace.store import open_columnar
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,26 @@ def assert_kernels_agree(trace, geometry, kind, throttle_cap_ps=1_000_000, **par
         kernel="fast",
     )
     assert asdict(fast) == asdict(reference)
+
+
+@pytest.fixture()
+def no_numpy(monkeypatch):
+    """numpy patched out of every module with a numpy leg, as on a
+    numpy-free install: hma's interval engine replays every slice per
+    record, the full-counter batch runs its pure leg, and
+    ``open_columnar`` returns an eager trace."""
+    import repro.trace.io
+    import repro.trace.packed
+    import repro.tracking.competing
+    import repro.tracking.full_counters
+    import repro.tracking.mea
+
+    monkeypatch.setattr(repro.trace.io, "_np", None)
+    monkeypatch.setattr(repro.trace.packed, "_np", None)
+    monkeypatch.setattr(repro.kernel.replay, "_np", None)
+    monkeypatch.setattr(repro.tracking.mea, "_np", None)
+    monkeypatch.setattr(repro.tracking.competing, "_np", None)
+    monkeypatch.setattr(repro.tracking.full_counters, "_np", None)
 
 
 class TestEveryMechanism:
@@ -122,27 +148,99 @@ class TestPurePythonTwins:
     whole file on a numpy-free interpreter; these tests keep the twins
     covered on developer machines that do have numpy.)"""
 
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        import repro.kernel.replay
-        import repro.trace.packed
-        import repro.tracking.competing
-        import repro.tracking.full_counters
-        import repro.tracking.mea
-
-        monkeypatch.setattr(repro.trace.packed, "_np", None)
-        monkeypatch.setattr(repro.kernel.replay, "_np", None)
-        # The trackers too, as on a numpy-free install: hma's columnar
-        # engine is skipped and the full-counter batch runs its pure leg.
-        monkeypatch.setattr(repro.tracking.mea, "_np", None)
-        monkeypatch.setattr(repro.tracking.competing, "_np", None)
-        monkeypatch.setattr(repro.tracking.full_counters, "_np", None)
-
     @pytest.mark.parametrize(
         "kind", ["tlm", "mempod", "thm", "hma", "cameo", "hbm-only"]
     )
     def test_without_numpy(self, geometry, kind, no_numpy):
         assert_kernels_agree(_trace(geometry, "mix8", length=3_000), geometry, kind)
+
+
+def _churn_trace(geometry, seed=23, length=20_000):
+    """CI's migration-churn cell: a 32-page hot set drawn from slow
+    memory and redrawn every 1,500 records, one record every 30 ns."""
+    rng = DeterministicRng(seed)
+    hot, records, at = [], [], 0
+    for i in range(length):
+        if i % 1_500 == 0:
+            hot = [
+                geometry.fast_pages + rng.randrange(geometry.slow_pages)
+                for _ in range(32)
+            ]
+        page = hot[rng.randrange(32)]
+        address = page * geometry.page_bytes + rng.randrange(geometry.lines_per_page) * 64
+        records.append((at, address, 1 if rng.random() < 0.3 else 0, 0))
+        at += 30_000
+    return Trace.from_records("churn", records, geometry.page_bytes)
+
+
+class TestHmaChurn:
+    """HMA's interval engine on the migration-churn cell.
+
+    The scaled epoch schedules hundreds of paced swaps, and nearly every
+    one lands just before a short event-free slice.  Short slices read
+    the live page table; only vector slices take the sorted
+    ``remap_columns`` snapshot, so a swap no longer costs a rebuild.
+    """
+
+    HMA = ExperimentConfig().hma_params()
+
+    @pytest.fixture(scope="class")
+    def churn(self, geometry):
+        return _churn_trace(geometry)
+
+    @pytest.fixture(scope="class")
+    def reference(self, churn, geometry):
+        return asdict(reference_simulate(churn, build_manager("hma", geometry, **self.HMA)))
+
+    @staticmethod
+    def _copy(churn, copy, tmp_path):
+        if copy == "in-memory":
+            return churn
+        path = tmp_path / "churn.mpt"
+        save_columnar(churn, path)
+        return open_columnar(path, name="churn")
+
+    def _fast(self, trace, geometry):
+        return asdict(
+            simulate(trace, build_manager("hma", geometry, **self.HMA), kernel="fast")
+        )
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_snapshot_rebuilds_are_rare(self, churn, geometry, tmp_path, monkeypatch, copy):
+        rebuilds = []
+        snapshot = ComposedManager.remap_columns
+
+        def counted(manager):
+            rebuilds.append(1)
+            return snapshot(manager)
+
+        monkeypatch.setattr(ComposedManager, "remap_columns", counted)
+        result = self._fast(self._copy(churn, copy, tmp_path), geometry)
+        swaps = result["migrations"]
+        assert swaps > 100
+        assert len(rebuilds) * 10 <= swaps
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    @pytest.mark.parametrize(
+        "scalar_slice", [None, 0, 1 << 40], ids=["default", "all-vector", "all-scalar"]
+    )
+    def test_matches_reference(
+        self, churn, reference, geometry, tmp_path, monkeypatch, copy, scalar_slice
+    ):
+        # The default threshold mixes both slice kinds around the swaps;
+        # the extremes put every swap before a vector or a per-record
+        # slice respectively.
+        if scalar_slice is not None:
+            if repro.kernel.replay._np is None:
+                pytest.skip("vector slices need numpy")
+            monkeypatch.setattr(repro.kernel.replay, "_SCALAR_SLICE", scalar_slice)
+        assert self._fast(self._copy(churn, copy, tmp_path), geometry) == reference
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_matches_reference_without_numpy(
+        self, churn, reference, geometry, tmp_path, copy, no_numpy
+    ):
+        assert self._fast(self._copy(churn, copy, tmp_path), geometry) == reference
 
 
 class TestEdgeTraces:

@@ -494,7 +494,7 @@ class TestStreamingPeakMemory:
     def _mapped(tmp_path, length):
         geometry = scaled_geometry(64)
         trace = build_trace(get_workload("mcf"), geometry, length=length, seed=3).trace
-        path = tmp_path / "big.mpt"
+        path = tmp_path / f"mcf-{length}.mpt"
         save_columnar(trace, path)
         return geometry, path
 
@@ -549,3 +549,18 @@ class TestStreamingPeakMemory:
         assert excess < (whole_peak - whole_retained) / 2
         if kind != "cameo":
             assert excess < 5 * 8 * length / 2
+
+    def test_hma_excess_flat_in_trace_length(self, tmp_path):
+        """HMA's interval engine defers full-counter updates to the next
+        epoch, and the default 100 ms epoch spans any of these traces.
+        Applying the deferred updates at least once per window keeps the
+        working set above the retained state flat as the trace grows; one
+        whole-trace ``record_batch`` would grow with it.
+        """
+        window = 512
+        geometry, short = self._mapped(tmp_path, 8_192)
+        _, long = self._mapped(tmp_path, 32_768)
+        self._measure(geometry, short, "hma", window)  # warm one-time caches
+        short_peak, short_retained = self._measure(geometry, short, "hma", window)
+        long_peak, long_retained = self._measure(geometry, long, "hma", window)
+        assert long_peak - long_retained < 1.5 * (short_peak - short_retained)
