@@ -119,6 +119,7 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/managers/thm.py::ThmManager.handle",
     "repro/managers/thm.py::ThmManager._migrate",
     "repro/managers/cameo.py::CameoManager.handle",
+    "repro/managers/cameo.py::CameoManager.group_of",
     "repro/managers/static.py::NoMigrationManager.handle",
     "repro/managers/static.py::SingleLevelManager.handle",
     # memory routing and the throttle's saturation probe (TieredMemory
@@ -138,9 +139,11 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/dram/controller.py::ChannelController._choose",
     "repro/dram/controller.py::ChannelController._service_at",
     "repro/dram/bank.py::Bank.access",
-    # the migration datapath's batched transaction pattern, and the
-    # kernels' swap sink that merges it into buffered demand columns
+    # the migration datapath's batched transaction pattern (CAMEO's
+    # kernel issues the line-swap pattern inline), and the kernels'
+    # swap sink that merges it into buffered demand columns
     "repro/core/datapath.py::MigrationEngine.swap_pages",
+    "repro/core/datapath.py::MigrationEngine.swap_lines",
     "repro/kernel/replay.py::_swap_merged_buffers",
     # the tracker updates the kernels drive: MEA per record, hma's
     # interval engine one full-counter batch per slice

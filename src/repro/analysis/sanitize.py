@@ -522,6 +522,7 @@ class SimulationSanitizer:
             paths = ctrl.service_paths
             if (
                 paths.closed_form_served < 0
+                or paths.scan_served < 0
                 or paths.indexed_served < 0
                 or paths.scalar_fallback_served < 0
             ):

@@ -355,6 +355,7 @@ def _cmd_profile_replay(
             lines.append(
                 f"             batched services: "
                 f"closed-form {paths.closed_form_served:,}, "
+                f"scan {paths.scan_served:,}, "
                 f"indexed {paths.indexed_served:,}, "
                 f"scalar-fallback {paths.scalar_fallback_served:,}"
             )

@@ -193,7 +193,10 @@ class MigrationEngine:
     def swap_lines(self, address_a: int, address_b: int, at_ps: int) -> int:
         """Swap two 64 B lines (CAMEO's migration unit).
 
-        Two reads plus two writes; returns the completion time.
+        Two reads plus two writes; returns the completion time.  CAMEO's
+        fast kernel (``repro.kernel.replay._replay_cameo``) issues the
+        same pattern inline into its buffered controller columns, so a
+        change here must be mirrored there.
         """
         ctrl_a, bank_a, row_a = self._locate(address_a)
         ctrl_b, bank_b, row_b = self._locate(address_b)

@@ -137,23 +137,28 @@ class ServicePathStats:
 
     * ``closed_form_served`` — serviced by a closed-form backlog
       episode (arithmetic-series timing, no per-element scheduling);
+    * ``scan_served`` — serviced per element by the direct-scan
+      scheduler inside a contended stretch (``window <=
+      SCAN_WINDOW_MAX``, every shipped configuration);
     * ``indexed_served`` — serviced per element by the indexed pending
-      scheduler inside a contended stretch;
+      scheduler inside a contended stretch (larger windows);
     * ``scalar_fallback_served`` — serviced by the scalar ``_choose``
       clone (FCFS controllers, ``window == 1``).
 
     Idle-channel fast-path services are the remainder: a controller's
-    ``stats.served`` minus these three minus any reference-path
+    ``stats.served`` minus these four minus any reference-path
     services.
     """
 
     closed_form_served: int = 0
+    scan_served: int = 0
     indexed_served: int = 0
     scalar_fallback_served: int = 0
 
     def merge(self, other: "ServicePathStats") -> None:
         """Accumulate ``other`` into this sidecar (field-wise sum)."""
         self.closed_form_served += other.closed_form_served
+        self.scan_served += other.scan_served
         self.indexed_served += other.indexed_served
         self.scalar_fallback_served += other.scalar_fallback_served
 
@@ -162,6 +167,7 @@ class ServicePathStats:
         """Transactions serviced by any counted batched regime."""
         return (
             self.closed_form_served
+            + self.scan_served
             + self.indexed_served
             + self.scalar_fallback_served
         )
@@ -292,9 +298,13 @@ class ChannelController:
         ``i`` in order, but with every controller, bank, and stats field
         hoisted into locals for the whole batch.  ``accounts=None``
         accounts each element from its own arrival; ``kinds=None``
-        applies the scalar ``kind`` to every element (the columnar
+        applies the scalar ``kind`` to every element (the migrating
         replay kernels pass a per-element kind column when they merge
-        migration runs into a buffered demand column).  The column is
+        swap traffic into a buffered demand column).  Every element
+        reads its kind from the column, so a mixed column is serviced
+        in one pass: kind only buckets the per-kind stats and never
+        steers a scheduling decision, and the closed-form episodes only
+        collapse runs whose kinds match too.  The column is
         replayed in *reference enqueue order* — arrivals need not be
         monotone (migration write-backs carry future timestamps), the
         loop is an exact per-element clone either way.
@@ -332,28 +342,8 @@ class ChannelController:
         total = len(arrivals)
         if not total:
             return
-        if kinds is not None:
-            # Replay maximal uniform-kind chunks through the scalar-kind
-            # datapath below: kind only affects stat bucketing, never a
-            # scheduling decision, and chunk-splitting invariance is
-            # pinned by the differential suite
-            # (test_batch_split_points_inside_episodes), so the split is
-            # bit-identical — and the hot loops keep the kind in a local
-            # constant instead of paying a column read per element.
-            lo = 0
-            while lo < total:
-                k0 = kinds[lo]
-                hi = lo + 1
-                while hi < total and kinds[hi] == k0:
-                    hi += 1
-                self.enqueue_batch(
-                    banks[lo:hi], rows[lo:hi], is_writes[lo:hi],
-                    arrivals[lo:hi],
-                    None if accounts is None else accounts[lo:hi],
-                    k0,
-                )
-                lo = hi
-            return
+        if kinds is None:
+            kinds = [kind] * total
         if accounts is None:
             accounts = arrivals
         if not self._dirty:
@@ -492,6 +482,7 @@ class ChannelController:
         # the controller stays consistent on exceptional exits too.
         try:
             closed_served = 0
+            scan_served = 0
             indexed_served = 0
             scalar_served = 0
             i = 0
@@ -505,7 +496,7 @@ class ChannelController:
                     arrival = arrivals[i]
                     pending.append(
                         (arrival, accounts[i], banks[i], rows[i], is_writes[i],
-                         kind)
+                         kinds[i])
                     )
                     i += 1
                     if len(pending) == 1:
@@ -544,7 +535,7 @@ class ChannelController:
                         p_bank = banks[i]
                         p_row = rows[i]
                         p_w = is_writes[i]
-                        p_kind = kind
+                        p_kind = kinds[i]
                         i += 1
                     while i < total:
                         arrival = arrivals[i]
@@ -621,7 +612,7 @@ class ChannelController:
                         p_bank = banks[i]
                         p_row = rows[i]
                         p_w = is_writes[i]
-                        p_kind = kind
+                        p_kind = kinds[i]
                         i += 1
                         if p_bank != s_bank or p_row != s_row:
                             continue
@@ -669,7 +660,7 @@ class ChannelController:
                             p_bank = banks[i]
                             p_row = rows[i]
                             p_w = is_writes[i]
-                            p_kind = kind
+                            p_kind = kinds[i]
                             i += 1
                             if p_bank != s_bank or p_row != s_row:
                                 break
@@ -717,7 +708,7 @@ class ChannelController:
                         arrival = arrivals[i]
                         entry = (
                             arrival, accounts[i], banks[i], rows[i],
-                            is_writes[i], kind,
+                            is_writes[i], kinds[i],
                         )
                         # -- closed-form backlog episode --------------------
                         # enqueue_run's steady state, generalised to
@@ -749,6 +740,7 @@ class ChannelController:
                                 and rows[j] == e_row
                                 and is_writes[j] == e_w
                                 and accounts[j] == e_acc
+                                and kinds[j] == e_kind
                             ):
                                 j += 1
                             run = j - i
@@ -926,9 +918,9 @@ class ChannelController:
                             break  # drained: the fast path takes over
                     # Per-element services in this stretch all went through
                     # _service; the episodes tracked their own count, so the
-                    # indexed tally is the served delta minus the closed
+                    # scan tally is the served delta minus the closed
                     # delta — no per-service increment on the drain loops.
-                    indexed_served += served - closed_served - s0
+                    scan_served += served - closed_served - s0
                     continue  # outer loop: fast path or batch exhausted
                 # -- contended stretch: indexed FR-FCFS engine --------------
                 # Large windows (> SCAN_WINDOW_MAX) defeat the O(window)
@@ -1017,7 +1009,7 @@ class ChannelController:
                     arrival = arrivals[i]
                     entry = (
                         arrival, accounts[i], banks[i], rows[i], is_writes[i],
-                        kind,
+                        kinds[i],
                     )
                     # -- closed-form backlog episode ------------------------
                     # enqueue_run's steady state, generalised to mid-batch.
@@ -1054,6 +1046,7 @@ class ChannelController:
                             and rows[j] == e_row
                             and is_writes[j] == e_w
                             and accounts[j] == e_acc
+                            and kinds[j] == e_kind
                         ):
                             j += 1
                         run = j - i
@@ -1272,9 +1265,10 @@ class ChannelController:
             stats.demand_count += demand_n
             stats.migration_count += migration_n
             stats.bookkeeping_count += bookkeeping_n
-            if closed_served or indexed_served or scalar_served:
+            if closed_served or scan_served or indexed_served or scalar_served:
                 paths = self.service_paths
                 paths.closed_form_served += closed_served
+                paths.scan_served += scan_served
                 paths.indexed_served += indexed_served
                 paths.scalar_fallback_served += scalar_served
 

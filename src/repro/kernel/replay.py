@@ -35,7 +35,12 @@ Each mechanism has one kernel, chosen because it measured fastest:
   :func:`_record_stream`, which decodes the trace one bounded window
   at a time.  MemPod's per-pod MEA and THM's competing counters are
   per-access state machines, and batched numpy recurrences for them
-  measured slower than these loops;
+  measured slower than these loops.  All three share one buffered
+  datapath (:func:`_swap_merged_buffers`): demand and swap traffic
+  append to per-controller columns that flush through one
+  ``enqueue_batch`` call per controller per chunk — mempod's and
+  thm's page swaps through the engine's swap sink, cameo's line swaps
+  (one on nearly every slow access) appended inline;
 * hma is an interval engine (:func:`_columnar_interval_replay`): it
   cuts the trace at epoch boundaries and due swaps, replays short
   event-free slices per record against the live page table, and —
@@ -431,9 +436,10 @@ def _swap_merged_buffers(ctrls, batch):
     kd), flush_all, sink)``.  The first five column lists accumulate
     deferred demand per controller; ``kd`` — the per-element
     request-kind column — is lazy: ``None`` while a controller's buffer
-    holds pure demand, materialised the first time ``sink`` merges swap
-    traffic into that buffer (from then on the owning kernel mirrors its
-    demand appends into it).  ``flush_all()`` hands every controller's
+    holds pure demand, materialised the first time swap traffic merges
+    into that buffer — through ``sink``, or cameo's inline line swaps —
+    and from then on the owning kernel mirrors its demand appends into
+    it.  ``flush_all()`` hands every controller's
     columns to ``enqueue_batch`` and resets them.
 
     ``sink`` has the ``MigrationEngine.swap_sink`` signature: it merges
@@ -1130,28 +1136,56 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
 
 
 def _replay_cameo(trace, packed, manager, throttle_cap_ps):
-    """CAMEO without the location predictor.
+    """CAMEO without the location predictor: ``handle`` inlined, every
+    transaction batched.
 
-    Fast path: an identity-mapped fast-resident line that is not on the
-    untouched list — serve it directly (the record's decode is computed
-    from the original address, whose low six line-offset bits sit below
-    every mapper shift, so channel/bank/row match ``line * 64``
-    exactly).  Everything else — any slow access (it always swaps), any
-    remapped line, any untouched-list hit — replays through the real
-    ``handle`` so the swap/eviction bookkeeping stays exact.
+    Per record over :func:`_record_stream` (line numbers in the page
+    slot), the loop replays ``CameoManager.handle`` step for step: the
+    block penalty, the ``_location`` lookup, the untouched-list delete,
+    the demand and — on a slow hit — the line swap: the fast slot
+    (``group_of``), the evicted line's wasted-migration count,
+    ``remap.swap_frames``, both ``_block_page`` calls and the migration
+    count.  Nothing reaches a controller directly.  The demand and each
+    swap's ``MigrationEngine.swap_lines`` pattern — a read then a write
+    on the fast slot's controller and on the slow line's, always two
+    distinct devices — append to the :func:`_swap_merged_buffers`
+    columns, the swap traffic tagged ``MIGRATION`` in the lazy kind
+    column, and flush through one ``enqueue_batch`` per controller per
+    throttle chunk.  Exact because CAMEO's bookkeeping never reads
+    controller state, controllers share no state, each controller's
+    column is in reference enqueue order (demand, then the swap's read
+    and write on its side), and the arrival offset only changes at
+    chunk boundaries.  A remapped line decodes ``current * 64`` through
+    the mappers instead of ``memory.access``: the remap table only holds
+    in-range lines, so the routing is identical and the bounds check is
+    vacuous.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
-    enqueues = [ctrl.enqueue for ctrl in ctrls]
+    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
     location_get = manager._location.get
+    resident_get = manager._resident.get
     untouched = manager._untouched_in_fast
     fast_lines = manager.fast_lines
-    handle = manager.handle
+    swap_frames = manager.remap.swap_frames
+    block_page = manager._block_page
     block_penalty = manager._block_penalty_ps
     blocked = manager._blocked
     expiry = manager._blocked_expiry
+    fast_bytes = memory.geometry.fast_bytes
+    fast_decode = memory.fast.mapper.fast_decode
+    slow_decode = memory.slow.mapper.fast_decode
+    fast_channels = memory.fast.channels
+    engine = manager.engine
+    line_phase = engine._line_phase_ps
+    swap_cost = engine.line_swap_cost_ps
+    note_swap = engine.stats.note_swap
+    swap_bytes = 2 * LINE_BYTES
     demand = DEMAND
+    migration = MIGRATION
+    bufs, flush_all, _ = _swap_merged_buffers(ctrls, batch)
+    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
     arrivals = packed.arrivals
     records = _record_stream(packed, memory, LINE_SHIFT)
@@ -1160,32 +1194,98 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     offset = 0
     pos = 0
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    while pos < total:
-        end = pos + sample if sample else total
-        if end > total:
-            end = total
-        for arrival, is_write, address, core, line, ci, bank, row in islice(
-            records, end - pos
-        ):
-            arrival += offset
-            if (
-                line < fast_lines
-                and location_get(line) is None
-                and line not in untouched
+    migrations = manager.total_migrations
+    wasted = manager.wasted_migrations
+    try:
+        while pos < total:
+            end = pos + sample if sample else total
+            if end > total:
+                end = total
+            for arrival, is_write, _, _, line, ci, bank, row in islice(
+                records, end - pos
             ):
+                arrival += offset
                 if blocked or expiry:
                     penalty = block_penalty(line, arrival)
                 else:
                     penalty = 0
-                enqueues[ci](bank, row, is_write, arrival, demand, arrival - penalty)
-            else:
-                handle(address, is_write, arrival, core)
-        last_ps = arrivals[end - 1] + offset
-        if end - pos == sample:
-            backlog = peak_bus() - last_ps
-            if backlog > throttle_cap_ps:
-                offset += backlog - throttle_cap_ps
-        pos = end
+                current = location_get(line)
+                if line in untouched:
+                    del untouched[line]
+                if current is None:
+                    current = line
+                else:
+                    translated = current << LINE_SHIFT
+                    if translated < fast_bytes:
+                        ci, bank, row = fast_decode(translated)
+                    else:
+                        ci, bank, row = slow_decode(translated - fast_bytes)
+                        ci += fast_channels
+                bk = buf_bk[ci]
+                rw = buf_rw[ci]
+                wr = buf_wr[ci]
+                ar = buf_ar[ci]
+                ac = buf_ac[ci]
+                bk.append(bank)
+                rw.append(row)
+                wr.append(is_write)
+                ar.append(arrival)
+                ac.append(arrival - penalty)
+                kd = buf_kd[ci]
+                if kd is not None:
+                    kd.append(demand)
+                if current < fast_lines:
+                    continue
+                # Slow hit: swap the line into its group's fast slot
+                # (CameoManager.group_of and swap_lines, inlined).
+                if line < fast_lines:
+                    fast_slot = line
+                else:
+                    fast_slot = (line - fast_lines) % fast_lines
+                evicted = resident_get(fast_slot, fast_slot)
+                if evicted in untouched:
+                    del untouched[evicted]
+                    wasted += 1
+                line_a, line_b = swap_frames(fast_slot, current)
+                write_ps = arrival + line_phase
+                # Slow side (the demand's controller): read, then write.
+                if kd is None:
+                    buf_kd[ci] = kd = [demand] * len(bk)
+                bk += (bank, bank)
+                rw += (row, row)
+                wr += (False, True)
+                ar += (arrival, write_ps)
+                ac += (arrival, write_ps)
+                kd += (migration, migration)
+                # Fast side: the slot's controller, read then write.
+                fc, fbank, frow = fast_decode(fast_slot << LINE_SHIFT)
+                bk = buf_bk[fc]
+                kd = buf_kd[fc]
+                if kd is None:
+                    buf_kd[fc] = kd = [demand] * len(bk)
+                bk += (fbank, fbank)
+                buf_rw[fc] += (frow, frow)
+                buf_wr[fc] += (False, True)
+                buf_ar[fc] += (arrival, write_ps)
+                buf_ac[fc] += (arrival, write_ps)
+                kd += (migration, migration)
+                note_swap(swap_bytes, is_line=True)
+                completion = arrival + swap_cost
+                block_page(line_a, completion)
+                block_page(line_b, completion)
+                untouched[line] = True
+                migrations += 1
+            flush_all()
+            last_ps = arrivals[end - 1] + offset
+            if end - pos == sample:
+                backlog = peak_bus() - last_ps
+                if backlog > throttle_cap_ps:
+                    offset += backlog - throttle_cap_ps
+            pos = end
+    finally:
+        manager.total_migrations = migrations
+        manager.wasted_migrations = wasted
+    # Buffers are empty at chunk boundaries; finish() drains the devices.
     end_ps = manager.finish(last_ps)
     return collect_result(manager, trace, end_ps)
 

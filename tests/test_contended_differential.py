@@ -159,20 +159,22 @@ class TestAdversarialStretches:
         assert_batch_matches(requests, timing, window)
 
     def test_streams_exercise_every_engine(self):
-        # The generator must actually reach all three counted paths
+        # The generator must actually reach all four counted paths
         # (plus the uncounted fast path) — otherwise the equality
         # passes above prove less than they claim.
-        totals = {"closed": 0, "indexed": 0, "scalar": 0}
+        totals = {"closed": 0, "scan": 0, "indexed": 0, "scalar": 0}
         for seed in (101, 202, 303):
             requests = adversarial_stretch(seed, 60, HBM_TIMING)
             for window in (1, 8, 32):
                 many = assert_batch_matches(requests, HBM_TIMING, window)
                 paths = many.service_paths
                 totals["closed"] += paths.closed_form_served
+                totals["scan"] += paths.scan_served
                 totals["indexed"] += paths.indexed_served
                 totals["scalar"] += paths.scalar_fallback_served
                 assert paths.batched_served <= many.stats.served
         assert totals["closed"] > 0
+        assert totals["scan"] > 0
         assert totals["indexed"] > 0
         assert totals["scalar"] > 0
 

@@ -453,6 +453,82 @@ class TestServiceEngine:
             1 for k in kinds if k == MIGRATION
         )
 
+    @staticmethod
+    def _cameo_shape(seed, count):
+        """CAMEO's per-controller column: each demand followed by its line
+        swap's read/write migration pair on the same bank and row, the
+        write one line-phase later.  A demand read and its swap read are
+        twins in everything but kind, and zero gaps pile them up into
+        contended backlogs."""
+        rng = DeterministicRng(seed)
+        requests, kinds = [], []
+        at = 0
+        for _ in range(count):
+            bank = rng.randrange(4)
+            row = rng.randrange(6)
+            requests.append((bank, row, int(rng.random() < 0.3), at))
+            requests.append((bank, row, 0, at))
+            requests.append((bank, row, 1, at + 30_000))
+            kinds += [DEMAND, MIGRATION, MIGRATION]
+            at += rng.choice((0, 0, 5_000, 30_000, 90_000))
+        return requests, kinds
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    def test_cameo_shape_kinds_column(self, window):
+        requests, kinds = self._cameo_shape(29 + window, 700)
+        one = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        for (bank, row, is_write, arrival), k in zip(requests, kinds):
+            one.enqueue(bank, row, is_write, arrival, k)
+        many = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
+        many.enqueue_batch(
+            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        )
+        assert snapshot(many) == snapshot(one)
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
+        assert many.stats.count_by_kind == one.stats.count_by_kind
+        assert many.stats.latency_by_kind == one.stats.latency_by_kind
+        assert one.stats.migration_count == 2 * one.stats.demand_count == 1_400
+
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
+    def test_twin_runs_differing_only_in_kind(self, window):
+        # A closed-form episode collapses a run of identical elements;
+        # a twin of another kind must end the run, or its services would
+        # be tallied under the wrong kind.
+        requests = [(1, 3, 0, 5_000)] * 120
+        kinds = [DEMAND] * 50 + [MIGRATION] * 40 + [DEMAND] * 30
+        one = ChannelController(HBM_TIMING, BANKS, window=window)
+        for (bank, row, is_write, arrival), k in zip(requests, kinds):
+            one.enqueue(bank, row, is_write, arrival, k)
+        many = ChannelController(HBM_TIMING, BANKS, window=window)
+        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
+        many.enqueue_batch(
+            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        )
+        assert many.service_paths.closed_form_served > 0
+        assert snapshot(many) == snapshot(one)
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
+
+    def test_mixed_kinds_batch_is_one_call(self):
+        # The kinds column is read per element: a mixed column must not
+        # be split into one nested enqueue_batch call per uniform run.
+        calls = []
+
+        class Counting(ChannelController):
+            def enqueue_batch(self, *args, **kwargs):
+                calls.append(len(args[0]))
+                return super().enqueue_batch(*args, **kwargs)
+
+        requests, kinds = self._cameo_shape(31, 200)
+        ctrl = Counting(DDR4_1600_TIMING, BANKS)
+        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
+        ctrl.enqueue_batch(
+            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        )
+        assert calls == [len(requests)]
+
     def test_indexed_scheduler_matches_choose_per_decision(self):
         # Not just end-state equality: the indexed engine must pick the
         # *same entry* as the scalar _choose reference at every single
@@ -487,6 +563,7 @@ class TestServiceEngine:
         ctrl.flush()
         paths = ctrl.service_paths
         assert paths.closed_form_served >= 0
+        assert paths.scan_served >= 0
         assert paths.indexed_served >= 0
         assert paths.scalar_fallback_served >= 0
         assert paths.batched_served <= ctrl.stats.served
@@ -497,6 +574,17 @@ class TestServiceEngine:
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scalar_fallback_served > 0
+        assert ctrl.service_paths.indexed_served == 0
+
+    def test_window_eight_counts_scan_engine(self):
+        # At the shipped window the contended stretches run the
+        # direct-scan engine; the indexed engine only serves windows
+        # above SCAN_WINDOW_MAX, so its counter must stay at zero.
+        requests = random_requests(19, 2_000, spacing=400)
+        ctrl = ChannelController(HBM_TIMING, BANKS, window=8)
+        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
+        ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        assert ctrl.service_paths.scan_served > 0
         assert ctrl.service_paths.indexed_served == 0
 
     def test_sidecar_never_leaks_into_snapshots(self):

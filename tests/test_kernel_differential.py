@@ -15,9 +15,11 @@ import pytest
 import repro.kernel.replay
 from repro.common.errors import AddressError
 from repro.common.rng import DeterministicRng
+from repro.dram.controller import ChannelController
 from repro.experiments.common import ExperimentConfig
 from repro.geometry import scaled_geometry
 from repro.managers.base import ComposedManager
+from repro.managers.cameo import CameoManager
 from repro.system.simulator import (
     MANAGER_KINDS,
     build_manager,
@@ -173,6 +175,15 @@ def _churn_trace(geometry, seed=23, length=20_000):
     return Trace.from_records("churn", records, geometry.page_bytes)
 
 
+def _churn_copy(churn, copy, tmp_path):
+    """The churn trace itself, or a mapped copy of it."""
+    if copy == "in-memory":
+        return churn
+    path = tmp_path / "churn.mpt"
+    save_columnar(churn, path)
+    return open_columnar(path, name="churn")
+
+
 class TestHmaChurn:
     """HMA's interval engine on the migration-churn cell.
 
@@ -192,14 +203,6 @@ class TestHmaChurn:
     def reference(self, churn, geometry):
         return asdict(reference_simulate(churn, build_manager("hma", geometry, **self.HMA)))
 
-    @staticmethod
-    def _copy(churn, copy, tmp_path):
-        if copy == "in-memory":
-            return churn
-        path = tmp_path / "churn.mpt"
-        save_columnar(churn, path)
-        return open_columnar(path, name="churn")
-
     def _fast(self, trace, geometry):
         return asdict(
             simulate(trace, build_manager("hma", geometry, **self.HMA), kernel="fast")
@@ -215,7 +218,7 @@ class TestHmaChurn:
             return snapshot(manager)
 
         monkeypatch.setattr(ComposedManager, "remap_columns", counted)
-        result = self._fast(self._copy(churn, copy, tmp_path), geometry)
+        result = self._fast(_churn_copy(churn, copy, tmp_path), geometry)
         swaps = result["migrations"]
         assert swaps > 100
         assert len(rebuilds) * 10 <= swaps
@@ -234,13 +237,58 @@ class TestHmaChurn:
             if repro.kernel.replay._np is None:
                 pytest.skip("vector slices need numpy")
             monkeypatch.setattr(repro.kernel.replay, "_SCALAR_SLICE", scalar_slice)
-        assert self._fast(self._copy(churn, copy, tmp_path), geometry) == reference
+        assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
 
     @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
     def test_matches_reference_without_numpy(
         self, churn, reference, geometry, tmp_path, copy, no_numpy
     ):
-        assert self._fast(self._copy(churn, copy, tmp_path), geometry) == reference
+        assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
+
+
+class TestCameoChurn:
+    """CAMEO's kernel on the migration-churn cell.
+
+    Almost every record is a slow hit, so almost every record swaps a
+    line: the kernel inlines ``handle`` and batches the demand and each
+    swap's traffic through ``enqueue_batch``.
+    """
+
+    @pytest.fixture(scope="class")
+    def churn(self, geometry):
+        return _churn_trace(geometry)
+
+    @pytest.fixture(scope="class")
+    def reference(self, churn, geometry):
+        return asdict(reference_simulate(churn, build_manager("cameo", geometry)))
+
+    def _fast(self, trace, geometry):
+        return asdict(simulate(trace, build_manager("cameo", geometry), kernel="fast"))
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_matches_reference(self, churn, reference, geometry, tmp_path, copy):
+        assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_matches_reference_without_numpy(
+        self, churn, reference, geometry, tmp_path, copy, no_numpy
+    ):
+        assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_no_record_takes_the_scalar_path(
+        self, churn, reference, geometry, tmp_path, monkeypatch, copy
+    ):
+        # Neither the per-record manager path nor the scalar controller
+        # path may run: every transaction goes down enqueue_batch.
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar path taken")
+
+        monkeypatch.setattr(CameoManager, "handle", refuse)
+        monkeypatch.setattr(ChannelController, "enqueue", refuse)
+        result = self._fast(_churn_copy(churn, copy, tmp_path), geometry)
+        assert result == reference
+        assert result["migrations"] > 1_000
 
 
 class TestEdgeTraces:
