@@ -523,7 +523,6 @@ class SimulationSanitizer:
             if (
                 paths.closed_form_served < 0
                 or paths.scan_served < 0
-                or paths.indexed_served < 0
                 or paths.scalar_fallback_served < 0
             ):
                 self._fail(

@@ -356,7 +356,6 @@ def _cmd_profile_replay(
                 f"             batched services: "
                 f"closed-form {paths.closed_form_served:,}, "
                 f"scan {paths.scan_served:,}, "
-                f"indexed {paths.indexed_served:,}, "
                 f"scalar-fallback {paths.scalar_fallback_served:,}"
             )
             if profiled is None:

@@ -48,7 +48,6 @@ channels touched since its last sample (see
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -136,30 +135,27 @@ class ServicePathStats:
     differential state snapshots.  They never feed a simulation result.
 
     * ``closed_form_served`` — serviced by a closed-form backlog
-      episode (arithmetic-series timing, no per-element scheduling);
+      episode (arithmetic-series timing, no per-element scheduling),
+      in ``enqueue_batch`` or in ``enqueue_run``'s steady state;
     * ``scan_served`` — serviced per element by the direct-scan
-      scheduler inside a contended stretch (``window <=
-      SCAN_WINDOW_MAX``, every shipped configuration);
-    * ``indexed_served`` — serviced per element by the indexed pending
-      scheduler inside a contended stretch (larger windows);
-    * ``scalar_fallback_served`` — serviced by the scalar ``_choose``
-      clone (FCFS controllers, ``window == 1``).
+      FR-FCFS engine inside a contended stretch (any ``window >= 2``);
+    * ``scalar_fallback_served`` — serviced by the reference
+      ``enqueue`` on behalf of ``enqueue_batch`` (FCFS controllers,
+      ``window == 1``).
 
     Idle-channel fast-path services are the remainder: a controller's
-    ``stats.served`` minus these four minus any reference-path
+    ``stats.served`` minus these three minus any other reference-path
     services.
     """
 
     closed_form_served: int = 0
     scan_served: int = 0
-    indexed_served: int = 0
     scalar_fallback_served: int = 0
 
     def merge(self, other: "ServicePathStats") -> None:
         """Accumulate ``other`` into this sidecar (field-wise sum)."""
         self.closed_form_served += other.closed_form_served
         self.scan_served += other.scan_served
-        self.indexed_served += other.indexed_served
         self.scalar_fallback_served += other.scalar_fallback_served
 
     @property
@@ -168,7 +164,6 @@ class ServicePathStats:
         return (
             self.closed_form_served
             + self.scan_served
-            + self.indexed_served
             + self.scalar_fallback_served
         )
 
@@ -309,7 +304,7 @@ class ChannelController:
         monotone (migration write-backs carry future timestamps), the
         loop is an exact per-element clone either way.
 
-        Three regimes alternate inside the loop:
+        Two engines alternate inside the loop:
 
         * **idle-channel drain fast path** — with at most one buffered
           transaction and each arrival past the previous transaction's
@@ -319,21 +314,20 @@ class ChannelController:
           touches the pending buffer; consecutive same-bank same-row
           transactions stream as a run-length row-hit burst with the
           bank's fields cached in locals too.
-        * **contended stretches** — the window-bounded FR-FCFS drain
-          (``_choose`` + ``_service_at`` semantics) run through an
-          *indexed* pending scheduler: the buffer is lifted into
-          incrementally maintained indices so each service decision
-          costs O(pending banks) instead of an O(window) scan plus a
-          mid-list pop, and degenerate backlogs — every buffered entry
-          a twin of the incoming element, row open, bus direction
+        * **scan engine** — contended stretches run the window-bounded
+          FR-FCFS drain (``_choose`` + ``_service_at`` semantics) on the
+          reference pending list with an inlined ``_choose`` scan, exact
+          at any window.  Degenerate backlogs — every buffered entry a
+          twin of the incoming element, row open, bus direction
           matching, no refresh due — collapse into **closed-form
           episodes** (the arithmetic-series recurrence ``enqueue_run``
           uses, generalised to mid-batch).  Any episode precondition
           failing falls back to the exact per-element drain.
-        * **scalar FCFS fallback** — ``window == 1`` defeats both the
-          fast path (an uncontended pair forced through ``_choose`` may
-          reorder) and the episode preconditions, so FCFS controllers
-          run an exact scalar clone of ``enqueue`` for every element.
+
+        ``window == 1`` defeats both the fast path (an uncontended pair
+        forced through ``_choose`` may reorder) and the episode
+        preconditions, so an FCFS controller takes the reference
+        :meth:`enqueue` for every element instead.
 
         Which regime serviced how many transactions is tallied in the
         :class:`ServicePathStats` sidecar (``self.service_paths``) —
@@ -346,6 +340,17 @@ class ChannelController:
             kinds = [kind] * total
         if accounts is None:
             accounts = arrivals
+        if self.window == 1:
+            # Counted by the served delta, not by ``total``: elements
+            # still buffered on return were not serviced yet.
+            stats = self.stats
+            before = stats.served
+            enqueue = self.enqueue
+            for i in range(total):
+                enqueue(banks[i], rows[i], is_writes[i], arrivals[i], kinds[i],
+                        accounts[i])
+            self.service_paths.scalar_fallback_served += stats.served - before
+            return
         if not self._dirty:
             self._dirty = True
             self._dirty_sink.add(self._dirty_key)
@@ -483,45 +488,7 @@ class ChannelController:
         try:
             closed_served = 0
             scan_served = 0
-            indexed_served = 0
-            scalar_served = 0
             i = 0
-            if window == 1:
-                # -- scalar FCFS fallback: exact clone of enqueue() ---------
-                # window == 1 defeats the idle-drain fast path and every
-                # episode precondition, so each element appends and drains
-                # through the scalar _choose clone (counted as the scalar
-                # fallback in the service-path sidecar).
-                while i < total:
-                    arrival = arrivals[i]
-                    pending.append(
-                        (arrival, accounts[i], banks[i], rows[i], is_writes[i],
-                         kinds[i])
-                    )
-                    i += 1
-                    if len(pending) == 1:
-                        continue
-                    while len(pending) > window:
-                        _service(pending.pop(_choose_idx()))
-                    while pending:
-                        idx = _choose_idx()
-                        cand = pending[idx]
-                        busy = bank_list[cand[2]].busy_until_ps
-                        start = cand[0] if cand[0] > busy else busy
-                        if start >= arrival:
-                            if idx != 0:
-                                head = pending[0]
-                                head_start = bank_list[head[2]].busy_until_ps
-                                if head[0] > head_start:
-                                    head_start = head[0]
-                                if head_start < arrival:
-                                    _service(pending.pop(0))
-                                    continue
-                            break
-                        _service(pending.pop(idx))
-                # Every service above came from the scalar clone (the fast
-                # path needs window >= 2), so the count is just the total.
-                scalar_served = served
             while i < total:
                 if len(pending) <= 1:
                     # -- idle-channel drain fast path -----------------------
@@ -675,332 +642,28 @@ class ChannelController:
                         break
                     # The next element is contended against the held one:
                     # fall through into the contended engine.
-                if window <= self.SCAN_WINDOW_MAX:
-                    # -- contended stretch: scan engine ---------------------
-                    # At the windows the paper's configurations use (<= 16)
-                    # the reference pending list plus ``_choose_idx``'s
-                    # direct scan beats any auxiliary structure — appends
-                    # stay a plain list append and a mid-list pop of a
-                    # handful of entries is a single small memmove.  What
-                    # the batched engine adds on top of the scalar clone are
-                    # the two closed-form episode shapes, both gated on the
-                    # ``uni`` flag below so ordinary demand pays one local
-                    # bool test per element.
-                    #
-                    # ``uni`` tracks "every buffered entry equals ``prev``"
-                    # incrementally instead of rescanning the buffer per
-                    # element: it is established once on stretch entry (the
-                    # backlog an ``enqueue_run`` tail leaves is all twins),
-                    # preserved by the episode paths (they only append
-                    # twins), and killed by any ordinary append.  A buffer
-                    # that *becomes* uniform some other way is merely missed
-                    # — every episode falls back to the exact per-element
-                    # drain, so the flag is a performance hint, never a
-                    # correctness input.
-                    prev = pending[-1]
-                    uni = True
-                    for v in pending:
-                        if v != prev:
-                            uni = False
-                            break
-                    s0 = served - closed_served
-                    while i < total:
-                        arrival = arrivals[i]
-                        entry = (
-                            arrival, accounts[i], banks[i], rows[i],
-                            is_writes[i], kinds[i],
-                        )
-                        # -- closed-form backlog episode --------------------
-                        # enqueue_run's steady state, generalised to
-                        # mid-batch.  With the buffer holding only twins of
-                        # the incoming element, appends below the window are
-                        # provably service-free — the chosen head is a twin
-                        # whose start ``max(arrival, busy)`` can never
-                        # precede its own arrival, so the gated drain breaks
-                        # at once — and the window fill collapses into one
-                        # bulk extend.  Once the window is full (and the
-                        # twins' row open, the bus direction matching, no
-                        # refresh due), every further append services
-                        # exactly one twin head: a row hit at its own
-                        # arrival, age promotion dormant under equal
-                        # arrivals, the serviced head replaced by the
-                        # identical incoming element.  A run of incoming
-                        # twins therefore collapses into the same
-                        # arithmetic-series recurrence enqueue_run uses.
-                        # Any precondition failing falls through to the
-                        # exact per-element drain below.
-                        gate = uni and entry == prev
-                        if gate:
-                            e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
-                            j = i + 1
-                            while (
-                                j < total
-                                and arrivals[j] == e_arr
-                                and banks[j] == e_bank
-                                and rows[j] == e_row
-                                and is_writes[j] == e_w
-                                and accounts[j] == e_acc
-                                and kinds[j] == e_kind
-                            ):
-                                j += 1
-                            run = j - i
-                            fill = window - len(pending)
-                            if fill > 0:
-                                if fill > run:
-                                    fill = run
-                                pending.extend([entry] * fill)
-                                run -= fill
-                                i += fill
-                                if run == 0:
-                                    continue
-                            if (
-                                e_w == last_was_write
-                                and bank_list[e_bank].open_row == e_row
-                                and not (trefi and e_arr >= next_refresh)
-                            ):
-                                bank = bank_list[e_bank]
-                                bank_busy = bank.busy_until_ps
-                                # Same recurrence as enqueue_run: stable
-                                # within three steps, arithmetic series
-                                # after.
-                                warm = 3 if run > 3 else run
-                                completion = bus_free
-                                lat = 0
-                                for _ in range(warm):
-                                    start = (
-                                        e_arr if e_arr > bank_busy else bank_busy
-                                    )
-                                    bank_busy = start + burst
-                                    data_ready = start + tcas
-                                    completion = (
-                                        data_ready if data_ready > bus_free
-                                        else bus_free
-                                    ) + burst
-                                    bus_free = completion
-                                    lat += completion - e_acc
-                                tail = run - warm
-                                if tail > 0:
-                                    bank_busy += tail * burst
-                                    bus_free += tail * burst
-                                    lat += (
-                                        tail * (completion - e_acc)
-                                        + burst * tail * (tail + 1) // 2
-                                    )
-                                bank.busy_until_ps = bank_busy
-                                bank.hits += run
-                                row_hits += run
-                                if bus_free > last_completion:
-                                    last_completion = bus_free
-                                served += run
-                                if e_w:
-                                    n_writes += run
-                                else:
-                                    n_reads += run
-                                total_lat += lat
-                                if e_kind == DEMAND:
-                                    demand_lat += lat
-                                    demand_n += run
-                                elif e_kind == MIGRATION:
-                                    migration_lat += lat
-                                    migration_n += run
-                                else:
-                                    bookkeeping_lat += lat
-                                    bookkeeping_n += run
-                                closed_served += run
-                                i = j
-                                continue
-                        # -- per-element: append + window-bounded drain -----
-                        pending.append(entry)
-                        i += 1
-                        k = len(pending)
-                        was_uni = uni and not gate
-                        if not gate:
-                            # An ordinary append breaks the twin shape.  A
-                            # gated append whose episode preconditions failed
-                            # (row closed, turnaround, refresh due) is
-                            # another twin: the buffer stays uniform, and the
-                            # uniform drain below would re-test exactly the
-                            # conditions that just failed, so it is skipped.
-                            prev = entry
-                            uni = False
-                            if k == 1:
-                                break  # lone transaction: back to the fast path
-                        # -- closed-form uniform-backlog drain --------------
-                        # The second episode shape: the buffer holds twins
-                        # of the *previous* element (a page-copy read run
-                        # meeting its write phase, or a swap backlog meeting
-                        # demand) while the newcomer's later arrival gates
-                        # the drain.  The twin head is the oldest row hit,
-                        # so every drain iteration provably services it — no
-                        # promotion can fire against an equal-arrival head
-                        # and the head check never triggers — which
-                        # collapses the whole backlog into the enqueue_run
-                        # recurrence instead of one _choose scan per
-                        # serviced element.
-                        if was_uni and k > 2:
-                            twin = pending[0]
-                            if (
-                                twin[4] == last_was_write
-                                and bank_list[twin[2]].open_row == twin[3]
-                                and not (trefi and twin[0] >= next_refresh)
-                            ):
-                                e_arr, e_acc, e_bank, e_row, e_w, e_kind = twin
-                                bank = bank_list[e_bank]
-                                bank_busy = bank.busy_until_ps
-                                need = k - window  # unconditional overflow
-                                limit = k - 1  # the gated newcomer stays
-                                done = 0
-                                lat = 0
-                                while done < limit:
-                                    start = (
-                                        e_arr if e_arr > bank_busy else bank_busy
-                                    )
-                                    if done >= need and start >= arrival:
-                                        break
-                                    bank_busy = start + burst
-                                    data_ready = start + tcas
-                                    completion = (
-                                        data_ready if data_ready > bus_free
-                                        else bus_free
-                                    ) + burst
-                                    bus_free = completion
-                                    lat += completion - e_acc
-                                    done += 1
-                                if done:
-                                    bank.busy_until_ps = bank_busy
-                                    bank.hits += done
-                                    row_hits += done
-                                    if bus_free > last_completion:
-                                        last_completion = bus_free
-                                    served += done
-                                    if e_w:
-                                        n_writes += done
-                                    else:
-                                        n_reads += done
-                                    total_lat += lat
-                                    if e_kind == DEMAND:
-                                        demand_lat += lat
-                                        demand_n += done
-                                    elif e_kind == MIGRATION:
-                                        migration_lat += lat
-                                        migration_n += done
-                                    else:
-                                        bookkeeping_lat += lat
-                                        bookkeeping_n += done
-                                    closed_served += done
-                                    del pending[:done]
-                                # The drain loops below are now a provable
-                                # no-op: the survivors are gated twins plus
-                                # the gated newcomer, within the window.
-                                if len(pending) > 1:
-                                    continue
-                                break  # drained: the fast path takes over
-                        while k > window:
-                            _service(pending.pop(_choose_idx()))
-                            k -= 1
-                        while pending:
-                            idx = _choose_idx()
-                            cand = pending[idx]
-                            busy = bank_list[cand[2]].busy_until_ps
-                            start = cand[0] if cand[0] > busy else busy
-                            if start >= arrival:
-                                if idx != 0:
-                                    head = pending[0]
-                                    head_start = bank_list[head[2]].busy_until_ps
-                                    if head[0] > head_start:
-                                        head_start = head[0]
-                                    if head_start < arrival:
-                                        _service(pending.pop(0))
-                                        continue
-                                break
-                            _service(pending.pop(idx))
-                        if len(pending) <= 1:
-                            break  # drained: the fast path takes over
-                    # Per-element services in this stretch all went through
-                    # _service; the episodes tracked their own count, so the
-                    # scan tally is the served delta minus the closed
-                    # delta — no per-service increment on the drain loops.
-                    scan_served += served - closed_served - s0
-                    continue  # outer loop: fast path or batch exhausted
-                # -- contended stretch: indexed FR-FCFS engine --------------
-                # Large windows (> SCAN_WINDOW_MAX) defeat the O(window)
-                # scan, so the pending buffer is lifted into ``live`` — an
-                # insertion-ordered seq -> entry map (seeded here, written
-                # back on exit).  Dicts preserve insertion order, so
-                # iterating ``live`` *is* the reference pending-list order,
-                # the smallest live seq is the oldest transaction, and
-                # removal is an O(1) pop instead of a mid-list shift.  The
-                # deque chooser reproduces ``_choose`` decision for decision
-                # (oldest row hit, unless the head has starved past
-                # STARVATION_PS; else oldest same-direction; else head) over
-                # ``by_br`` ((bank << 32) | row -> seq queue; the oldest row
-                # hit is the smallest head over the banks with pending
-                # entries, ``bank_count``) plus per-direction queues
-                # ``dir_q`` for the write-batching fallback, all tombstoned
-                # lazily by testing membership in ``live``.
+                # -- contended stretch: scan engine -------------------------
+                # The reference pending list plus ``_choose_idx``'s direct
+                # scan, exact at any window: appends stay a plain list
+                # append and a mid-list pop of a handful of entries is a
+                # single small memmove.  What the engine adds on top of
+                # the reference drain is the closed-form backlog episode,
+                # gated on the ``uni`` flag below so ordinary demand pays
+                # one local bool test per element.
                 #
-                # ``tests/test_dram_controller_batch.py`` and
-                # ``tests/test_contended_differential.py`` prove equality
-                # per service decision against the scalar reference for
-                # both engines.
-                live = {}
-                by_br = {}
-                dir_q = (deque(), deque())
-                bank_count = {}
-                seq = 0
-                for entry in pending:
-                    live[seq] = entry
-                    e_bank = entry[2]
-                    key = (e_bank << 32) | entry[3]
-                    d = by_br.get(key)
-                    if d is None:
-                        by_br[key] = d = deque()
-                    d.append(seq)
-                    dir_q[1 if entry[4] else 0].append(seq)
-                    bank_count[e_bank] = bank_count.get(e_bank, 0) + 1
-                    seq += 1
-                del pending[:]
-
-                def _ichoose(starvation=self.STARVATION_PS):
-                    """``_choose`` over the deque indices (large windows)."""
-                    head_seq = next(iter(live))
-                    if len(live) == 1:
-                        return head_seq, head_seq
-                    best = -1
-                    for b in bank_count:
-                        d = by_br.get((b << 32) | bank_list[b].open_row)
-                        if d:
-                            while d and d[0] not in live:
-                                d.popleft()
-                            if d:
-                                s = d[0]
-                                if best < 0 or s < best:
-                                    best = s
-                    if best >= 0:
-                        if live[best][0] > live[head_seq][0] + starvation:
-                            return head_seq, head_seq  # age promotion
-                        return best, head_seq
-                    q = dir_q[1 if last_was_write else 0]
-                    while q and q[0] not in live:
-                        q.popleft()
-                    if q:
-                        return q[0], head_seq
-                    return head_seq, head_seq
-
-                def _ipop(s):
-                    """Drop seq ``s`` from the index; returns its entry."""
-                    entry = live.pop(s)
-                    b = entry[2]
-                    c = bank_count[b] - 1
-                    if c:
-                        bank_count[b] = c
-                    else:
-                        del bank_count[b]
-                    return entry
-
-                prev = live[next(iter(live))]
+                # ``uni`` tracks "every buffered entry equals ``prev``"
+                # incrementally instead of rescanning the buffer per
+                # element: it is established once on stretch entry (the
+                # backlog an ``enqueue_run`` tail leaves is all twins),
+                # preserved by the episode path (it only appends twins),
+                # and killed by any ordinary append.  A buffer that
+                # *becomes* uniform some other way is merely missed —
+                # the episode falls back to the exact per-element drain,
+                # so the flag is a performance hint, never a correctness
+                # input.
+                prev = pending[-1]
                 uni = True
-                for v in live.values():
+                for v in pending:
                     if v != prev:
                         uni = False
                         break
@@ -1008,35 +671,30 @@ class ChannelController:
                 while i < total:
                     arrival = arrivals[i]
                     entry = (
-                        arrival, accounts[i], banks[i], rows[i], is_writes[i],
-                        kinds[i],
+                        arrival, accounts[i], banks[i], rows[i],
+                        is_writes[i], kinds[i],
                     )
-                    # -- closed-form backlog episode ------------------------
-                    # enqueue_run's steady state, generalised to mid-batch.
-                    # With the buffer holding only twins of the incoming
-                    # element, appends below the window are provably
-                    # service-free — the chosen head is a twin whose start
-                    # ``max(arrival, busy)`` can never precede its own
-                    # arrival, so the gated drain breaks at once — and the
-                    # window fill collapses into a bulk append.  Once the
-                    # window is full (and the twins' row open, the bus
-                    # direction matching, no refresh due), every further
-                    # append services exactly one twin head: a row hit at
-                    # its own arrival, age promotion dormant under equal
-                    # arrivals, the serviced head replaced by the identical
-                    # incoming element.  A run of incoming twins therefore
-                    # collapses into the same arithmetic-series recurrence
-                    # enqueue_run uses.  Any precondition failing falls
-                    # through to the exact per-element drain below.
-                    #
-                    # The gate is the incrementally maintained ``uni`` flag
-                    # (see the scan engine above): established on stretch
-                    # entry, preserved by the episode paths, killed by any
-                    # ordinary append — so ordinary demand pays one local
-                    # bool test here, never a buffer scan.
+                    # -- closed-form backlog episode --------------------
+                    # enqueue_run's steady state, generalised to
+                    # mid-batch.  With the buffer holding only twins of
+                    # the incoming element, appends below the window are
+                    # provably service-free — the chosen head is a twin
+                    # whose start ``max(arrival, busy)`` can never
+                    # precede its own arrival, so the gated drain breaks
+                    # at once — and the window fill collapses into one
+                    # bulk extend.  Once the window is full (and the
+                    # twins' row open, the bus direction matching, no
+                    # refresh due), every further append services
+                    # exactly one twin head: a row hit at its own
+                    # arrival, age promotion dormant under equal
+                    # arrivals, the serviced head replaced by the
+                    # identical incoming element.  A run of incoming
+                    # twins therefore collapses into the same
+                    # arithmetic-series recurrence enqueue_run uses.
+                    # Any precondition failing falls through to the
+                    # exact per-element drain below.
                     gate = uni and entry == prev
                     if gate:
-                        twin = entry
                         e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
                         j = i + 1
                         while (
@@ -1050,19 +708,11 @@ class ChannelController:
                         ):
                             j += 1
                         run = j - i
-                        fill = window - len(live)
+                        fill = window - len(pending)
                         if fill > 0:
                             if fill > run:
                                 fill = run
-                            for _ in range(fill):
-                                live[seq] = twin
-                                d = by_br.get((e_bank << 32) | e_row)
-                                if d is None:
-                                    by_br[(e_bank << 32) | e_row] = d = deque()
-                                d.append(seq)
-                                dir_q[1 if e_w else 0].append(seq)
-                                bank_count[e_bank] = bank_count.get(e_bank, 0) + 1
-                                seq += 1
+                            pending.extend([entry] * fill)
                             run -= fill
                             i += fill
                             if run == 0:
@@ -1074,17 +724,21 @@ class ChannelController:
                         ):
                             bank = bank_list[e_bank]
                             bank_busy = bank.busy_until_ps
-                            # Same recurrence as enqueue_run: stable within
-                            # three steps, arithmetic series after.
+                            # Same recurrence as enqueue_run: stable
+                            # within three steps, arithmetic series
+                            # after.
                             warm = 3 if run > 3 else run
                             completion = bus_free
                             lat = 0
                             for _ in range(warm):
-                                start = e_arr if e_arr > bank_busy else bank_busy
+                                start = (
+                                    e_arr if e_arr > bank_busy else bank_busy
+                                )
                                 bank_busy = start + burst
                                 data_ready = start + tcas
                                 completion = (
-                                    data_ready if data_ready > bus_free else bus_free
+                                    data_ready if data_ready > bus_free
+                                    else bus_free
                                 ) + burst
                                 bus_free = completion
                                 lat += completion - e_acc
@@ -1119,133 +773,45 @@ class ChannelController:
                             closed_served += run
                             i = j
                             continue
-                    # -- per-element: append + window-bounded drain ---------
-                    live[seq] = entry
-                    e_bank = entry[2]
-                    key = (e_bank << 32) | entry[3]
-                    d = by_br.get(key)
-                    if d is None:
-                        by_br[key] = d = deque()
-                    d.append(seq)
-                    dir_q[1 if entry[4] else 0].append(seq)
-                    bank_count[e_bank] = bank_count.get(e_bank, 0) + 1
-                    seq += 1
+                    # -- per-element: append + window-bounded drain -----
+                    pending.append(entry)
                     i += 1
-                    k = len(live)
-                    was_uni = uni and not gate
+                    k = len(pending)
                     if not gate:
-                        # An ordinary append breaks the twin shape; a gated
-                        # append whose episode preconditions failed is
-                        # another twin (the uniform drain below would re-test
-                        # the same failed conditions, so it is skipped).
+                        # An ordinary append breaks the twin shape.  A
+                        # gated append whose episode preconditions failed
+                        # (row closed, turnaround, refresh due) is another
+                        # twin, so the buffer stays uniform.
                         prev = entry
                         uni = False
                         if k == 1:
                             break  # lone transaction: back to the fast path
-                    # -- closed-form uniform-backlog drain ------------------
-                    # The second episode shape: the buffer holds twins of
-                    # the *previous* element (a page-copy read run meeting
-                    # its write phase, or a swap backlog meeting demand)
-                    # while the newcomer's later arrival gates the drain.
-                    # The twin head is the oldest row hit, so every drain
-                    # iteration provably services it — no promotion can fire
-                    # against an equal-arrival head and the head check never
-                    # triggers — which collapses the whole backlog into the
-                    # enqueue_run recurrence instead of one _ichoose scan
-                    # per serviced element.
-                    if was_uni and k > 2:
-                        twin = next(iter(live.values()))
-                        if (
-                            twin[4] == last_was_write
-                            and bank_list[twin[2]].open_row == twin[3]
-                            and not (trefi and twin[0] >= next_refresh)
-                        ):
-                            e_arr, e_acc, e_bank, e_row, e_w, e_kind = twin
-                            bank = bank_list[e_bank]
-                            bank_busy = bank.busy_until_ps
-                            need = k - window  # unconditional overflow part
-                            limit = k - 1  # the gated newcomer never drains
-                            done = 0
-                            lat = 0
-                            while done < limit:
-                                start = e_arr if e_arr > bank_busy else bank_busy
-                                if done >= need and start >= arrival:
-                                    break
-                                bank_busy = start + burst
-                                data_ready = start + tcas
-                                completion = (
-                                    data_ready if data_ready > bus_free else bus_free
-                                ) + burst
-                                bus_free = completion
-                                lat += completion - e_acc
-                                done += 1
-                            if done:
-                                bank.busy_until_ps = bank_busy
-                                bank.hits += done
-                                row_hits += done
-                                if bus_free > last_completion:
-                                    last_completion = bus_free
-                                served += done
-                                if e_w:
-                                    n_writes += done
-                                else:
-                                    n_reads += done
-                                total_lat += lat
-                                if e_kind == DEMAND:
-                                    demand_lat += lat
-                                    demand_n += done
-                                elif e_kind == MIGRATION:
-                                    migration_lat += lat
-                                    migration_n += done
-                                else:
-                                    bookkeeping_lat += lat
-                                    bookkeeping_n += done
-                                closed_served += done
-                                c = bank_count[e_bank] - done
-                                if c:
-                                    bank_count[e_bank] = c
-                                else:
-                                    del bank_count[e_bank]
-                                while done:
-                                    del live[next(iter(live))]
-                                    done -= 1
-                            # The drain loop below is now a provable no-op:
-                            # the survivors are gated twins (their chooser
-                            # pick is the gated twin head) plus the gated
-                            # newcomer, and the buffer is within the
-                            # window, so skip straight past it.
-                            if len(live) > 1:
-                                continue
-                            break  # drained: the fast path takes over
-                    while len(live) > window:
-                        _service(_ipop(_ichoose()[0]))
-                    while live:
-                        s, head_seq = _ichoose()
-                        cand = live[s]
+                    while k > window:
+                        _service(pending.pop(_choose_idx()))
+                        k -= 1
+                    while pending:
+                        idx = _choose_idx()
+                        cand = pending[idx]
                         busy = bank_list[cand[2]].busy_until_ps
                         start = cand[0] if cand[0] > busy else busy
                         if start >= arrival:
-                            if s != head_seq:
-                                head = live[head_seq]
+                            if idx != 0:
+                                head = pending[0]
                                 head_start = bank_list[head[2]].busy_until_ps
                                 if head[0] > head_start:
                                     head_start = head[0]
                                 if head_start < arrival:
-                                    _service(_ipop(head_seq))
+                                    _service(pending.pop(0))
                                     continue
                             break
-                        _service(_ipop(s))
-                    if len(live) <= 1:
+                        _service(pending.pop(idx))
+                    if len(pending) <= 1:
                         break  # drained: the fast path takes over
-                # Per-element services all went through _service and the
-                # episodes tracked their own count, so the indexed tally is
-                # the served delta minus the closed delta.
-                indexed_served += served - closed_served - s0
-                # Write the survivors back in append order — ``live`` keeps
-                # insertion order through deletions, so its values are the
-                # reference pending list verbatim.
-                if live:
-                    pending.extend(live.values())
+                # Per-element services in this stretch all went through
+                # _service; the episodes tracked their own count, so the
+                # scan tally is the served delta minus the closed
+                # delta — no per-service increment on the drain loops.
+                scan_served += served - closed_served - s0
 
         finally:
             self.bus_free_ps = bus_free
@@ -1265,12 +831,10 @@ class ChannelController:
             stats.demand_count += demand_n
             stats.migration_count += migration_n
             stats.bookkeeping_count += bookkeeping_n
-            if closed_served or scan_served or indexed_served or scalar_served:
+            if closed_served or scan_served:
                 paths = self.service_paths
                 paths.closed_form_served += closed_served
                 paths.scan_served += scan_served
-                paths.indexed_served += indexed_served
-                paths.scalar_fallback_served += scalar_served
 
     def enqueue_run(
         self,
@@ -1439,11 +1003,6 @@ class ChannelController:
     #: regardless of row-hit status (real controllers age-promote to
     #: stop conflict requests starving behind an open-row stream).
     STARVATION_PS = 500_000  # 500 ns
-
-    #: Largest window the batched contended engine serves with the
-    #: direct-scan chooser; larger windows switch to the deque-indexed
-    #: chooser whose per-decision cost stays O(pending banks).
-    SCAN_WINDOW_MAX = 16
 
     def _choose(self) -> int:
         """Index of the next transaction to service.

@@ -1,5 +1,7 @@
 """CLI: argument plumbing and command output."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -36,6 +38,26 @@ class TestProfile:
         assert "cactus" in out
         assert "gems" in out
         assert "churn" in out
+
+    def test_replay_reports_identity_and_service_engines(self, capsys):
+        kinds = ["tlm", "mempod", "thm", "hma", "cameo"]
+        out = run_cli(
+            capsys, *SMALL, "profile", "xalanc", "--replay", ",".join(kinds)
+        )
+        lines = out.splitlines()
+        rows = [line.split() for line in lines]
+        rows = [row for row in rows if row and row[0] in kinds]
+        assert [row[0] for row in rows] == kinds
+        assert all(row[-1] == "identical" for row in rows)
+        engines = [
+            line.split("batched services:", 1)[1]
+            for line in lines
+            if "batched services:" in line
+        ]
+        assert len(engines) == len(kinds)
+        for engine_line in engines:
+            names = re.findall(r"([a-z-]+) \d[\d,]*", engine_line)
+            assert names == ["closed-form", "scan", "scalar-fallback"]
 
 
 class TestRun:

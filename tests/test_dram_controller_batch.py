@@ -226,7 +226,7 @@ class TestEnqueueRun:
 
     @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
                              ids=lambda t: t.name)
-    @pytest.mark.parametrize("window", [1, 2, 8])
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
     def test_after_random_preamble(self, timing, window):
         rng = DeterministicRng(31)
         preamble = random_requests(31, 400)
@@ -383,15 +383,13 @@ class TestLazyRefresh:
 
 
 class TestServiceEngine:
-    """The contended-path service engine: closed-form episodes, the
-    indexed scheduler, and the observability sidecar.
+    """The contended-path service engine: closed-form episodes and the
+    observability sidecar.
 
     End-state equality is covered by every ``run_pair`` above; these
     tests pin the *internals*: that the episode classifier actually
-    fires on its degenerate shape, that the indexed scheduler makes the
-    same decision as the scalar ``_choose`` reference on every single
-    service, and that the sidecar counters are conserved and invisible
-    to result snapshots.
+    fires on its degenerate shape, and that the sidecar counters are
+    conserved and invisible to result snapshots.
     """
 
     def test_episode_shape_uses_closed_form(self):
@@ -409,8 +407,8 @@ class TestServiceEngine:
 
     def test_episode_bails_on_direction_flip(self):
         # A write twin arriving into a read backlog breaks the
-        # degenerate shape: the engine must fall back to the indexed
-        # per-element path at the turnaround, not mis-serve the episode.
+        # degenerate shape: the engine must fall back to its exact
+        # per-element drain at the turnaround, not mis-serve the episode.
         requests = [(2, 7, 0, 9_000)] * 40 + [(2, 7, 1, 9_000)] * 40
         run_pair(requests)
 
@@ -529,32 +527,6 @@ class TestServiceEngine:
         )
         assert calls == [len(requests)]
 
-    def test_indexed_scheduler_matches_choose_per_decision(self):
-        # Not just end-state equality: the indexed engine must pick the
-        # *same entry* as the scalar _choose reference at every single
-        # service decision, in order.
-        class Recording(ChannelController):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                self.serviced = []
-
-            def _service(self, entry):
-                self.serviced.append(entry)
-                return super()._service(entry)
-
-        for seed in (41, 42, 43):
-            requests = random_requests(seed, 1_200, spacing=800)
-            one = Recording(HBM_TIMING, BANKS)
-            for bank, row, is_write, arrival in requests:
-                one.enqueue(bank, row, is_write, arrival)
-            many = Recording(HBM_TIMING, BANKS)
-            bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-            many.enqueue_batch(bank_col, row_col, write_col, arrival_col)
-            assert many.serviced == one.serviced
-            one.flush()
-            many.flush()
-            assert many.serviced == one.serviced
-
     def test_sidecar_counters_are_conserved(self):
         requests = random_requests(19, 2_000, spacing=400)
         ctrl = ChannelController(HBM_TIMING, BANKS)
@@ -564,7 +536,6 @@ class TestServiceEngine:
         paths = ctrl.service_paths
         assert paths.closed_form_served >= 0
         assert paths.scan_served >= 0
-        assert paths.indexed_served >= 0
         assert paths.scalar_fallback_served >= 0
         assert paths.batched_served <= ctrl.stats.served
 
@@ -574,18 +545,15 @@ class TestServiceEngine:
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scalar_fallback_served > 0
-        assert ctrl.service_paths.indexed_served == 0
 
     def test_window_eight_counts_scan_engine(self):
         # At the shipped window the contended stretches run the
-        # direct-scan engine; the indexed engine only serves windows
-        # above SCAN_WINDOW_MAX, so its counter must stay at zero.
+        # direct-scan engine.
         requests = random_requests(19, 2_000, spacing=400)
         ctrl = ChannelController(HBM_TIMING, BANKS, window=8)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scan_served > 0
-        assert ctrl.service_paths.indexed_served == 0
 
     def test_sidecar_never_leaks_into_snapshots(self):
         # The sidecar is observability only: two controllers that served
