@@ -146,7 +146,7 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/core/datapath.py::MigrationEngine.swap_lines",
     "repro/kernel/replay.py::_swap_merged_buffers",
     # the tracker updates the kernels drive: MEA per record, hma's
-    # interval engine one full-counter batch per slice
+    # deferred full-counter batch once per epoch or window
     "repro/tracking/mea.py::MeaTracker.record",
     "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
     # the memory-mapped trace path: the streamed grouping, the windowed

@@ -72,10 +72,6 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
         same_signature=False,
     ),
     # fused twins: one body, both legs
-    TwinPair(
-        "full-counters-record",
-        "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
-    ),
     TwinPair("chunk-groups", "repro/trace/packed.py::PackedTrace.chunk_groups"),
     TwinPair("trace-v1-encode", "repro/trace/io.py::_encode_records_v1"),
     TwinPair("trace-v1-decode", "repro/trace/io.py::_decode_records_v1"),
@@ -83,7 +79,6 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
     TwinPair("trace-v2-load-planes", "repro/trace/io.py::load_columnar_planes"),
     TwinPair("single-plane", "repro/kernel/replay.py::_single_plane"),
     TwinPair("hybrid-decode", "repro/kernel/replay.py::_hybrid_decode"),
-    TwinPair("hma-interval-replay", "repro/kernel/replay.py::_columnar_interval_replay"),
 )
 
 _TWIN_MANIFEST_FILE = Path(__file__).resolve().parent / "twin_manifest.json"

@@ -31,22 +31,19 @@ Each mechanism has one kernel, chosen because it measured fastest:
 * tlm / single-level replay every chunk pre-grouped by controller
   (``PackedTrace.chunk_groups``, numpy stable-argsort with a
   pure-Python twin);
-* mempod, thm and cameo are per-record loops over
+* mempod, thm, hma and cameo are per-record loops over
   :func:`_record_stream`, which decodes the trace one bounded window
   at a time.  MemPod's per-pod MEA and THM's competing counters are
   per-access state machines, and batched numpy recurrences for them
-  measured slower than these loops.  All three share one buffered
-  datapath (:func:`_swap_merged_buffers`): demand and swap traffic
-  append to per-controller columns that flush through one
-  ``enqueue_batch`` call per controller per chunk — mempod's and
-  thm's page swaps through the engine's swap sink, cameo's line swaps
-  (one on nearly every slow access) appended inline;
-* hma is an interval engine (:func:`_columnar_interval_replay`): it
-  cuts the trace at epoch boundaries and due swaps, replays short
-  event-free slices per record against the live page table, and —
-  with numpy — longer ones with vectorised penalty/translation/grouping
-  passes; without numpy every slice replays per record.  Full-counter
-  updates are batched into ``FullCountersTracker.record_batch`` calls.
+  measured slower than these loops; hma checks its epoch ticks and due
+  swaps inline, as mempod checks its interval boundaries, and defers
+  its full-counter updates into one ``FullCountersTracker.record_batch``
+  call per epoch or window.  All four share one buffered datapath
+  (:func:`_swap_merged_buffers`): demand and swap traffic append to
+  per-controller columns that flush through one ``enqueue_batch`` call
+  per controller per chunk — mempod's, thm's and hma's page swaps
+  through the engine's swap sink, cameo's line swaps (one on nearly
+  every slow access) appended inline.
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -71,14 +68,10 @@ anything it cannot accelerate it still simulates correctly.
 **Mapped traces** (``packed.mapped`` — columns are memory-mapped planes
 of a columnar trace file, see :mod:`repro.trace.store`) replay through
 the same loops without trace-length derived columns: the direct
-kernels consume ``chunk_groups_streamed``, the per-record loops read
-:func:`_record_stream` windows, and the hma interval engine decodes
-each slice from the address column (identity-mapped records decode to
-exactly the plane values, by definition) and applies its deferred
-tracker updates at least once per window.  Peak Python-heap usage is
-bounded by the streaming window instead of the trace length; results
-are pinned byte-identical to the in-memory path by
-``tests/test_trace_store.py``.
+kernels consume ``chunk_groups_streamed`` and the per-record loops read
+:func:`_record_stream` windows.  Peak Python-heap usage is bounded by
+the streaming window instead of the trace length; results are pinned
+byte-identical to the in-memory path by ``tests/test_trace_store.py``.
 """
 
 from __future__ import annotations
@@ -106,21 +99,14 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
-#: Event-free slices at or below this length replay per record inside the
-#: interval engine: a handful of scalar buffer appends is cheaper than the
-#: per-slice column set-up (snapshot searches, argsort, tolist).  Without
-#: numpy every slice replays per record.
-_SCALAR_SLICE = 32
-
-
 # -- decode planes ---------------------------------------------------------
 #
 # A plane is a per-record column of precomputed address decode results,
 # cached on an in-memory PackedTrace under a key derived from the memory
 # layout — two managers over the same geometry share planes, and a
 # trace replayed at several configurations computes each plane once.
-# Only the chunk-grouped direct kernels and hma's interval engine read
-# planes; mapped traces never build them.
+# Only the chunk-grouped direct kernels read planes; mapped traces never
+# build them.
 
 
 def _mapper_key(mapper) -> tuple:
@@ -458,12 +444,12 @@ def _swap_merged_buffers(ctrls, batch):
     two banks interleave per line, expand per element (and materialise
     the lazy ``kd`` column).
 
-    Exact because kernels only issue swaps due at or before the current
-    cut, and every already-buffered element arrived strictly before
-    that cut, so the merged emission order *is* the reference
-    per-controller enqueue order — a due swap no longer ejects the
-    buffered demand from the batched path, and the backlog it creates
-    lands in the controller's closed-form episode engine.
+    Exact because a kernel issues a swap at the point of its record
+    loop where the reference loop would — after the earlier records'
+    demand, before the current record's — so the merged emission order
+    *is* the reference per-controller enqueue order: a due swap never
+    ejects the buffered demand from the batched path, and the backlog
+    it creates lands in the controller's closed-form episode engine.
     """
     demand = DEMAND
     migration = MIGRATION
@@ -556,131 +542,66 @@ def _swap_merged_buffers(ctrls, batch):
     return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_all, sink
 
 
-def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
-    """HMA without a counter cache — epoch ticks, paced swaps, full-counter
-    recording, page-table lookup, block penalties — replayed interval by
-    interval.
+def _replay_hma(trace, packed, manager, throttle_cap_ps):
+    """HMA without a counter cache: epoch ticks, paced swaps, full-counter
+    recording, page-table lookup, block penalties.
 
-    Within each throttle chunk, one binary search over the arrival
-    column (:meth:`PackedTrace.cut_at`) finds where the next event — an
-    epoch boundary or a due paced swap — lands, and everything before
-    the cut is one *event-free slice*.  A slice of at most
-    ``_SCALAR_SLICE`` records — and, without numpy, every slice —
-    replays per record against the live page table and block table,
-    taking each trace column once per slice.  Longer slices are
-    processed with vectorised column arithmetic:
-
-    * block penalties via binary search against a sorted snapshot of
-      the block table (``blocked_columns``), pruned once per slice —
-      state-equivalent to the reference's per-record prune because
-      entries expired for an earlier record yield no penalty for any
-      later one and nothing is added mid-slice;
-    * translation via binary search against a sorted snapshot of the
-      page table (``remap_columns``), built the first time a vector
-      slice needs it after an event; when any record hits, the whole
-      slice's channel/bank/row columns are recomputed densely from the
-      translated addresses (identity records decode identically, so no
-      scatter is needed), otherwise the memoised decode plane is used
-      as is;
-    * transactions grouped by controller (stable argsort) into
-      per-controller column buffers that live across slices and flush
-      through one ``enqueue_batch`` call per controller — exact because
-      controllers share no state and per-controller order is preserved;
-      a due swap *merges* its migration runs into the buffered demand
-      columns through the engine's swap sink (see
-      :func:`_swap_merged_buffers`) instead of flushing them, so only an
-      epoch (whose plans may touch any controller and may stall the
-      machine) and the chunk-end throttle probe flush everything.
+    Per record over :func:`_record_stream`, in the shape of
+    :func:`_replay_mempod`: the epoch check and due swaps run inline,
+    each record's decoded transaction appends to the per-controller
+    columns of :func:`_swap_merged_buffers`, and a due swap's traffic
+    merges into those columns through the engine's swap sink.  Columns
+    flush through ``enqueue_batch`` at every chunk end and right before
+    an epoch, whose plans may touch any controller and may stall the
+    machine.  A remapped page decodes inline through the mappers; the
+    page table only holds in-range frames, so the routing is
+    ``memory.access``'s.
 
     Full-counter updates are deferred and applied with one
     ``FullCountersTracker.record_batch`` call right before each epoch
-    runs and at least once per :func:`_stream_window` records — the
-    tracker is only *read* at epochs and never touches the controllers,
-    so deferral commutes, and the window keeps the batch (and the peak
-    heap) independent of the trace length.
-
-    At the cut the event fires exactly as the reference per-record check
-    would: elapsed epochs run in order (tracker updated first), then due
-    swaps issue; both invalidate the snapshots.  The ``finally``
-    restores the engine flag, writes the boundary cursor back, and
-    records the tracker updates of every record already replayed, so an
-    exception mid-chunk cannot leave the manager with stale state.
+    runs and at the first chunk end after :func:`_stream_window`
+    records — the tracker is only *read* at epochs and never touches
+    the controllers, so deferral commutes, and the window keeps the
+    deferred list (and the peak heap) independent of the trace length.
+    The ``finally`` restores the engine flags, writes the epoch cursor
+    back and applies the updates of every record already replayed, so
+    an exception mid-chunk cannot leave the manager with stale state.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    mapped = packed.mapped
-    vector = _np is not None
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    pages_l = packed.pages(page_shift)
-    plane_ctrl = plane_bank = plane_row = None
-    ctrl_col = bank_col = row_col = None
-    if not mapped:
-        # Only in-memory traces read the memoised decode planes.  Mapped
-        # traces never materialise trace-length planes: the vector path
-        # decodes each slice from the address column (identity records
-        # decode to exactly the plane values) and the scalar path
-        # decodes inline through the mappers.
-        plane = _hybrid_plane(packed, memory)
-        plane_ctrl, plane_bank, plane_row = plane
-        if vector:
-            ctrl_col, bank_col, row_col = packed.np_columns(
-                _hybrid_layout_key(memory), plane
-            )
-    if vector:
-        (page_col,) = packed.np_columns(("pages", page_shift), (pages_l,))
-        (arr_col, write_col) = packed.np_columns(
-            ("records",), (packed.arrivals, packed.is_writes)
-        )
-        addr_col = packed.np_addresses()
-    else:
-        page_col = pages_l
-    # Without numpy every slice replays per record.
-    scalar_slice = _SCALAR_SLICE if vector else packed.length
     record_batch = manager.tracker.record_batch
-    window = _stream_window(packed)
-    addresses = packed.addresses
-    is_writes = packed.is_writes
     location_get = manager._location.get
+    block_penalty = manager._block_penalty_ps
     blocked = manager._blocked
     expiry = manager._blocked_expiry
-    prune_blocked = manager._prune_blocked
-    block_penalty = manager._block_penalty_ps
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
     queue = manager._swap_queue
     issue_swaps = manager._issue_due_swaps
     run_boundary = manager._run_boundary
     interval = manager.interval_ps
     next_boundary = manager._next_boundary_ps
+    page_shift = manager._page_shift
+    page_mask = manager._page_mask
     fast_bytes = memory.geometry.fast_bytes
-    fm = memory.fast.mapper
-    sm = memory.slow.mapper
+    fast_decode = memory.fast.mapper.fast_decode
+    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
     demand = DEMAND
-    engine = manager.engine
-    arrivals = packed.arrivals
-    cut_at = packed.cut_at
-
-    # Per-controller column buffers.  Demand accumulates here across
-    # slices — and due swaps merge their traffic in through the
-    # engine's swap sink — flushing through one enqueue_batch per
-    # controller; per-controller order — the only order that matters,
-    # controllers share no state — is preserved.
     bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
     buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
 
+    window = _stream_window(packed)
+    deferred = []  # pages whose full-counter updates are pending
+    defer = deferred.append
+    arrivals = packed.arrivals
+    records = _record_stream(packed, memory, page_shift)
     total = packed.length
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_np = None  # sorted (pages, frames) snapshot; None -> rebuild
-    blocked_np = None  # sorted (pages, untils) snapshot; None -> rebuild
     last_ps = 0
     offset = 0
     pos = 0
-    i = 0
-    flushed = 0  # records whose tracker updates have been applied
+    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
+    engine = manager.engine
     # hoists: engine.batch_swaps, engine.swap_sink
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
@@ -689,214 +610,74 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps):
             end = pos + sample if sample else total
             if end > total:
                 end = total
-            i = pos
-            while i < end:
-                event = next_boundary
-                if queue and queue[0][0] < event:
-                    event = queue[0][0]
-                cut = cut_at(event - offset, i, end)
-                if i < cut <= i + scalar_slice:
-                    # -- short event-free slice: per-record replay is
-                    # cheaper than the column set-up --------------------
-                    checked = len(blocked) if blocked_np is not None else -1
-                    for k, arrival, page, address, is_write in zip(
-                        range(i, cut), arrivals[i:cut], pages_l[i:cut],
-                        addresses[i:cut], is_writes[i:cut],
-                    ):
-                        arrival += offset
-                        penalty = (
-                            block_penalty(page, arrival) if blocked or expiry else 0
-                        )
-                        frame = location_get(page)
-                        if frame is None and not mapped:
-                            ck = plane_ctrl[k]
-                            bank = plane_bank[k]
-                            row = plane_row[k]
-                        else:
-                            # An identity-mapped record decodes from its
-                            # original address — the plane value by
-                            # definition — so the mapped leg shares the
-                            # translated-decode path.
-                            translated = (
-                                address
-                                if frame is None
-                                else (frame << page_shift) | (address & page_mask)
-                            )
-                            if translated < fast_bytes:
-                                ck, bank, row = fast_decode(translated)
-                            else:
-                                ck, bank, row = slow_decode(translated - fast_bytes)
-                                ck += fast_channels
-                        buf_bk[ck].append(bank)
-                        buf_rw[ck].append(row)
-                        buf_wr[ck].append(is_write)
-                        buf_ar[ck].append(arrival)
-                        buf_ac[ck].append(arrival - penalty)
-                        kd = buf_kd[ck]
-                        if kd is not None:
-                            kd.append(demand)
-                    if checked >= 0 and len(blocked) != checked:
-                        blocked_np = None
-                    i = cut
-                elif cut > i:
-                    # -- event-free slice [i, cut) ----------------------
-                    arr = arr_col[i:cut]
-                    if offset:
-                        arr = arr + offset
-                    pg = page_col[i:cut]
-                    acct = None
-                    if blocked or expiry:
-                        if blocked:
-                            if blocked_np is None:
-                                bpages, buntils = manager.blocked_columns()
-                                blocked_np = (
-                                    _np.asarray(bpages, dtype=_np.int64),
-                                    _np.asarray(buntils, dtype=_np.int64),
-                                )
-                            bpages, buntils = blocked_np
-                            bidx = _np.searchsorted(bpages, pg)
-                            _np.minimum(bidx, len(bpages) - 1, out=bidx)
-                            bhit = bpages[bidx] == pg
-                            if bhit.any():
-                                pen = buntils[bidx[bhit]] - arr[bhit]
-                                stalled = pen > 0
-                                hits = int(stalled.sum())
-                                if hits:
-                                    manager.blocked_hits += hits
-                                    acct = arr.copy()
-                                    acct[_np.flatnonzero(bhit)[stalled]] -= pen[stalled]
-                        size = len(blocked)
-                        prune_blocked(arrivals[cut - 1] + offset)
-                        if len(blocked) != size:
-                            blocked_np = None
-                    if remap_np is None:
-                        rpages_l, rframes_l = manager.remap_columns()
-                        remap_np = (
-                            _np.asarray(rpages_l, dtype=_np.int64),
-                            _np.asarray(rframes_l, dtype=_np.int64),
-                        )
-                    rpages, rframes = remap_np
-                    translated = None
-                    if len(rpages):
-                        ridx = _np.searchsorted(rpages, pg)
-                        _np.minimum(ridx, len(rpages) - 1, out=ridx)
-                        rhit = rpages[ridx] == pg
-                        if rhit.any():
-                            frames = pg.copy()
-                            frames[rhit] = rframes[ridx[rhit]]
-                            translated = (frames << page_shift) | (
-                                addr_col[i:cut] & page_mask
-                            )
-                    if translated is None and mapped:
-                        # No remap hit: identity decode of the slice's
-                        # original addresses equals the plane values, so
-                        # the mapped leg reuses the dense-decode path
-                        # below instead of trace-length plane columns.
-                        translated = addr_col[i:cut]
-                    if translated is None:
-                        ci = ctrl_col[i:cut]
-                        bk = bank_col[i:cut]
-                        rw = row_col[i:cut]
-                    else:
-                        is_fast = translated < fast_bytes
-                        off = _np.where(is_fast, translated, translated - fast_bytes)
-                        ci = _np.where(
-                            is_fast,
-                            (off >> fm._bank_shift) & fm._chan_mask,
-                            fast_channels
-                            + ((off >> sm._bank_shift) & sm._chan_mask),
-                        )
-                        bk = _np.where(
-                            is_fast,
-                            (off >> fm._row_shift) & fm._bank_mask,
-                            (off >> sm._row_shift) & sm._bank_mask,
-                        )
-                        rw = _np.where(
-                            is_fast, off >> fm._chan_shift, off >> sm._chan_shift
-                        )
-                    order = _np.argsort(ci, kind="stable")
-                    ci_s = ci[order]
-                    cuts = _np.flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
-                    bounds = [0, *cuts.tolist(), cut - i]
-                    ci_l = ci_s.tolist()
-                    bk_l = bk[order].tolist()
-                    rw_l = rw[order].tolist()
-                    wr_l = write_col[i:cut][order].tolist()
-                    ar_l = arr[order].tolist()
-                    ac_l = ar_l if acct is None else acct[order].tolist()
-                    for gi in range(len(bounds) - 1):
-                        lo = bounds[gi]
-                        hi = bounds[gi + 1]
-                        c = ci_l[lo]
-                        buf_bk[c].extend(bk_l[lo:hi])
-                        buf_rw[c].extend(rw_l[lo:hi])
-                        buf_wr[c].extend(wr_l[lo:hi])
-                        buf_ar[c].extend(ar_l[lo:hi])
-                        buf_ac[c].extend(ac_l[lo:hi])
-                        kd = buf_kd[c]
-                        if kd is not None:
-                            kd.extend([demand] * (hi - lo))
-                    i = cut
-                if i - flushed >= window:
-                    record_batch(page_col[flushed:i])
-                    flushed = i
-                if i >= end:
-                    break
-                # -- the record at the cut fires the event(s) -----------
-                arrival = arrivals[i] + offset
+            for arrival, is_write, address, _, page, ci, bank, row in islice(
+                records, end - pos
+            ):
+                arrival += offset
                 if arrival >= next_boundary:
-                    if i > flushed:
-                        record_batch(page_col[flushed:i])
-                    flushed = i
-                    # Boundary plans may issue swaps to any controller
-                    # and may stall the whole machine (block_until
-                    # services controller state directly), so deferred
-                    # demand lands first and the sink comes off — swap
-                    # traffic a boundary issues goes straight down the
-                    # batched datapath against the now-empty buffers,
-                    # which is the reference order exactly.
+                    # The epoch reads the counters, so they catch up
+                    # first.  Its plans service controllers directly
+                    # (and may stall the machine), so deferred demand
+                    # lands first and the sink does not capture the
+                    # epoch's own swap traffic.
+                    record_batch(deferred)
+                    deferred.clear()
                     flush_all()
                     engine.swap_sink = None
                     while arrival >= next_boundary:
                         run_boundary(next_boundary)
                         next_boundary += interval
                     engine.swap_sink = swap_sink
-                    remap_np = None
-                    blocked_np = None
                 if queue and queue[0][0] <= arrival:
-                    # Due swaps merge into the buffered demand columns
-                    # through the swap sink: every buffered element
-                    # arrived strictly before the cut, and the cut is at
-                    # or before every due issue time, so appending each
-                    # swap's runs preserves the per-controller reference
-                    # enqueue order — a swap no longer ejects a chunk's
-                    # deferred demand from the batched path.
+                    # Due swaps merge into the buffered columns through
+                    # the sink; every buffered demand arrival precedes
+                    # the swap's issue time, so per-controller enqueue
+                    # order is the reference's.
                     issue_swaps(arrival)
-                    remap_np = None
-                    blocked_np = None
+                defer(page)
+                if blocked or expiry:
+                    penalty = block_penalty(page, arrival)
+                else:
+                    penalty = 0
+                frame = location_get(page)
+                if frame is not None:
+                    translated = (frame << page_shift) | (address & page_mask)
+                    if translated < fast_bytes:
+                        ci, bank, row = fast_decode(translated)
+                    else:
+                        ci, bank, row = slow_decode(translated - fast_bytes)
+                        ci += fast_channels
+                buf_bk[ci].append(bank)
+                buf_rw[ci].append(row)
+                buf_wr[ci].append(is_write)
+                buf_ar[ci].append(arrival)
+                buf_ac[ci].append(arrival - penalty)
+                kd = buf_kd[ci]
+                if kd is not None:
+                    kd.append(demand)
             flush_all()
+            if len(deferred) >= window:
+                record_batch(deferred)
+                deferred.clear()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
                 backlog = peak_bus() - last_ps
                 if backlog > throttle_cap_ps:
                     offset += backlog - throttle_cap_ps
             pos = end
-        if total > flushed:
-            record_batch(page_col[flushed:total])
-        flushed = i = total
-        manager._next_boundary_ps = next_boundary
-        # finish() issues the still-scheduled swaps and drains the
-        # devices — controller-direct work, so the sink comes off first
-        # (the buffers are empty: every chunk ends in flush_all()).
+        record_batch(deferred)
+        deferred.clear()
+        # Buffers are empty here (every chunk ends in a flush), so
+        # finish() — which issues the still-queued swaps directly and
+        # drains the devices — runs against reference-order controllers.
         engine.swap_sink = None
         end_ps = manager.finish(last_ps)
     finally:
         engine.batch_swaps = False
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
-        if flushed < i:
-            record_batch(page_col[flushed:i])
-            flushed = i
+        if deferred:
+            record_batch(deferred)
     return collect_result(manager, trace, end_ps)
 
 
@@ -1335,7 +1116,7 @@ _SHAPE_KERNELS = {
     ),
     ("interval", "pod"): (MemPodManager, "_replay_mempod", "mempod", _gate_mempod),
     ("epoch", "global"): (
-        HmaManager, "_columnar_interval_replay", "hma", _gate_metadata_cache,
+        HmaManager, "_replay_hma", "hma", _gate_metadata_cache,
     ),
     ("threshold", "segment"): (
         ThmManager, "_replay_thm", "thm", _gate_metadata_cache,

@@ -149,10 +149,9 @@ class MemoryManager(ABC):
     def blocked_columns(self) -> Tuple[List[int], List[int]]:
         """Sorted ``(pages, untils)`` snapshot of the block table.
 
-        The columnar replay kernels binary-search these columns to
-        vectorise :meth:`_block_penalty_ps` over an event-free slice;
-        the snapshot is only valid until the next swap issue or prune,
-        so kernels rebuild it after every boundary/swap event.
+        No replay kernel calls this: every kernel reads the live block
+        table per record.  It stays only because the benchmark's layer
+        list (``perfbench/layers.py``) wraps it by name.
         """
         items = sorted(self._blocked.items())
         return [page for page, _ in items], [until for _, until in items]
@@ -296,11 +295,11 @@ class ComposedManager(MemoryManager):
     def remap_columns(self) -> Tuple[List[int], List[int]]:
         """Sorted ``(pages, frames)`` snapshot of the forward remap.
 
-        Like :meth:`MemoryManager.blocked_columns`, this feeds the
-        columnar kernels' vectorised translation pass; managers with a
-        sharded table (MemPod) override it with a merged view.  Only
-        remapped pages appear — absence means identity, exactly as the
-        sparse table's ``get(page) is None`` test does.
+        Only remapped pages appear — absence means identity, exactly as
+        the sparse table's ``get(page) is None`` test does.  Like
+        :meth:`MemoryManager.blocked_columns`, no replay kernel calls
+        this; it stays only because the benchmark's layer list
+        (``perfbench/layers.py``) wraps it by name.
         """
         items = sorted(self.remap._forward.items())
         return [page for page, _ in items], [frame for _, frame in items]

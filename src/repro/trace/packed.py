@@ -35,7 +35,6 @@ stats — the JSON result cache cannot serialise them)."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 try:  # optional accelerator; every path below has a pure-Python twin
@@ -48,10 +47,10 @@ class _IntColumn:
     """Sequence-of-Python-ints view over an int64 array (typically a
     ``np.memmap`` plane of a columnar trace file).
 
-    Replay code indexes trace columns with ints and slices, bisects
-    them, and zips over them; handing out the raw memmap would leak
-    numpy scalar types into controller stats (and from there crash the
-    JSON result cache).  This wrapper converts at the boundary: item
+    Replay code indexes trace columns with ints and slices and zips
+    over them; handing out the raw memmap would leak numpy scalar types
+    into controller stats (and from there crash the JSON result
+    cache).  This wrapper converts at the boundary: item
     access returns Python ints, slices return plain lists, iteration is
     blockwise so zip loops never materialise the whole column.  The
     backing array stays reachable as :attr:`array` for zero-copy
@@ -203,38 +202,6 @@ class PackedTrace:
             else:
                 cached = [address >> page_shift for address in self.addresses]
             self._pages[page_shift] = cached
-        return cached
-
-    def cut_at(self, arrival_ps: int, lo: int, hi: int) -> int:
-        """First record index in ``[lo, hi)`` whose arrival is at or
-        past ``arrival_ps`` (``hi`` when none is).
-
-        This is the interval-slicing primitive of the columnar replay
-        kernels: instead of a per-record ``arrival >= next_boundary``
-        check, one binary search over the (non-decreasing) arrival
-        column finds where the next boundary or due swap lands, and
-        everything before the cut replays as one event-free slice.
-        Identical to ``numpy.searchsorted(arrivals[lo:hi], arrival_ps,
-        "left")`` but works on the plain column, so the pure-Python leg
-        shares it.
-        """
-        return bisect_left(self.arrivals, arrival_ps, lo, hi)
-
-    def np_columns(self, key: tuple, columns: tuple) -> tuple:
-        """``columns`` as int64 numpy arrays, memoised under
-        ``("np", key)`` in :attr:`planes`.
-
-        The chunk-sliced kernels index decode planes with fancy masks
-        and vectorised arithmetic; converting the memoised list planes
-        once per (trace, layout) keeps that off the per-slice path.
-        Columns already backed by arrays (mapped traces hand in
-        :class:`_IntColumn` views) pass through zero-copy.
-        Callers must only use this when numpy is available.
-        """
-        cached = self.planes.get(("np", key))
-        if cached is None:
-            cached = tuple(_as_int64(column) for column in columns)
-            self.planes[("np", key)] = cached
         return cached
 
     def chunk_groups(

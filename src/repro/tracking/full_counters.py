@@ -15,13 +15,10 @@ from typing import Dict, List, Sequence
 from ..common.config import require_positive_int
 from .base import ActivityTracker
 
-try:  # optional accelerator; record_batch has a pure-Python twin
+try:  # only to accept ndarray batches; the tracker itself is pure Python
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
-
-#: Below this many records the numpy set-up cost exceeds the loop.
-_BATCH_MIN = 32
 
 
 class FullCountersTracker(ActivityTracker):
@@ -52,26 +49,17 @@ class FullCountersTracker(ActivityTracker):
     def record_batch(self, pages: Sequence[int]) -> None:
         """Replay :meth:`record` over every page of ``pages``, in order.
 
-        Saturating increments commute, so the batch collapses to one
-        ``unique``/bincount pass: each touched page ends at
-        ``min(max, current + occurrences)`` — identical to the
-        per-record loop's final state.  The pure twin (used without
-        numpy or for short batches) tallies through a local
-        :class:`~collections.Counter` first for the same effect.
+        Saturating increments commute, so the batch tallies through a
+        local :class:`~collections.Counter` first: each touched page
+        ends at ``min(max, current + occurrences)`` — identical to the
+        per-record loop's final state.  An ndarray batch is converted
+        first so table keys stay plain ints.
         """
+        if _np is not None and isinstance(pages, _np.ndarray):
+            pages = pages.tolist()
         counts = self._counts
         max_count = self._max_count
-        if _np is None or (
-            len(pages) < _BATCH_MIN and not isinstance(pages, _np.ndarray)
-        ):
-            for page, occurrences in Counter(pages).items():
-                current = counts[page]
-                if current < max_count:
-                    total = current + occurrences
-                    counts[page] = total if total < max_count else max_count
-            return
-        uniq, occ = _np.unique(_np.asarray(pages, dtype=_np.int64), return_counts=True)
-        for page, occurrences in zip(uniq.tolist(), occ.tolist()):
+        for page, occurrences in Counter(pages).items():
             current = counts[page]
             if current < max_count:
                 total = current + occurrences

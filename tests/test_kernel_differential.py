@@ -18,8 +18,9 @@ from repro.common.rng import DeterministicRng
 from repro.dram.controller import ChannelController
 from repro.experiments.common import ExperimentConfig
 from repro.geometry import scaled_geometry
-from repro.managers.base import ComposedManager
+from repro.managers.base import ComposedManager, MemoryManager
 from repro.managers.cameo import CameoManager
+from repro.managers.hma import HmaManager
 from repro.system.simulator import (
     MANAGER_KINDS,
     build_manager,
@@ -58,9 +59,9 @@ def assert_kernels_agree(trace, geometry, kind, throttle_cap_ps=1_000_000, **par
 @pytest.fixture()
 def no_numpy(monkeypatch):
     """numpy patched out of every module with a numpy leg, as on a
-    numpy-free install: hma's interval engine replays every slice per
-    record, the full-counter batch runs its pure leg, and
-    ``open_columnar`` returns an eager trace."""
+    numpy-free install: the record stream decodes through each
+    mapper's ``fast_decode`` and ``open_columnar`` returns an eager
+    trace."""
     import repro.trace.io
     import repro.trace.packed
     import repro.tracking.competing
@@ -185,12 +186,12 @@ def _churn_copy(churn, copy, tmp_path):
 
 
 class TestHmaChurn:
-    """HMA's interval engine on the migration-churn cell.
+    """HMA's kernel on the migration-churn cell.
 
-    The scaled epoch schedules hundreds of paced swaps, and nearly every
-    one lands just before a short event-free slice.  Short slices read
-    the live page table; only vector slices take the sorted
-    ``remap_columns`` snapshot, so a swap no longer costs a rebuild.
+    The scaled epoch schedules hundreds of paced swaps.  The kernel is
+    one per-record loop over the windowed record source: it checks the
+    epoch and due swaps inline, reads the live page table and block
+    table per record, and never takes a sorted snapshot of either.
     """
 
     HMA = ExperimentConfig().hma_params()
@@ -209,34 +210,7 @@ class TestHmaChurn:
         )
 
     @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
-    def test_snapshot_rebuilds_are_rare(self, churn, geometry, tmp_path, monkeypatch, copy):
-        rebuilds = []
-        snapshot = ComposedManager.remap_columns
-
-        def counted(manager):
-            rebuilds.append(1)
-            return snapshot(manager)
-
-        monkeypatch.setattr(ComposedManager, "remap_columns", counted)
-        result = self._fast(_churn_copy(churn, copy, tmp_path), geometry)
-        swaps = result["migrations"]
-        assert swaps > 100
-        assert len(rebuilds) * 10 <= swaps
-
-    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
-    @pytest.mark.parametrize(
-        "scalar_slice", [None, 0, 1 << 40], ids=["default", "all-vector", "all-scalar"]
-    )
-    def test_matches_reference(
-        self, churn, reference, geometry, tmp_path, monkeypatch, copy, scalar_slice
-    ):
-        # The default threshold mixes both slice kinds around the swaps;
-        # the extremes put every swap before a vector or a per-record
-        # slice respectively.
-        if scalar_slice is not None:
-            if repro.kernel.replay._np is None:
-                pytest.skip("vector slices need numpy")
-            monkeypatch.setattr(repro.kernel.replay, "_SCALAR_SLICE", scalar_slice)
+    def test_matches_reference(self, churn, reference, geometry, tmp_path, copy):
         assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
 
     @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
@@ -244,6 +218,22 @@ class TestHmaChurn:
         self, churn, reference, geometry, tmp_path, copy, no_numpy
     ):
         assert self._fast(_churn_copy(churn, copy, tmp_path), geometry) == reference
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_no_handle_and_no_snapshots(
+        self, churn, reference, geometry, tmp_path, monkeypatch, copy
+    ):
+        # Neither the per-record manager path nor a sorted page-table
+        # or block-table snapshot may run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("handle or snapshot called")
+
+        monkeypatch.setattr(HmaManager, "handle", refuse)
+        monkeypatch.setattr(ComposedManager, "remap_columns", refuse)
+        monkeypatch.setattr(MemoryManager, "blocked_columns", refuse)
+        result = self._fast(_churn_copy(churn, copy, tmp_path), geometry)
+        assert result == reference
+        assert result["migrations"] > 100
 
 
 class TestCameoChurn:
@@ -326,7 +316,7 @@ class TestEdgeTraces:
 
     def test_empty_interval_slices(self, geometry):
         # Dense bursts separated by dozens of record-free intervals:
-        # the interval engine must run every boundary (tracker resets,
+        # the kernels must run every boundary (tracker resets,
         # paced swap drains) without any records in between, and equal
         # arrivals inside a burst must not split chunks incorrectly.
         interval = build_manager("mempod", geometry).interval_ps

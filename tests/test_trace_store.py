@@ -551,7 +551,7 @@ class TestStreamingPeakMemory:
             assert excess < 5 * 8 * length / 2
 
     def test_hma_excess_flat_in_trace_length(self, tmp_path):
-        """HMA's interval engine defers full-counter updates to the next
+        """HMA's kernel defers full-counter updates to the next
         epoch, and the default 100 ms epoch spans any of these traces.
         Applying the deferred updates at least once per window keeps the
         working set above the retained state flat as the trace grows; one

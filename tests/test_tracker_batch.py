@@ -3,10 +3,9 @@
 ``record_batch`` / ``access_batch`` must replay the per-record tracker
 semantics **bit for bit** — same tables, same counters, same aggregate
 event stats.  Every case runs in two modes: ``numpy`` hands the batches
-over as int64 ndarrays (and drives ``FullCountersTracker``'s numpy
-pass), ``pure`` patches numpy out of the tracker modules and hands over
-lists.  MEA and the competing counters batch with one scalar loop
-either way; the modes pin that ndarray input replays exactly like
+over as int64 ndarrays, ``pure`` patches numpy out of the tracker
+modules and hands over lists.  Every tracker batches with one scalar
+loop either way; the modes pin that ndarray input replays exactly like
 list input and never leaks numpy scalars into tracker state.  The
 cases are adversarial on purpose: tiny saturating counters, full-table
 decrement rounds with evictions, the strict paper capacity variant,
@@ -141,6 +140,14 @@ class TestFullCountersBatch:
         tracker = FullCountersTracker(16)
         tracker.record_batch(_column([], mode))
         assert tracker.counts() == {}
+
+    def test_table_keys_stay_plain_ints(self):
+        if full_mod._np is None:
+            pytest.skip("numpy not installed")
+        tracker = FullCountersTracker(16)
+        tracker.record_batch(full_mod._np.asarray([3, 3, 5], dtype=full_mod._np.int64))
+        assert tracker.counts() == {3: 2, 5: 1}
+        assert all(type(page) is int for page in tracker.counts())
 
 
 def _drive_scalar(counters, accesses):
