@@ -140,10 +140,12 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/dram/controller.py::ChannelController._service_at",
     "repro/dram/bank.py::Bank.access",
     # the migration datapath's batched transaction pattern (CAMEO's
-    # kernel issues the line-swap pattern inline), and the kernels'
-    # swap sink that merges it into buffered demand columns
+    # kernel issues the line-swap pattern and its swap count inline),
+    # and the kernels' swap sink that merges it into buffered demand
+    # columns
     "repro/core/datapath.py::MigrationEngine.swap_pages",
     "repro/core/datapath.py::MigrationEngine.swap_lines",
+    "repro/core/datapath.py::MigrationStats.note_swap",
     "repro/kernel/replay.py::_swap_merged_buffers",
     # the tracker updates the kernels drive: MEA per record, hma's
     # deferred full-counter batch once per epoch or window

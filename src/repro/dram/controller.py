@@ -315,14 +315,16 @@ class ChannelController:
           transactions stream as a run-length row-hit burst with the
           bank's fields cached in locals too.
         * **scan engine** — contended stretches run the window-bounded
-          FR-FCFS drain (``_choose`` + ``_service_at`` semantics) on the
-          reference pending list with an inlined ``_choose`` scan, exact
-          at any window.  Degenerate backlogs — every buffered entry a
-          twin of the incoming element, row open, bus direction
-          matching, no refresh due — collapse into **closed-form
-          episodes** (the arithmetic-series recurrence ``enqueue_run``
-          uses, generalised to mid-batch).  Any episode precondition
-          failing falls back to the exact per-element drain.
+          FR-FCFS drain on the reference pending list, exact at any
+          window: one loop per appended element with ``_choose``'s scan
+          and ``_service_at``'s timing written out inline, so a
+          contended service costs no Python call.  Degenerate
+          backlogs — every buffered entry a twin of the incoming
+          element, row open, bus direction matching, no refresh due —
+          collapse into **closed-form episodes** (the arithmetic-series
+          recurrence ``enqueue_run`` uses, generalised to mid-batch).
+          Any episode precondition failing falls back to the exact
+          per-element drain.
 
         ``window == 1`` defeats both the fast path (an uncontended pair
         forced through ``_choose`` may reorder) and the episode
@@ -366,9 +368,10 @@ class ChannelController:
         tcas = timing.tcas_ps
         trp = timing.trp_ps
         tras = timing.tras_ps
-        # State shared with the contended-path closures below (nonlocal
-        # cells); everything else stays a plain local or a closure
-        # default so the fast path pays no indirection for it.
+        starvation = self.STARVATION_PS
+        # Controller cursors and stats accumulators, hoisted into plain
+        # locals: no nested function shares them, so both engines below
+        # update them without cell indirection.
         bus_free = self.bus_free_ps
         last_was_write = self._last_was_write
         next_refresh = self._next_refresh_ps
@@ -385,102 +388,6 @@ class ChannelController:
         demand_n = 0
         migration_n = 0
         bookkeeping_n = 0
-
-        def _service(
-            entry,
-            bank_list=bank_list,
-            burst=burst,
-            turnaround=turnaround,
-            trefi=trefi,
-            trfc=trfc,
-            trcd=trcd,
-            tcas=tcas,
-            trp=trp,
-            tras=tras,
-            demand_kind=DEMAND,
-            migration_kind=MIGRATION,
-        ):
-            """Inline of ``_service_at`` on an already-popped entry."""
-            nonlocal bus_free, last_was_write, next_refresh, refreshes
-            nonlocal last_completion, served, n_reads, n_writes, row_hits
-            nonlocal total_lat, demand_lat, migration_lat, bookkeeping_lat
-            nonlocal demand_n, migration_n, bookkeeping_n
-            arrival_ps, account_ps, bank_idx, row, is_write, e_kind = entry
-            if trefi and arrival_ps >= next_refresh:
-                elapsed = (arrival_ps - next_refresh) // trefi
-                boundary = next_refresh + elapsed * trefi
-                refreshes += elapsed + 1
-                next_refresh = boundary + trefi
-                stall_end = boundary + trfc
-                if bus_free < stall_end:
-                    bus_free = stall_end
-                for b in bank_list:
-                    if b.busy_until_ps < stall_end:
-                        b.busy_until_ps = stall_end
-            bank = bank_list[bank_idx]
-            busy = bank.busy_until_ps
-            start = arrival_ps if arrival_ps > busy else busy
-            open_row = bank.open_row
-            if open_row == row:
-                bank.hits += 1
-                row_hits += 1
-                cas_issue = start
-            elif open_row == -1:
-                bank.misses += 1
-                bank.activated_ps = start
-                bank.open_row = row
-                cas_issue = start + trcd
-            else:
-                bank.conflicts += 1
-                earliest_pre = bank.activated_ps + tras
-                pre_start = start if start > earliest_pre else earliest_pre
-                act_start = pre_start + trp
-                bank.activated_ps = act_start
-                bank.open_row = row
-                cas_issue = act_start + trcd
-            data_ready = cas_issue + tcas
-            bank.busy_until_ps = cas_issue + burst
-            if is_write != last_was_write:
-                bus_free += turnaround
-                last_was_write = is_write
-            completion = (data_ready if data_ready > bus_free else bus_free) + burst
-            bus_free = completion
-            if completion > last_completion:
-                last_completion = completion
-            served += 1
-            if is_write:
-                n_writes += 1
-            else:
-                n_reads += 1
-            latency = completion - account_ps
-            total_lat += latency
-            if e_kind == demand_kind:
-                demand_lat += latency
-                demand_n += 1
-            elif e_kind == migration_kind:
-                migration_lat += latency
-                migration_n += 1
-            else:
-                bookkeeping_lat += latency
-                bookkeeping_n += 1
-
-        def _choose_idx(
-            pending=pending, bank_list=bank_list, starvation=self.STARVATION_PS
-        ):
-            """Inline of ``_choose`` against the hoisted bus direction."""
-            if len(pending) == 1:
-                return 0
-            promote_past = pending[0][0] + starvation
-            same_direction = -1
-            direction = last_was_write
-            for idx, cand in enumerate(pending):
-                if bank_list[cand[2]].open_row == cand[3]:
-                    if cand[0] > promote_past:
-                        return 0
-                    return idx
-                if same_direction < 0 and cand[4] == direction:
-                    same_direction = idx
-            return same_direction if same_direction >= 0 else 0
 
         # Service paths below mutate only the hoisted cursors and
         # accumulators; the finally writes every one of them back so
@@ -643,7 +550,7 @@ class ChannelController:
                     # The next element is contended against the held one:
                     # fall through into the contended engine.
                 # -- contended stretch: scan engine -------------------------
-                # The reference pending list plus ``_choose_idx``'s direct
+                # The reference pending list plus a direct ``_choose``
                 # scan, exact at any window: appends stay a plain list
                 # append and a mid-list pop of a handful of entries is a
                 # single small memmove.  What the engine adds on top of
@@ -786,31 +693,111 @@ class ChannelController:
                         uni = False
                         if k == 1:
                             break  # lone transaction: back to the fast path
-                    while k > window:
-                        _service(pending.pop(_choose_idx()))
-                        k -= 1
-                    while pending:
-                        idx = _choose_idx()
-                        cand = pending[idx]
-                        busy = bank_list[cand[2]].busy_until_ps
-                        start = cand[0] if cand[0] > busy else busy
-                        if start >= arrival:
-                            if idx != 0:
+                    # The window-bounded drain, ``_choose`` and
+                    # ``_service_at`` inlined once: while the buffer is
+                    # over the window the chosen entry is serviced
+                    # unconditionally (``enqueue``'s overflow loop); from
+                    # then on only while it — or, failing it, the head —
+                    # could have started before this arrival.
+                    while k:
+                        # _choose, against the hoisted bus direction.
+                        idx = 0
+                        if k > 1:
+                            same_direction = -1
+                            for idx, cand in enumerate(pending):
+                                if bank_list[cand[2]].open_row == cand[3]:
+                                    if cand[0] > pending[0][0] + starvation:
+                                        idx = 0  # age promotion beats the row hit
+                                    break
+                                if same_direction < 0 and cand[4] == last_was_write:
+                                    same_direction = idx
+                            else:
+                                idx = same_direction if same_direction >= 0 else 0
+                        if k <= window:
+                            cand = pending[idx]
+                            busy = bank_list[cand[2]].busy_until_ps
+                            start = cand[0] if cand[0] > busy else busy
+                            if start >= arrival:
+                                # The preferred candidate cannot start
+                                # yet; an older transaction to a free
+                                # bank still can, so drain that one.
+                                if not idx:
+                                    break
                                 head = pending[0]
-                                head_start = bank_list[head[2]].busy_until_ps
-                                if head[0] > head_start:
-                                    head_start = head[0]
-                                if head_start < arrival:
-                                    _service(pending.pop(0))
-                                    continue
-                            break
-                        _service(pending.pop(idx))
-                    if len(pending) <= 1:
+                                start = bank_list[head[2]].busy_until_ps
+                                if head[0] > start:
+                                    start = head[0]
+                                if start >= arrival:
+                                    break
+                                idx = 0
+                        # _service_at on the chosen entry.
+                        c_arr, c_acc, c_bank, c_row, c_w, c_kind = pending.pop(idx)
+                        k -= 1
+                        if trefi and c_arr >= next_refresh:
+                            elapsed = (c_arr - next_refresh) // trefi
+                            boundary = next_refresh + elapsed * trefi
+                            refreshes += elapsed + 1
+                            next_refresh = boundary + trefi
+                            stall_end = boundary + trfc
+                            if bus_free < stall_end:
+                                bus_free = stall_end
+                            for b in bank_list:
+                                if b.busy_until_ps < stall_end:
+                                    b.busy_until_ps = stall_end
+                        bank = bank_list[c_bank]
+                        busy = bank.busy_until_ps
+                        start = c_arr if c_arr > busy else busy
+                        open_row = bank.open_row
+                        if open_row == c_row:
+                            bank.hits += 1
+                            row_hits += 1
+                            cas_issue = start
+                        elif open_row == -1:
+                            bank.misses += 1
+                            bank.activated_ps = start
+                            bank.open_row = c_row
+                            cas_issue = start + trcd
+                        else:
+                            bank.conflicts += 1
+                            earliest_pre = bank.activated_ps + tras
+                            pre_start = start if start > earliest_pre else earliest_pre
+                            act_start = pre_start + trp
+                            bank.activated_ps = act_start
+                            bank.open_row = c_row
+                            cas_issue = act_start + trcd
+                        data_ready = cas_issue + tcas
+                        bank.busy_until_ps = cas_issue + burst
+                        if c_w != last_was_write:
+                            bus_free += turnaround
+                            last_was_write = c_w
+                        completion = (
+                            data_ready if data_ready > bus_free else bus_free
+                        ) + burst
+                        bus_free = completion
+                        if completion > last_completion:
+                            last_completion = completion
+                        served += 1
+                        if c_w:
+                            n_writes += 1
+                        else:
+                            n_reads += 1
+                        latency = completion - c_acc
+                        total_lat += latency
+                        if c_kind == DEMAND:
+                            demand_lat += latency
+                            demand_n += 1
+                        elif c_kind == MIGRATION:
+                            migration_lat += latency
+                            migration_n += 1
+                        else:
+                            bookkeeping_lat += latency
+                            bookkeeping_n += 1
+                    if k <= 1:
                         break  # drained: the fast path takes over
-                # Per-element services in this stretch all went through
-                # _service; the episodes tracked their own count, so the
-                # scan tally is the served delta minus the closed
-                # delta — no per-service increment on the drain loops.
+                # Every service in this stretch is either the drain's or
+                # an episode's, and the episodes tracked their own count,
+                # so the scan tally is the served delta minus the closed
+                # delta — no per-service increment in the drain.
                 scan_served += served - closed_served - s0
 
         finally:
@@ -903,8 +890,9 @@ class ChannelController:
             return
         # Steady state: each remaining element is an append + one
         # service of its pending twin — a guaranteed row hit whose
-        # timing is the recurrence below (cf. the _service clone in
-        # enqueue_batch with open_row == row and no direction change).
+        # timing is the recurrence below (``_service_at`` with
+        # open_row == row and no direction change, as in
+        # enqueue_batch's closed-form episode).
         burst = self._burst_ps
         tcas = self.timing.tcas_ps
         bank_busy = bank_obj.busy_until_ps

@@ -76,8 +76,10 @@ byte-identical to the in-memory path by ``tests/test_trace_store.py``.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import chain, islice
 
+from ..common.errors import MigrationError
 from ..core.mempod import MemPodManager
 from ..dram.request import DEMAND, MIGRATION
 from ..managers.cameo import LINE_BYTES, CameoManager
@@ -917,16 +919,22 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
 
 
 def _replay_cameo(trace, packed, manager, throttle_cap_ps):
-    """CAMEO without the location predictor: ``handle`` inlined, every
-    transaction batched.
+    """CAMEO without the location predictor: ``handle`` and its
+    bookkeeping inlined, every transaction batched.
 
     Per record over :func:`_record_stream` (line numbers in the page
-    slot), the loop replays ``CameoManager.handle`` step for step: the
-    block penalty, the ``_location`` lookup, the untouched-list delete,
-    the demand and — on a slow hit — the line swap: the fast slot
-    (``group_of``), the evicted line's wasted-migration count,
-    ``remap.swap_frames``, both ``_block_page`` calls and the migration
-    count.  Nothing reaches a controller directly.  The demand and each
+    slot), the loop replays ``CameoManager.handle`` step for step, with
+    the manager, remap and stats helpers it calls written out too: the
+    block penalty (``_block_penalty_ps``: pop the expiry heap while its
+    head is due, then look the line up in ``_blocked``), the
+    ``_location`` lookup, the untouched-list delete, the demand and —
+    on a slow hit — the line swap: the fast slot (``group_of``), the
+    evicted line's wasted-migration count, ``remap.swap_frames`` with
+    both ``_set`` calls, both ``_block_page`` calls and the migration
+    count.  Those counts and the blocked hits live in locals; the
+    ``finally`` writes them back and adds one ``note_swap`` line swap
+    per migration to ``engine.stats``.  Nothing reaches a controller
+    directly.  The demand and each
     swap's ``MigrationEngine.swap_lines`` pattern — a read then a write
     on the fast slot's controller and on the slow line's, always two
     distinct devices — append to the :func:`_swap_merged_buffers`
@@ -945,14 +953,14 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    location_get = manager._location.get
-    resident_get = manager._resident.get
+    forward = manager._location
+    resident = manager._resident
+    location_get = forward.get
+    resident_get = resident.get
     untouched = manager._untouched_in_fast
     fast_lines = manager.fast_lines
-    swap_frames = manager.remap.swap_frames
-    block_page = manager._block_page
-    block_penalty = manager._block_penalty_ps
     blocked = manager._blocked
+    blocked_get = blocked.get
     expiry = manager._blocked_expiry
     fast_bytes = memory.geometry.fast_bytes
     fast_decode = memory.fast.mapper.fast_decode
@@ -961,7 +969,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     engine = manager.engine
     line_phase = engine._line_phase_ps
     swap_cost = engine.line_swap_cost_ps
-    note_swap = engine.stats.note_swap
     swap_bytes = 2 * LINE_BYTES
     demand = DEMAND
     migration = MIGRATION
@@ -975,8 +982,9 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     offset = 0
     pos = 0
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    migrations = manager.total_migrations
+    migrations = first_migrations = manager.total_migrations
     wasted = manager.wasted_migrations
+    blocked_hits = manager.blocked_hits
     try:
         while pos < total:
             end = pos + sample if sample else total
@@ -986,10 +994,20 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                 records, end - pos
             ):
                 arrival += offset
-                if blocked or expiry:
-                    penalty = block_penalty(line, arrival)
-                else:
-                    penalty = 0
+                # MemoryManager._block_penalty_ps: prune the blocks due
+                # by now, then charge what is left of this line's.
+                while expiry and expiry[0][0] <= arrival:
+                    until, page = heappop(expiry)
+                    if blocked_get(page) == until:
+                        del blocked[page]
+                penalty = 0
+                until = blocked_get(line)
+                if until is not None:
+                    if until <= arrival:
+                        del blocked[line]
+                    else:
+                        blocked_hits += 1
+                        penalty = until - arrival
                 current = location_get(line)
                 if line in untouched:
                     del untouched[line]
@@ -1018,16 +1036,32 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                 if current < fast_lines:
                     continue
                 # Slow hit: swap the line into its group's fast slot
-                # (CameoManager.group_of and swap_lines, inlined).
+                # (CameoManager.group_of, remap.swap_frames and
+                # swap_lines, inlined).  ``line_a`` is the evicted line.
                 if line < fast_lines:
                     fast_slot = line
                 else:
                     fast_slot = (line - fast_lines) % fast_lines
-                evicted = resident_get(fast_slot, fast_slot)
-                if evicted in untouched:
-                    del untouched[evicted]
+                line_a = resident_get(fast_slot, fast_slot)
+                if line_a in untouched:
+                    del untouched[line_a]
                     wasted += 1
-                line_a, line_b = swap_frames(fast_slot, current)
+                if fast_slot == current:
+                    raise MigrationError(f"cannot swap frame {fast_slot} with itself")
+                line_b = resident_get(current, current)
+                # Both RemapTable._set calls; identity entries are dropped.
+                if line_a == current:
+                    forward.pop(line_a, None)
+                    resident.pop(current, None)
+                else:
+                    forward[line_a] = current
+                    resident[current] = line_a
+                if line_b == fast_slot:
+                    forward.pop(line_b, None)
+                    resident.pop(fast_slot, None)
+                else:
+                    forward[line_b] = fast_slot
+                    resident[fast_slot] = line_b
                 write_ps = arrival + line_phase
                 # Slow side (the demand's controller): read, then write.
                 if kd is None:
@@ -1050,10 +1084,14 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                 buf_ar[fc] += (arrival, write_ps)
                 buf_ac[fc] += (arrival, write_ps)
                 kd += (migration, migration)
-                note_swap(swap_bytes, is_line=True)
+                # Both _block_page calls.
                 completion = arrival + swap_cost
-                block_page(line_a, completion)
-                block_page(line_b, completion)
+                if completion > blocked_get(line_a, 0):
+                    blocked[line_a] = completion
+                    heappush(expiry, (completion, line_a))
+                if completion > blocked_get(line_b, 0):
+                    blocked[line_b] = completion
+                    heappush(expiry, (completion, line_b))
                 untouched[line] = True
                 migrations += 1
             flush_all()
@@ -1066,6 +1104,13 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     finally:
         manager.total_migrations = migrations
         manager.wasted_migrations = wasted
+        manager.blocked_hits = blocked_hits
+        # MigrationStats.note_swap(swap_bytes, is_line=True) for each
+        # line swap; every migration here is one line swap.
+        swaps = migrations - first_migrations
+        stats = engine.stats
+        stats.line_swaps += swaps
+        stats.bytes_moved += swaps * swap_bytes
     # Buffers are empty at chunk boundaries; finish() drains the devices.
     end_ps = manager.finish(last_ps)
     return collect_result(manager, trace, end_ps)

@@ -15,6 +15,8 @@ import pytest
 import repro.kernel.replay
 from repro.common.errors import AddressError
 from repro.common.rng import DeterministicRng
+from repro.core.datapath import MigrationStats
+from repro.core.remap import RemapTable
 from repro.dram.controller import ChannelController
 from repro.experiments.common import ExperimentConfig
 from repro.geometry import scaled_geometry
@@ -240,8 +242,9 @@ class TestCameoChurn:
     """CAMEO's kernel on the migration-churn cell.
 
     Almost every record is a slow hit, so almost every record swaps a
-    line: the kernel inlines ``handle`` and batches the demand and each
-    swap's traffic through ``enqueue_batch``.
+    line: the kernel inlines ``handle`` and its block, remap and
+    swap-count bookkeeping, and batches the demand and each swap's
+    traffic through ``enqueue_batch``.
     """
 
     @pytest.fixture(scope="class")
@@ -249,8 +252,24 @@ class TestCameoChurn:
         return _churn_trace(geometry)
 
     @pytest.fixture(scope="class")
-    def reference(self, churn, geometry):
-        return asdict(reference_simulate(churn, build_manager("cameo", geometry)))
+    def reference_run(self, churn, geometry):
+        manager = build_manager("cameo", geometry)
+        return asdict(reference_simulate(churn, manager)), manager
+
+    @pytest.fixture(scope="class")
+    def reference(self, reference_run):
+        return reference_run[0]
+
+    @staticmethod
+    def _state(manager):
+        """Post-run bookkeeping; only the swap counts reach the result."""
+        return (
+            manager._blocked,
+            sorted(manager._blocked_expiry),
+            manager.remap._forward,
+            manager.remap._resident,
+            manager.engine.stats,
+        )
 
     def _fast(self, trace, geometry):
         return asdict(simulate(trace, build_manager("cameo", geometry), kernel="fast"))
@@ -279,6 +298,32 @@ class TestCameoChurn:
         result = self._fast(_churn_copy(churn, copy, tmp_path), geometry)
         assert result == reference
         assert result["migrations"] > 1_000
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    def test_no_bookkeeping_helper_calls(
+        self, churn, reference_run, geometry, tmp_path, monkeypatch, copy
+    ):
+        # The block, remap and swap-count helpers handle calls per
+        # record are inlined too: none may run, and the manager must
+        # end in the reference manager's state.
+        def refuse(*args, **kwargs):
+            raise AssertionError("bookkeeping helper called")
+
+        for owner, name in (
+            (MemoryManager, "_block_penalty_ps"),
+            (MemoryManager, "_prune_blocked"),
+            (MemoryManager, "_block_page"),
+            (RemapTable, "swap_frames"),
+            (MigrationStats, "note_swap"),
+        ):
+            monkeypatch.setattr(owner, name, refuse)
+        reference, reference_manager = reference_run
+        manager = build_manager("cameo", geometry)
+        trace = _churn_copy(churn, copy, tmp_path)
+        result = asdict(simulate(trace, manager, kernel="fast"))
+        assert result == reference
+        assert result["extras"]["blocked_hits"] > 0
+        assert self._state(manager) == self._state(reference_manager)
 
 
 class TestEdgeTraces:
