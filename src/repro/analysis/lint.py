@@ -132,10 +132,9 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # the spec-declared migration legality every swap passes through
     "repro/managers/base.py::MemoryManager._check_swap_tiers",
     # controller access accounting the kernels enqueue into directly,
-    # and the scheduling internals enqueue_batch / enqueue_run inline
+    # and the scheduling internals enqueue_batch inlines
     "repro/dram/controller.py::ChannelController.enqueue",
     "repro/dram/controller.py::ChannelController.enqueue_batch",
-    "repro/dram/controller.py::ChannelController.enqueue_run",
     "repro/dram/controller.py::ChannelController._choose",
     "repro/dram/controller.py::ChannelController._service_at",
     "repro/dram/bank.py::Bank.access",

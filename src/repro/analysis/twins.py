@@ -56,12 +56,6 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
         same_signature=False,
     ),
     TwinPair(
-        "controller-run",
-        "repro/dram/controller.py::ChannelController.enqueue_run",
-        "repro/dram/controller.py::ChannelController.enqueue",
-        same_signature=False,
-    ),
-    TwinPair(
         # The streamed generator must yield, window for window, exactly
         # what the eager grouping computes over the same records; the
         # windowed-vs-in-memory differential suite proves it, this pair

@@ -72,12 +72,16 @@ class MigrationEngine:
         self.geometry = geometry
         self.stats = MigrationStats()
         #: When set, :meth:`swap_pages` issues its transaction pattern
-        #: through ``ChannelController.enqueue_run`` /
-        #: ``enqueue_batch`` instead of per-line ``enqueue`` calls.  Bit-identical (controllers
-        #: share no state and per-controller order is preserved), so the
-        #: columnar replay kernels flip it on for the duration of a run
-        #: (restored in their ``finally``); the reference loop keeps the
-        #: per-transaction path as the semantic spec.
+        #: as page-copy runs (``ChannelController.enqueue_run``, a
+        #: one-run ``enqueue_batch`` call) or, on a shared controller,
+        #: one ``enqueue_batch`` column, instead of per-line ``enqueue``
+        #: calls.  Bit-identical (controllers share no state and
+        #: per-controller order is preserved), so the columnar replay
+        #: kernels flip it on for the duration of a run (restored in
+        #: their ``finally``); it carries the swaps their swap sink does
+        #: not capture — interval boundaries and ``finish``.  The
+        #: reference loop keeps the per-transaction path as the
+        #: semantic spec.
         self.batch_swaps = False
         #: When set, :meth:`swap_pages` hands its transaction pattern to
         #: this callable instead of the controllers::
@@ -170,8 +174,8 @@ class MigrationEngine:
                 # Distinct controllers share no state, so each side's
                 # per-controller subsequence (lines reads, lines writes)
                 # replays the interleaved loop exactly — and each
-                # subsequence is a run of identical transactions, the
-                # shape enqueue_run streams in a closed row-hit loop.
+                # subsequence is a run of identical transactions, which
+                # enqueue_batch serves as a twin column.
                 ctrl_a.enqueue_run(bank_a, row_a, False, at_ps, lines, MIGRATION)
                 ctrl_b.enqueue_run(bank_b, row_b, False, at_ps, lines, MIGRATION)
                 ctrl_a.enqueue_run(bank_a, row_a, True, write_ps, lines, MIGRATION)

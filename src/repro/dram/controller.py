@@ -29,7 +29,8 @@ Two service datapaths share the same semantics:
 * :meth:`ChannelController.enqueue` — the reference path, one
   transaction per call;
 * :meth:`ChannelController.enqueue_batch` — the columnar path the
-  replay kernels use: whole per-controller columns handed down at once,
+  replay kernels use: whole per-controller columns, and the page-copy
+  runs queued between their elements, handed down at once,
   serviced with controller, bank, and stats state hoisted into locals,
   an idle-channel drain fast path for the uncontended common case, and
   run-length row-hit streaming.  It must stay bit-for-bit equal to
@@ -128,15 +129,16 @@ class ServicePathStats:
     """Which batched-datapath regime serviced each transaction.
 
     Observability sidecar for the contention-aware service engine in
-    :meth:`ChannelController.enqueue_batch` / ``enqueue_run``: the
-    counters are bumped only by the batched entry points (the reference
-    ``enqueue`` path never touches them), so they measure how contended
-    a replay was without perturbing :class:`ControllerStats` or the
-    differential state snapshots.  They never feed a simulation result.
+    :meth:`ChannelController.enqueue_batch` (``enqueue_run`` is a
+    one-run call of it): the counters are bumped only by the batched
+    entry point (the reference ``enqueue`` path never touches them), so
+    they measure how contended a replay was without perturbing
+    :class:`ControllerStats` or the differential state snapshots.  They
+    never feed a simulation result.
 
     * ``closed_form_served`` — serviced by a closed-form backlog
       episode (arithmetic-series timing, no per-element scheduling),
-      in ``enqueue_batch`` or in ``enqueue_run``'s steady state;
+      on a demand column or on a page-copy run's twin column;
     * ``scan_served`` — serviced per element by the direct-scan
       FR-FCFS engine inside a contended stretch (any ``window >= 2``);
     * ``scalar_fallback_served`` — serviced by the reference
@@ -285,6 +287,7 @@ class ChannelController:
         accounts=None,
         kind: int = DEMAND,
         kinds=None,
+        runs=None,
     ) -> None:
         """Columnar :meth:`enqueue`: service whole per-controller columns.
 
@@ -304,6 +307,18 @@ class ChannelController:
         monotone (migration write-backs carry future timestamps), the
         loop is an exact per-element clone either way.
 
+        ``runs`` is an optional list of page-copy runs, ``(pos, bank,
+        row, is_write, arrival, count, kind)`` with ``pos`` ascending
+        (a ``ValueError`` otherwise, raised before anything is serviced):
+        ``count`` identical transactions, each accounted from its own
+        arrival, enqueued right before column element ``pos`` (``pos ==
+        len(arrivals)`` appends the run after the column).  The call
+        splits into segments — stretches of the column between run
+        positions, and each run as a *twin column* of ``count`` copies
+        of one element — and feeds them to the engines below in order,
+        so a run costs no Python call per element and no call of its
+        own.
+
         Two engines alternate inside the loop:
 
         * **idle-channel drain fast path** — with at most one buffered
@@ -321,36 +336,79 @@ class ChannelController:
           contended service costs no Python call.  Degenerate
           backlogs — every buffered entry a twin of the incoming
           element, row open, bus direction matching, no refresh due —
-          collapse into **closed-form episodes** (the arithmetic-series
-          recurrence ``enqueue_run`` uses, generalised to mid-batch).
-          Any episode precondition failing falls back to the exact
-          per-element drain.
+          collapse into **closed-form episodes** (an arithmetic-series
+          recurrence).  Any episode precondition failing falls back to
+          the exact per-element drain.  On a twin column every element
+          re-tests the backlog for uniformity (one ``list.count``), so
+          the episode re-forms as soon as the drain has worked off the
+          demand queued ahead of the run.
 
         ``window == 1`` defeats both the fast path (an uncontended pair
         forced through ``_choose`` may reorder) and the episode
         preconditions, so an FCFS controller takes the reference
-        :meth:`enqueue` for every element instead.
+        :meth:`enqueue` for every element and run element instead.
 
         Which regime serviced how many transactions is tallied in the
         :class:`ServicePathStats` sidecar (``self.service_paths``) —
         observability only, never part of a simulation result.
         """
-        total = len(arrivals)
-        if not total:
+        stop = len(arrivals)
+        if not stop and not runs:
             return
         if kinds is None:
-            kinds = [kind] * total
+            kinds = [kind] * stop
         if accounts is None:
             accounts = arrivals
+        # Segments ``(banks, rows, is_writes, arrivals, accounts, kinds,
+        # start, stop, twin)``, kept last-first for ``pop``: column
+        # stretches, and each run as a twin column (``twin`` set).  A
+        # run-free call builds none: its column is the one segment,
+        # already in the engine's locals.
+        if runs:
+            segments = []
+            lo = 0
+            for pos, r_bank, r_row, r_w, r_arr, count, r_kind in runs:
+                if pos != lo:
+                    if not lo < pos <= stop:
+                        raise ValueError(
+                            f"run position {pos} outside [{lo}, {stop}]: runs "
+                            "must be sorted by position within the column"
+                        )
+                    segments.append((
+                        banks, rows, is_writes, arrivals, accounts, kinds,
+                        lo, pos, False,
+                    ))
+                    lo = pos
+                if count > 0:
+                    r_col = [r_arr] * count
+                    segments.append((
+                        [r_bank] * count, [r_row] * count, [r_w] * count,
+                        r_col, r_col, [r_kind] * count, 0, count, True,
+                    ))
+            if stop > lo:
+                segments.append((
+                    banks, rows, is_writes, arrivals, accounts, kinds,
+                    lo, stop, False,
+                ))
+            segments.reverse()
+            stop = 0  # the engine loads the first segment on entry
+        else:
+            segments = ()
+            twin = False
         if self.window == 1:
-            # Counted by the served delta, not by ``total``: elements
-            # still buffered on return were not serviced yet.
+            # Counted by the served delta, not by the element count:
+            # elements still buffered on return were not serviced yet.
             stats = self.stats
             before = stats.served
             enqueue = self.enqueue
-            for i in range(total):
-                enqueue(banks[i], rows[i], is_writes[i], arrivals[i], kinds[i],
-                        accounts[i])
+            if not runs:
+                segments = [(banks, rows, is_writes, arrivals, accounts, kinds, 0, stop, False)]
+            for banks, rows, is_writes, arrivals, accounts, kinds, i, stop, _ in reversed(
+                segments
+            ):
+                for i in range(i, stop):
+                    enqueue(banks[i], rows[i], is_writes[i], arrivals[i], kinds[i],
+                            accounts[i])
             self.service_paths.scalar_fallback_served += stats.served - before
             return
         if not self._dirty:
@@ -395,8 +453,16 @@ class ChannelController:
         try:
             closed_served = 0
             scan_served = 0
+            # Walk the segments in order; the engines below bound every
+            # loop by the current segment's ``stop``.
             i = 0
-            while i < total:
+            while True:
+                if i >= stop:
+                    if not segments:
+                        break
+                    (banks, rows, is_writes, arrivals, accounts, kinds, i, stop,
+                     twin) = segments.pop()
+                    continue
                 if len(pending) <= 1:
                     # -- idle-channel drain fast path -----------------------
                     # Holds the one in-flight transaction in locals; the
@@ -411,7 +477,7 @@ class ChannelController:
                         p_w = is_writes[i]
                         p_kind = kinds[i]
                         i += 1
-                    while i < total:
+                    while i < stop:
                         arrival = arrivals[i]
                         bank = bank_list[p_bank]
                         busy = bank.busy_until_ps
@@ -496,7 +562,7 @@ class ChannelController:
                         # fields held in locals (refresh or contention breaks
                         # the streak back to the full path above).
                         run_hits = 0
-                        while i < total:
+                        while i < stop:
                             arrival = arrivals[i]
                             start = p_arr if p_arr > bank_busy else bank_busy
                             if start >= arrival:
@@ -545,8 +611,8 @@ class ChannelController:
                             if completion > last_completion:
                                 last_completion = completion
                     pending.append((p_arr, p_acc, p_bank, p_row, p_w, p_kind))
-                    if i >= total:
-                        break
+                    if i >= stop:
+                        continue  # segment done: on to the next one
                     # The next element is contended against the held one:
                     # fall through into the contended engine.
                 # -- contended stretch: scan engine -------------------------
@@ -561,13 +627,17 @@ class ChannelController:
                 # ``uni`` tracks "every buffered entry equals ``prev``"
                 # incrementally instead of rescanning the buffer per
                 # element: it is established once on stretch entry (the
-                # backlog an ``enqueue_run`` tail leaves is all twins),
-                # preserved by the episode path (it only appends twins),
-                # and killed by any ordinary append.  A buffer that
-                # *becomes* uniform some other way is merely missed —
-                # the episode falls back to the exact per-element drain,
-                # so the flag is a performance hint, never a correctness
-                # input.
+                # backlog a run leaves is all twins), preserved by the
+                # episode path (it only appends twins), and killed by
+                # any ordinary append on a column.  A column buffer that
+                # *becomes* uniform some other way is merely missed.  On
+                # a twin column an ordinary append *sets* it instead:
+                # every later element is ``prev``, so the episode gate
+                # re-tests the buffer itself per element and catches the
+                # moment the drain has worked off the demand queued
+                # ahead of the run.  The episode always checks the
+                # buffer before it collapses anything, so the flag is a
+                # performance hint, never a correctness input.
                 prev = pending[-1]
                 uni = True
                 for v in pending:
@@ -575,45 +645,46 @@ class ChannelController:
                         uni = False
                         break
                 s0 = served - closed_served
-                while i < total:
+                while i < stop:
                     arrival = arrivals[i]
                     entry = (
                         arrival, accounts[i], banks[i], rows[i],
                         is_writes[i], kinds[i],
                     )
                     # -- closed-form backlog episode --------------------
-                    # enqueue_run's steady state, generalised to
-                    # mid-batch.  With the buffer holding only twins of
-                    # the incoming element, appends below the window are
-                    # provably service-free — the chosen head is a twin
-                    # whose start ``max(arrival, busy)`` can never
-                    # precede its own arrival, so the gated drain breaks
-                    # at once — and the window fill collapses into one
-                    # bulk extend.  Once the window is full (and the
-                    # twins' row open, the bus direction matching, no
-                    # refresh due), every further append services
-                    # exactly one twin head: a row hit at its own
-                    # arrival, age promotion dormant under equal
-                    # arrivals, the serviced head replaced by the
-                    # identical incoming element.  A run of incoming
-                    # twins therefore collapses into the same
-                    # arithmetic-series recurrence enqueue_run uses.
+                    # With the buffer holding only twins of the incoming
+                    # element, appends below the window are provably
+                    # service-free — the chosen head is a twin whose
+                    # start ``max(arrival, busy)`` can never precede its
+                    # own arrival, so the gated drain breaks at once —
+                    # and the window fill collapses into one bulk
+                    # extend.  Once the window is full (and the twins'
+                    # row open, the bus direction matching, no refresh
+                    # due), every further append services exactly one
+                    # twin head: a row hit at its own arrival, age
+                    # promotion dormant under equal arrivals, the
+                    # serviced head replaced by the identical incoming
+                    # element.  A run of incoming twins therefore
+                    # collapses into an arithmetic-series recurrence.
                     # Any precondition failing falls through to the
                     # exact per-element drain below.
                     gate = uni and entry == prev
-                    if gate:
+                    if gate and pending.count(entry) == len(pending):
                         e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
-                        j = i + 1
-                        while (
-                            j < total
-                            and arrivals[j] == e_arr
-                            and banks[j] == e_bank
-                            and rows[j] == e_row
-                            and is_writes[j] == e_w
-                            and accounts[j] == e_acc
-                            and kinds[j] == e_kind
-                        ):
-                            j += 1
+                        if not twin:
+                            j = i + 1
+                            while (
+                                j < stop
+                                and arrivals[j] == e_arr
+                                and banks[j] == e_bank
+                                and rows[j] == e_row
+                                and is_writes[j] == e_w
+                                and accounts[j] == e_acc
+                                and kinds[j] == e_kind
+                            ):
+                                j += 1
+                        else:
+                            j = stop
                         run = j - i
                         fill = window - len(pending)
                         if fill > 0:
@@ -631,9 +702,14 @@ class ChannelController:
                         ):
                             bank = bank_list[e_bank]
                             bank_busy = bank.busy_until_ps
-                            # Same recurrence as enqueue_run: stable
-                            # within three steps, arithmetic series
-                            # after.
+                            # The recurrence stabilises within three
+                            # steps: from the second element start
+                            # advances by exactly one burst, and the bus
+                            # excess e = bus_free - (start + tcas) maps
+                            # to max(e, 0), a fixed point from the third
+                            # element on.  Everything after is an
+                            # arithmetic series: completions one burst
+                            # apart.
                             warm = 3 if run > 3 else run
                             completion = bus_free
                             lat = 0
@@ -685,12 +761,16 @@ class ChannelController:
                     i += 1
                     k = len(pending)
                     if not gate:
-                        # An ordinary append breaks the twin shape.  A
-                        # gated append whose episode preconditions failed
-                        # (row closed, turnaround, refresh due) is another
-                        # twin, so the buffer stays uniform.
+                        # An ordinary append breaks a column's twin
+                        # shape, and arms a twin column's per-element
+                        # re-test.  A gated append whose episode
+                        # preconditions failed (row closed, turnaround,
+                        # refresh due, or a twin column's backlog not
+                        # yet uniform) is another twin: a column's
+                        # buffer stays uniform, and a twin column
+                        # re-tests its buffer anyway.
                         prev = entry
-                        uni = False
+                        uni = twin
                         if k == 1:
                             break  # lone transaction: back to the fast path
                     # The window-bounded drain, ``_choose`` and
@@ -834,117 +914,16 @@ class ChannelController:
     ) -> None:
         """``count`` identical :meth:`enqueue` calls, bit for bit.
 
-        The swap datapath issues page copies as runs of same-bank
-        same-row transactions sharing one arrival (32 reads then 32
-        writes per page side at paper scale).  Equal arrivals defeat
-        :meth:`enqueue_batch`'s idle-drain fast path: the buffer fills
-        to the window, and from then on every append provably services
-        exactly one pending entry — FR-FCFS picks the head (it is a row
-        hit at the head's own arrival; age promotion cannot fire between
-        equal arrivals), which is a *twin* of the incoming element, so
-        the buffer's content never changes.  This entry point feeds
-        elements through :meth:`enqueue` until that steady state holds
-        (window-full buffer of identical entries, row open, bus
-        direction matching, no refresh boundary pending), then services
-        the remaining twins in a closed row-hit loop.
+        One page-copy run through :meth:`enqueue_batch` with empty
+        columns.  The replay kernels pass their runs inside the
+        ``enqueue_batch`` call that carries the demand around them;
+        this entry point serves ``MigrationEngine.swap_pages``'
+        ``batch_swaps`` path (interval boundaries and ``finish``).
         """
-        if count <= 0:
-            return
-        if not self._dirty:
-            self._dirty = True
-            self._dirty_sink.add(self._dirty_key)
-        pending = self._pending
-        window = self.window
-        bank_obj = self.banks[bank]
-        entry = (arrival_ps, arrival_ps, bank, row, is_write, kind)
-        first = True
-        while count:
-            if (
-                window > 1
-                and len(pending) == window
-                and bank_obj.open_row == row
-                and is_write == self._last_was_write
-                and not (self._trefi_ps and arrival_ps >= self._next_refresh_ps)
-                and all(p == entry for p in pending)
-            ):
-                break
-            self.enqueue(bank, row, is_write, arrival_ps, kind)
-            count -= 1
-            if first:
-                first = False
-                # The first call's drain loop either emptied the buffer
-                # or broke because its chosen head starts at or after our
-                # arrival; with nothing serviced in between, every
-                # further equal-arrival enqueue below the window repeats
-                # that break (appending can only add row hits that start
-                # at max(arrival, busy) >= arrival), so the reference
-                # behaviour of the next ``window - len`` calls is a pure
-                # append each — do them in one extend.
-                bulk = window - len(pending)
-                if bulk > count:
-                    bulk = count
-                if bulk > 0:
-                    pending.extend([entry] * bulk)
-                    count -= bulk
-        if not count:
-            return
-        # Steady state: each remaining element is an append + one
-        # service of its pending twin — a guaranteed row hit whose
-        # timing is the recurrence below (``_service_at`` with
-        # open_row == row and no direction change, as in
-        # enqueue_batch's closed-form episode).
-        burst = self._burst_ps
-        tcas = self.timing.tcas_ps
-        bank_busy = bank_obj.busy_until_ps
-        bus_free = self.bus_free_ps
-        total_lat = 0
-        # The recurrence stabilises within three steps: from the second
-        # element start advances by exactly one burst, and the bus
-        # excess e = bus_free - (start + tcas) maps to max(e, 0), which
-        # is a fixed point from the third element on.  Everything after
-        # is an arithmetic series: completions one burst apart.
-        # The recurrence mutates the hoisted bank/bus cursors in
-        # place; the finally keeps the controller consistent even if
-        # a bad column raises mid-run.
-        try:
-            head = 3 if count > 3 else count
-            completion = bus_free
-            for _ in range(head):
-                start = arrival_ps if arrival_ps > bank_busy else bank_busy
-                bank_busy = start + burst
-                data_ready = start + tcas
-                completion = (data_ready if data_ready > bus_free else bus_free) + burst
-                bus_free = completion
-                total_lat += completion - arrival_ps
-            tail = count - head
-            if tail > 0:
-                bank_busy += tail * burst
-                bus_free += tail * burst
-                total_lat += tail * (completion - arrival_ps) + burst * tail * (tail + 1) // 2
-        finally:
-            bank_obj.busy_until_ps = bank_busy
-            self.bus_free_ps = bus_free
-        bank_obj.hits += count
-        if bus_free > self.last_completion_ps:
-            self.last_completion_ps = bus_free
-        stats = self.stats
-        stats.served += count
-        if is_write:
-            stats.writes += count
-        else:
-            stats.reads += count
-        stats.row_hits += count
-        stats.total_latency_ps += total_lat
-        if kind == DEMAND:
-            stats.demand_latency_ps += total_lat
-            stats.demand_count += count
-        elif kind == MIGRATION:
-            stats.migration_latency_ps += total_lat
-            stats.migration_count += count
-        else:
-            stats.bookkeeping_latency_ps += total_lat
-            stats.bookkeeping_count += count
-        self.service_paths.closed_form_served += count
+        self.enqueue_batch(
+            (), (), (), (), None, kind, None,
+            [(0, bank, row, is_write, arrival_ps, count, kind)],
+        )
 
     def flush(self) -> int:
         """Service every buffered transaction; return last completion time."""

@@ -41,9 +41,9 @@ Each mechanism has one kernel, chosen because it measured fastest:
   call per epoch or window.  All four share one buffered datapath
   (:func:`_swap_merged_buffers`): demand and swap traffic append to
   per-controller columns that flush through one ``enqueue_batch`` call
-  per controller per chunk — mempod's, thm's and hma's page swaps
-  through the engine's swap sink, cameo's line swaps (one on nearly
-  every slow access) appended inline.
+  per controller per chunk — mempod's, thm's and hma's page swaps as
+  page-copy runs recorded through the engine's swap sink, cameo's line
+  swaps (one on nearly every slow access) appended inline.
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -425,26 +425,23 @@ def _swap_merged_buffers(ctrls, batch):
     deferred demand per controller; ``kd`` — the per-element
     request-kind column — is lazy: ``None`` while a controller's buffer
     holds pure demand, materialised the first time swap traffic merges
-    into that buffer — through ``sink``, or cameo's inline line swaps —
+    into the column — through ``sink``, or cameo's inline line swaps —
     and from then on the owning kernel mirrors its demand appends into
-    it.  ``flush_all()`` hands every controller's
-    columns to ``enqueue_batch`` and resets them.
+    it.  ``flush_all()`` hands every controller's columns and page-copy
+    runs to one ``enqueue_batch`` call and resets them.
 
     ``sink`` has the ``MigrationEngine.swap_sink`` signature: it merges
     one swap's per-controller transaction pattern — exactly the pattern
     ``swap_pages`` would have enqueued — into the buffers instead of
     enqueuing it.  A distinct-controller side (``lines`` same-bank
     same-row reads, then ``lines`` writes — the overwhelmingly common
-    shape) *closes* the controller's open buffer segment (a list swap,
-    no copying) and queues a run item behind it, so a flush replays
-    the controller as whole ``enqueue_batch`` segments
-    alternating with closed-form ``enqueue_run`` calls.  This keeps the
-    page copies off the per-element path entirely: expanding them into
-    the columns costs list extends plus the engine's run re-detection,
-    and slicing one big column back apart at flush time costs segment
-    copies — both measured slower.  Only same-controller swaps, whose
-    two banks interleave per line, expand per element (and materialise
-    the lazy ``kd`` column).
+    shape) becomes two run items, ``(pos, bank, row, is_write, arrival,
+    lines, MIGRATION)``, recorded against the open column at its
+    current length, so the flush's ``enqueue_batch`` replays each run
+    right before the demand that followed it, as a twin column of its
+    own.  Only same-controller swaps, whose two banks interleave per
+    line, expand into the columns per element (and materialise the lazy
+    ``kd`` column).
 
     Exact because a kernel issues a swap at the point of its record
     loop where the reference loop would — after the earlier records'
@@ -462,60 +459,27 @@ def _swap_merged_buffers(ctrls, batch):
     buf_ar = [[] for _ in range(nctrl)]
     buf_ac = [[] for _ in range(nctrl)]
     buf_kd = [None] * nctrl
-    # Closed emission items per controller: a 6-tuple is a finished
-    # column segment, a 5-tuple a (bank, row, is_write, arrival, count)
-    # page-copy run.
-    segs = [[] for _ in range(nctrl)]
-    run_fn = [ctrl.enqueue_run for ctrl in ctrls]
+    runs = [[] for _ in range(nctrl)]
     ctrl_index = {id(ctrl): ci for ci, ctrl in enumerate(ctrls)}
-
-    def flush_ctrl(c):
-        sg = segs[c]
-        if sg:
-            enq_batch = batch[c]
-            enq_run = run_fn[c]
-            for item in sg:
-                if len(item) == 6:
-                    enq_batch(
-                        item[0], item[1], item[2], item[3], item[4],
-                        demand, item[5],
-                    )
-                else:
-                    enq_run(item[0], item[1], item[2], item[3], item[4],
-                            migration)
-            segs[c] = []
-        bk = buf_bk[c]
-        if not bk:
-            return
-        batch[c](
-            bk, buf_rw[c], buf_wr[c], buf_ar[c], buf_ac[c], demand, buf_kd[c]
-        )
-        buf_bk[c] = []
-        buf_rw[c] = []
-        buf_wr[c] = []
-        buf_ar[c] = []
-        buf_ac[c] = []
-        buf_kd[c] = None
 
     def flush_all():
         for c in range(nctrl):
-            if segs[c] or buf_bk[c]:
-                flush_ctrl(c)
-
-    def merge_side(c, bank, row, at_ps, write_ps, lines):
-        bk = buf_bk[c]
-        sg = segs[c]
-        if bk:
-            sg.append((bk, buf_rw[c], buf_wr[c], buf_ar[c], buf_ac[c],
-                       buf_kd[c]))
+            bk = buf_bk[c]
+            rn = runs[c]
+            if not (bk or rn):
+                continue
+            batch[c](
+                bk, buf_rw[c], buf_wr[c], buf_ar[c], buf_ac[c], demand,
+                buf_kd[c], rn,
+            )
             buf_bk[c] = []
             buf_rw[c] = []
             buf_wr[c] = []
             buf_ar[c] = []
             buf_ac[c] = []
             buf_kd[c] = None
-        sg.append((bank, row, False, at_ps, lines))
-        sg.append((bank, row, True, write_ps, lines))
+            if rn:
+                runs[c] = []
 
     def sink(ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b, at_ps, write_ps, lines):
         ca = ctrl_index[id(ctrl_a)]
@@ -538,8 +502,16 @@ def _swap_merged_buffers(ctrls, batch):
             # Distinct controllers share no state: each side's
             # subsequence (lines reads, then lines writes) is the
             # reference per-controller order of the interleaved loop.
-            merge_side(ca, bank_a, row_a, at_ps, write_ps, lines)
-            merge_side(cb, bank_b, row_b, at_ps, write_ps, lines)
+            pos = len(buf_bk[ca])
+            runs[ca] += (
+                (pos, bank_a, row_a, False, at_ps, lines, migration),
+                (pos, bank_a, row_a, True, write_ps, lines, migration),
+            )
+            pos = len(buf_bk[cb])
+            runs[cb] += (
+                (pos, bank_b, row_b, False, at_ps, lines, migration),
+                (pos, bank_b, row_b, True, write_ps, lines, migration),
+            )
 
     return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_all, sink
 

@@ -20,7 +20,8 @@ boundaries:
   stretches.
 
 Every case drives identical columns through per-element ``enqueue``
-and through ``enqueue_batch`` / ``enqueue_run`` on twin controllers
+and through ``enqueue_batch`` (with and without page-copy runs) /
+``enqueue_run`` on twin controllers
 and asserts *full* state-snapshot equality (stats, bus/refresh/
 turnaround cursors, per-bank row state, exact pending contents).  The
 suite is pure Python — no numpy anywhere — so CI's no-numpy job runs
@@ -206,6 +207,49 @@ class TestAdversarialStretches:
             assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_runs_inside_enqueue_batch(self, window, seed):
+        # The kernels' shape: an adversarial column per chunk with swap
+        # read/write runs recorded against it, all in one enqueue_batch
+        # call.  Runs land behind contended backlogs, on twin bursts and
+        # across refresh boundaries, and must chain exactly with the
+        # column's own episodes and drains.
+        rng = DeterministicRng(seed)
+        timing = DDR4_1600_TIMING
+        stream = adversarial_stretch(seed, 60, timing)
+        one = ChannelController(timing, BANKS, window=window)
+        many = ChannelController(timing, BANKS, window=window)
+        for lo in range(0, len(stream), 128):
+            chunk = stream[lo:lo + 128]
+            positions = sorted(
+                rng.randrange(len(chunk) + 1) for _ in range(rng.randrange(5))
+            )
+            runs = []
+            for pos in positions:
+                at = chunk[pos][3] if pos < len(chunk) else chunk[-1][3]
+                bank, row = rng.randrange(4), rng.randrange(8)
+                lines = 8 + rng.randrange(32)
+                runs.append((pos, bank, row, False, at, lines, MIGRATION))
+                runs.append((pos, bank, row, True, at + 200_000, lines, MIGRATION))
+            queued = list(runs)
+            for i in range(len(chunk) + 1):
+                while queued and queued[0][0] == i:
+                    _, bank, row, is_write, at, lines, kind = queued.pop(0)
+                    for _ in range(lines):
+                        one.enqueue(bank, row, is_write, at, kind)
+                if i < len(chunk):
+                    one.enqueue(*chunk[i])
+            cols = list(map(list, zip(*chunk)))
+            many.enqueue_batch(
+                cols[0], cols[1], cols[2], cols[3], None, DEMAND, cols[4], runs
+            )
+            assert snapshot(many) == snapshot(one)
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
+        if window == 8:
+            assert many.service_paths.closed_form_served > 0
 
     def test_batch_split_points_inside_episodes(self):
         # Splitting a column mid-episode (the kernels flush at

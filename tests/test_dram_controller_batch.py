@@ -199,9 +199,9 @@ class TestEdgeCases:
 
 class TestEnqueueRun:
     """enqueue_run must equal ``count`` identical enqueue calls — it is
-    the datapath swap traffic rides (32-64 identical transactions per
-    page side), warmed up per element until the window reaches steady
-    state and then closed-form streamed."""
+    a one-run ``enqueue_batch`` call, the shape ``swap_pages`` issues at
+    interval boundaries and in ``finish`` (32-64 identical transactions
+    per page side)."""
 
     def run_vs_loop(self, preamble, runs, timing=HBM_TIMING, window=8):
         """``preamble`` seeds both controllers; each run is
@@ -286,6 +286,158 @@ class TestEnqueueRun:
         assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
+
+
+class TestEnqueueBatchRuns:
+    """Page-copy runs passed inside ``enqueue_batch``.
+
+    A run ``(pos, bank, row, is_write, arrival, count, kind)`` must equal
+    ``count`` identical ``enqueue`` calls made right before column
+    element ``pos``; the replay kernels hand every swap side's read and
+    write runs down this way, in the same call as the demand around
+    them.
+    """
+
+    @staticmethod
+    def replay(ctrl, requests, runs, kinds=None):
+        """The reference: per-element ``enqueue`` in merged order."""
+        pending_runs = list(runs)
+        for i in range(len(requests) + 1):
+            while pending_runs and pending_runs[0][0] == i:
+                _, bank, row, is_write, arrival, count, kind = pending_runs.pop(0)
+                for _ in range(count):
+                    ctrl.enqueue(bank, row, is_write, arrival, kind)
+            if i < len(requests):
+                bank, row, is_write, arrival = requests[i]
+                ctrl.enqueue(
+                    bank, row, is_write, arrival,
+                    DEMAND if kinds is None else kinds[i],
+                )
+        assert not pending_runs
+
+    def calls_vs_loop(self, calls, timing=HBM_TIMING, window=8):
+        """Each call is ``(requests, runs)``; snapshots must agree after
+        every call and after the final flush."""
+        one = ChannelController(timing, BANKS, window=window)
+        many = ChannelController(timing, BANKS, window=window)
+        for requests, runs in calls:
+            self.replay(one, requests, runs)
+            if requests:
+                cols = list(map(list, zip(*requests)))
+            else:
+                cols = [[], [], [], []]
+            many.enqueue_batch(*cols, None, DEMAND, None, runs)
+            assert snapshot(many) == snapshot(one)
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
+        return many
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_runs_at_start_middle_and_end(self, window):
+        requests = random_requests(41, 60, spacing=3_000)
+        at = requests[30][3]
+        runs = [
+            (0, 2, 5, False, 0, 32, MIGRATION),
+            (30, 4, 9, False, at, 32, MIGRATION),
+            (60, 4, 9, True, requests[-1][3] + 1, 32, MIGRATION),
+        ]
+        self.calls_vs_loop([(requests, runs)], window=window)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_two_runs_at_one_position(self, window):
+        # The swap shape: a read run, then the write run one phase
+        # later, both queued before the same demand element.
+        requests = random_requests(43, 80, spacing=2_000)
+        at = requests[40][3]
+        runs = [
+            (40, 1, 3, False, at, 32, MIGRATION),
+            (40, 1, 3, True, at + 170_000, 32, MIGRATION),
+        ]
+        self.calls_vs_loop([(requests, runs)], window=window)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_runs_only_call(self, window):
+        demand = random_requests(47, 50, spacing=2_000)
+        at = demand[-1][3]
+        self.calls_vs_loop([
+            (demand, []),
+            ([], [(0, 3, 7, False, at, 32, MIGRATION),
+                  (0, 3, 7, True, at + 170_000, 32, MIGRATION)]),
+            (random_requests(48, 50, spacing=2_000), []),
+        ], window=window)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_run_behind_contended_backlog(self, window):
+        # Zero-gap demand keeps the window full of distinct entries, so
+        # the run's first twins take the per-element drain; the episode
+        # must re-form once the backlog ahead of it has drained.
+        requests = [(i % 4, i % 11, i % 2, 10_000) for i in range(40)]
+        runs = [
+            (20, 2, 6, False, 10_000, 32, MIGRATION),
+            (20, 2, 6, True, 10_000, 32, MIGRATION),
+        ]
+        many = self.calls_vs_loop([(requests, runs)], window=window)
+        if window == 8:
+            assert many.service_paths.closed_form_served > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_zero_count_run(self, window):
+        requests = random_requests(53, 40)
+        runs = [
+            (10, 0, 1, False, requests[10][3], 0, MIGRATION),
+            (25, 1, 2, True, requests[25][3], 5, MIGRATION),
+        ]
+        self.calls_vs_loop([(requests, runs)], window=window)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_run_crossing_refresh_boundary(self, window):
+        trefi = DDR4_1600_TIMING.trefi_ps
+        requests = [(i % 3, 4, 0, trefi - 40_000 + i * 1_000) for i in range(60)]
+        runs = [
+            (30, 0, 9, False, trefi - 3_000, 120, MIGRATION),
+            (30, 0, 9, True, trefi + 5_000, 64, MIGRATION),
+        ]
+        one = self.calls_vs_loop(
+            [(requests, runs)], timing=DDR4_1600_TIMING, window=window
+        )
+        assert one.refreshes >= 1
+
+    @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    def test_random_runs_across_calls(self, timing, window):
+        rng = DeterministicRng(59 + window)
+        calls = []
+        for c in range(12):
+            requests = random_requests(60 + c, 40 + rng.randrange(80))
+            base = calls[-1][0][-1][3] if calls else 0
+            requests = [(b, r, w, at + base) for b, r, w, at in requests]
+            positions = sorted(
+                rng.randrange(len(requests) + 1) for _ in range(rng.randrange(5))
+            )
+            runs = []
+            for pos in positions:
+                at = requests[pos][3] if pos < len(requests) else requests[-1][3]
+                bank, row = rng.randrange(BANKS), rng.randrange(16)
+                lines = 1 + rng.randrange(48)
+                runs.append((pos, bank, row, False, at, lines, MIGRATION))
+                runs.append((pos, bank, row, True, at + 150_000, lines, MIGRATION))
+            calls.append((requests, runs))
+        self.calls_vs_loop(calls, timing=timing, window=window)
+
+    def test_unsorted_runs_are_rejected(self):
+        ctrl = ChannelController(HBM_TIMING, BANKS)
+        with pytest.raises(ValueError, match="run position"):
+            ctrl.enqueue_batch(
+                [0, 0], [1, 1], [0, 0], [100, 200], None, DEMAND, None,
+                [(1, 0, 1, False, 150, 4, MIGRATION),
+                 (0, 0, 1, False, 90, 4, MIGRATION)],
+            )
+        with pytest.raises(ValueError, match="run position"):
+            ctrl.enqueue_batch(
+                [0], [1], [0], [100], None, DEMAND, None,
+                [(2, 0, 1, False, 150, 4, MIGRATION)],
+            )
 
 
 class TestAgePromotion:

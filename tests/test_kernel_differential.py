@@ -238,6 +238,53 @@ class TestHmaChurn:
         assert result["migrations"] > 100
 
 
+class TestPageSwapChurn:
+    """mempod, thm and hma on the migration-churn cell with the scalar
+    controller path refused.
+
+    Every page swap reaches a controller as a read run and a write run
+    of identical transactions per side.  The kernels pass both runs
+    inside the ``enqueue_batch`` call that carries the demand around
+    them, and the swaps an interval boundary or ``finish`` issues go
+    through ``enqueue_run``, a one-run ``enqueue_batch`` call, so no
+    transaction may take ``ChannelController.enqueue``.
+    """
+
+    @pytest.fixture(scope="class")
+    def churn(self, geometry):
+        return _churn_trace(geometry)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {}
+
+    @staticmethod
+    def _params(mech):
+        return ExperimentConfig().hma_params() if mech == "hma" else {}
+
+    @pytest.mark.parametrize("copy", ["in-memory", "mapped"])
+    @pytest.mark.parametrize("mech", ["mempod", "thm", "hma"])
+    def test_no_transaction_takes_enqueue(
+        self, churn, references, geometry, tmp_path, monkeypatch, mech, copy
+    ):
+        if mech not in references:
+            references[mech] = asdict(reference_simulate(
+                churn, build_manager(mech, geometry, **self._params(mech))
+            ))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar enqueue called")
+
+        monkeypatch.setattr(ChannelController, "enqueue", refuse)
+        trace = _churn_copy(churn, copy, tmp_path)
+        result = asdict(simulate(
+            trace, build_manager(mech, geometry, **self._params(mech)),
+            kernel="fast",
+        ))
+        assert result == references[mech]
+        assert result["migrations"] > 100
+
+
 class TestCameoChurn:
     """CAMEO's kernel on the migration-churn cell.
 
