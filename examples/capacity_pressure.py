@@ -21,14 +21,13 @@ def build_pressure_trace(geometry, footprint_fraction: float, length: int = 120_
     per_core = max(64, round(geometry.fast_pages * footprint_fraction / 8))
     rng = DeterministicRng(7, f"pressure-{footprint_fraction}")
     placer = PagePlacer(geometry, "spread", rng.child("placement"))
-    patterns = [ZipfPattern(per_core, alpha=1.1) for _ in range(8)]
-    core_rngs = [rng.child(f"core{i}") for i in range(8)]
+    streams = [ZipfPattern(per_core, alpha=1.1).stream(rng.child(f"core{i}")) for i in range(8)]
 
     records = []
     now_ps = 0
     for i in range(length):
         core = i % 8
-        vpage, line, is_write = patterns[core].next_access(core_rngs[core])
+        vpage, line, is_write = next(streams[core])
         page = placer.place(core, vpage)
         records.append((now_ps, page * geometry.page_bytes + line * LINE_BYTES, int(is_write), core))
         now_ps += 9_000

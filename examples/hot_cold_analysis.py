@@ -10,6 +10,8 @@ recency wins when it churns.
 Run:  python examples/hot_cold_analysis.py
 """
 
+from itertools import islice
+
 from repro import DeterministicRng, run_oracle_study
 from repro.trace import HotColdPattern, LINE_BYTES
 from repro.trace.record import Trace
@@ -27,11 +29,10 @@ def synthesize(rotating: bool, accesses: int = 120_000) -> Trace:
         rotate_period=250 if rotating else 0,
         rotate_step=12 if rotating else 0,
     )
-    rng = DeterministicRng(42, "hot-cold-example")
+    stream = pattern.stream(DeterministicRng(42, "hot-cold-example"))
     records = []
     now_ps = 0
-    for _ in range(accesses):
-        page, line, is_write = pattern.next_access(rng)
+    for page, line, is_write in islice(stream, accesses):
         records.append((now_ps, page * 2048 + line * LINE_BYTES, int(is_write), 0))
         now_ps += 9_000  # ~one request per 9 ns
     return Trace(name="rotating" if rotating else "stable", records=records)

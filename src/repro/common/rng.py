@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import ClassVar, Dict, List, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from bisect import bisect_left
+from typing import ClassVar, Dict, List, Tuple
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -38,74 +37,46 @@ class DeterministicRng:
         sibling streams are statistically independent.
     """
 
+    # The draws are the wrapped ``random.Random``'s own bound methods,
+    # assigned in ``__init__`` rather than reached through
+    # ``__getattr__``: the supported surface stays visible and
+    # typo-proof, and a draw pays no wrapper frame.
+
     def __init__(self, seed: int, label: str = "root") -> None:
         self.seed = seed
         self.label = label
-        self._random = random.Random(_derive_seed(seed, label))
+        draws = random.Random(_derive_seed(seed, label))
+        self.random = draws.random
+        self.getrandbits = draws.getrandbits
+        self.randint = draws.randint
+        self.randrange = draws.randrange
+        self.choice = draws.choice
+        self.shuffle = draws.shuffle
+        self.sample = draws.sample
+        self.expovariate = draws.expovariate
+        self.gauss = draws.gauss
 
     def child(self, label: str) -> "DeterministicRng":
         """Fork an independent stream named ``label`` under this one."""
         return DeterministicRng(self.seed, f"{self.label}/{label}")
 
-    # Thin delegations; kept explicit (rather than __getattr__) so the
-    # supported surface is visible and typo-proof.
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._random.random()
-
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high], inclusive on both ends."""
-        return self._random.randint(low, high)
-
-    def randrange(self, stop: int) -> int:
-        """Uniform integer in [0, stop)."""
-        return self._random.randrange(stop)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniformly pick one element of a non-empty sequence."""
-        return self._random.choice(seq)
-
-    def shuffle(self, items: List[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(items)
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        """Sample ``k`` distinct elements."""
-        return self._random.sample(seq, k)
-
-    def expovariate(self, lambd: float) -> float:
-        """Exponential variate with rate ``lambd``."""
-        return self._random.expovariate(lambd)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Gaussian variate."""
-        return self._random.gauss(mu, sigma)
-
     def zipf_index(self, n: int, alpha: float) -> int:
         """Draw an index in [0, n) with a Zipf(alpha) popularity skew.
 
         Index 0 is the most popular element.  Implemented by inverse
-        transform over the exact normalised CDF, memoised per (n, alpha)
-        so repeated draws cost one binary search.
+        transform over the exact normalised CDF (:meth:`zipf_cdf`), so a
+        draw costs one ``random()`` and one binary search of
+        ``cdf[:n - 1]`` (the last entry is pinned to 1.0).
         """
-        cdf = self._zipf_cdf(n, alpha)
-        u = self._random.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.zipf_cdf(n, alpha), self.random(), 0, n - 1)
 
     # Class-level memo shared by every stream: the CDF depends only on
     # (n, alpha), never on the seed.
     _zipf_cache: ClassVar[Dict[Tuple[int, float], List[float]]] = {}
 
     @classmethod
-    def _zipf_cdf(cls, n: int, alpha: float) -> List[float]:
+    def zipf_cdf(cls, n: int, alpha: float) -> List[float]:
+        """The normalised Zipf(alpha) CDF over ``n`` ranks, memoised."""
         key = (n, alpha)
         cached = cls._zipf_cache.get(key)
         if cached is not None:

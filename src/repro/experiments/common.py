@@ -110,40 +110,43 @@ class ExperimentConfig:
         }
 
 
-@lru_cache(maxsize=64)
-def _cached_trace(
-    workload: str, scale: int, length: int, seed: int
-) -> TraceBuildResult:
+def _synthesise(workload: str, scale: int, length: int, seed: int) -> TraceBuildResult:
     geometry = scaled_geometry(scale)
     return build_trace(get_workload(workload), geometry, length=length, seed=seed)
+
+
+# In-memory builds, for ``REPRO_NO_TRACE_STORE=1`` and store failures.
+_cached_trace = lru_cache(maxsize=64)(_synthesise)
 
 
 @lru_cache(maxsize=64)
 def _stored_trace(workload: str, scale: int, length: int, seed: int) -> Trace:
     """The trace served through the columnar trace store.
 
-    Cold path synthesises once, persists, then *re-opens the stored
-    file*, so cold and warm runs replay the identical mapped
-    representation — there is exactly one replay code path per store
-    state, pinned byte-identical to the in-memory path by the
-    differential suite.  Any filesystem trouble (read-only store root,
-    disk full) falls back to the in-memory build; a *corrupt* store
-    file stays loud (``TraceError`` propagates).
+    Cold path synthesises once (uncached, so only the mapped file stays
+    alive), persists, then *re-opens the stored file*, so cold and warm
+    runs replay the identical mapped representation — there is exactly
+    one replay code path per store state, pinned byte-identical to the
+    in-memory path by the differential suite.  Any filesystem trouble
+    (read-only store root, disk full) falls back to the in-memory build;
+    a *corrupt* store file stays loud (``TraceError`` propagates).
     """
     from ..trace.store import TraceStore, synth_trace_key
 
     key = synth_trace_key(workload, scale, length, seed)
+    built: Optional[Trace] = None
     try:
         store = TraceStore()
         trace = store.open(key, name=workload)
         if trace is None:
-            store.save(key, _cached_trace(workload, scale, length, seed).trace)
+            built = _synthesise(workload, scale, length, seed).trace
+            store.save(key, built)
             trace = store.open(key, name=workload)
         if trace is not None:
             return trace
     except OSError:
         pass
-    return _cached_trace(workload, scale, length, seed).trace
+    return built if built is not None else _cached_trace(workload, scale, length, seed).trace
 
 
 def trace_for(config: ExperimentConfig, workload: str) -> Trace:

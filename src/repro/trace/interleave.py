@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.config import require_in, require_positive, require_positive_int
@@ -51,6 +52,7 @@ class PagePlacer:
         self.geometry = geometry
         self.policy = policy
         self._rng = rng
+        self._total = geometry.total_pages
         self._bindings: Dict[Tuple[int, int], int] = {}
         self._used: set = set()
         self._next_sequential = 0
@@ -62,30 +64,27 @@ class PagePlacer:
         first touch."""
         key = (core, vpage)
         page = self._bindings.get(key)
-        if page is None:
-            page = self._allocate()
-            self._bindings[key] = page
-        return page
-
-    def _allocate(self) -> int:
-        total = self.geometry.total_pages
-        if len(self._used) >= total:
+        if page is not None:
+            return page
+        used, total = self._used, self._total
+        if len(used) >= total:
             raise SimulationError(
                 f"physical memory exhausted: workload touches more than "
                 f"{total} pages; shrink footprints or grow the geometry"
             )
         if self.policy == "spread":
             page = self._rng.randrange(total)
-            while page in self._used:
+            while page in used:
                 page = (page + 1) % total
         else:  # sequential / slow_only share the bump allocator
             page = self._next_sequential
-            while page in self._used:
+            while page in used:
                 page += 1
             if page >= total:
                 raise SimulationError("sequential allocator ran past physical memory")
             self._next_sequential = page + 1
-        self._used.add(page)
+        used.add(page)
+        self._bindings[key] = page
         return page
 
     @property
@@ -97,7 +96,8 @@ class PagePlacer:
         """Fraction of allocated pages that landed in fast memory."""
         if not self._used:
             return 0.0
-        fast = sum(1 for p in self._used if p < self.geometry.fast_pages)
+        fast_pages = self.geometry.fast_pages
+        fast = sum(1 for p in self._used if p < fast_pages)
         return fast / len(self._used)
 
 
@@ -172,9 +172,12 @@ def build_trace(
     placer = PagePlacer(geometry, placement, root.child("placement"))
 
     profiles = spec.profiles()
-    patterns = [profile.build(geometry) for profile in profiles]
-    core_rngs = [root.child(f"core{idx}") for idx in range(spec.cores)]
-    arrival_rngs = [root.child(f"arrival{idx}") for idx in range(spec.cores)]
+    # One access stream per core, each pulled through its bound __next__.
+    streams = [
+        profile.build(geometry).stream(root.child(f"core{idx}")).__next__
+        for idx, profile in enumerate(profiles)
+    ]
+    arrivals = [root.child(f"arrival{idx}").random for idx in range(spec.cores)]
 
     total_intensity = sum(profile.intensity for profile in profiles)
     # Per-core mean inter-arrival gap in picoseconds.
@@ -183,23 +186,31 @@ def build_trace(
         for profile in profiles
     ]
 
+    # Gaps are expovariate(1.0) draws written out: -log(1 - U) is
+    # random.Random's own formula, and its division by 1.0 is exact.
     heap: List[Tuple[int, int]] = []
     for core in range(spec.cores):
-        first = round(arrival_rngs[core].expovariate(1.0) * gaps_ps[core])
+        first = round(-log(1.0 - arrivals[core]()) * gaps_ps[core])
         heapq.heappush(heap, (first, core))
 
+    # Each core keeps exactly one heap entry, so entries never tie and
+    # heapreplace pops and pushes in the order heappop + heappush would.
+    heapreplace = heapq.heapreplace
+    bound, place = placer._bindings.get, placer.place
     page_bytes = geometry.page_bytes
     records: List[Tuple[int, int, int, int]] = []
+    append = records.append
     per_core = [0] * spec.cores
-    while len(records) < length:
-        at_ps, core = heapq.heappop(heap)
-        vpage, line, is_write = patterns[core].next_access(core_rngs[core])
-        ppage = placer.place(core, vpage)
-        address = ppage * page_bytes + line * LINE_BYTES
-        records.append((at_ps, address, 1 if is_write else 0, core))
+    for _ in range(length):
+        at_ps, core = heap[0]
+        vpage, line, is_write = streams[core]()
+        ppage = bound((core, vpage))
+        if ppage is None:
+            ppage = place(core, vpage)
+        append((at_ps, ppage * page_bytes + line * LINE_BYTES, 1 if is_write else 0, core))
         per_core[core] += 1
-        gap = max(1, round(arrival_rngs[core].expovariate(1.0) * gaps_ps[core]))
-        heapq.heappush(heap, (at_ps + gap, core))
+        gap = round(-log(1.0 - arrivals[core]()) * gaps_ps[core])
+        heapreplace(heap, (at_ps + (gap if gap > 1 else 1), core))
 
     trace = Trace(name=spec.name, records=records, page_bytes=page_bytes)
     return TraceBuildResult(

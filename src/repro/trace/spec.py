@@ -55,7 +55,7 @@ class BenchmarkProfile:
     intensity:
         Request-rate multiplier relative to the workload average.
     build:
-        Factory producing a fresh stateful pattern for one core.
+        Factory producing the pattern spec one core streams from.
     """
 
     name: str

@@ -1,10 +1,12 @@
 """Synthetic access-pattern primitives.
 
-These generators replace the paper's Sniper-captured SPEC2006 traces.
-Each produces an endless stream of ``(virtual_page, line, is_write)``
-accesses inside a private *virtual* page namespace; the interleaver
-(:mod:`repro.trace.interleave`) later maps virtual pages to flat
-physical addresses and assigns timestamps.
+These patterns replace the paper's Sniper-captured SPEC2006 traces.  A
+pattern is a *spec* of its shape knobs; :meth:`AccessPattern.stream` is
+the one implementation of its sequence, an endless generator of
+``(virtual_page, line, is_write)`` accesses inside a private *virtual*
+page namespace.  The interleaver (:mod:`repro.trace.interleave`) pulls
+one stream per core, maps virtual pages to flat physical addresses and
+assigns timestamps.
 
 The primitives expose exactly the behavioural axes the paper's results
 hinge on:
@@ -17,14 +19,21 @@ hinge on:
 * **streaming** — monotone sweeps where the *recently touched* pages,
   not the *most counted* ones, predict the next interval.
 
-All randomness flows through an injected :class:`DeterministicRng`.
+All randomness flows through the :class:`DeterministicRng` handed to
+``stream``, and every draw is :class:`random.Random`'s: Zipf ranks are
+``bisect_left`` over :meth:`DeterministicRng.zipf_cdf`, and each
+``randrange(n)`` is written out as CPython's ``getrandbits(n.bit_length())``
+rejection loop, pinned against ``Random.randrange`` by
+``tests/test_trace_golden.py``.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Tuple
+from bisect import bisect_left
+from itertools import count, islice
+from typing import Iterator, List, Sequence, Tuple
 
 from ..common.config import (
     require_fraction,
@@ -36,12 +45,16 @@ from .record import LINES_PER_PAGE
 
 Access = Tuple[int, int, bool]  # (virtual_page, line_within_page, is_write)
 
+# ``randrange(LINES_PER_PAGE)`` draws this many bits per attempt.
+_LINE_BITS = LINES_PER_PAGE.bit_length()
+
 
 class AccessPattern(ABC):
-    """A stateful stream of virtual-page accesses.
+    """The spec of a stream of virtual-page accesses.
 
-    Subclasses implement :meth:`next_access`; ``footprint_pages`` bounds
-    every virtual page index the pattern may emit.
+    Subclasses implement :meth:`stream`; ``footprint_pages`` bounds
+    every virtual page index the pattern may emit.  A pattern holds no
+    cursor, so one spec can drive any number of independent streams.
     """
 
     def __init__(self, footprint_pages: int, write_fraction: float = 0.3) -> None:
@@ -51,15 +64,9 @@ class AccessPattern(ABC):
         self.write_fraction = write_fraction
 
     @abstractmethod
-    def next_access(self, rng: DeterministicRng) -> Access:
-        """Produce the next ``(page, line, is_write)`` access."""
-
-    def _is_write(self, rng: DeterministicRng) -> bool:
-        return rng.random() < self.write_fraction
-
-    def generate(self, count: int, rng: DeterministicRng) -> List[Access]:
-        """Materialise ``count`` accesses (mainly for tests/analysis)."""
-        return [self.next_access(rng) for _ in range(count)]
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        """Yield the pattern's endless ``(page, line, is_write)`` sequence,
+        drawing from ``rng``."""
 
 
 class StreamPattern(AccessPattern):
@@ -109,31 +116,44 @@ class StreamPattern(AccessPattern):
         self.stride_pages = stride_pages
         self.revisit_fraction = revisit_fraction
         self.revisit_lag_pages = revisit_lag_pages
-        self._page = 0
-        self._line = 0
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        if self.revisit_fraction and rng.random() < self.revisit_fraction:
-            lag = rng.randint(1, self.revisit_lag_pages)
-            page = (self._page - lag) % self.footprint_pages
-            line = rng.randrange(LINES_PER_PAGE)
-            return (page, line, self._is_write(rng))
-        access = (self._page, self._line, self._is_write(rng))
-        self._line += 1
-        if self._line >= self.lines_per_visit:
-            self._line = 0
-            self._page = (self._page + self.stride_pages) % self.footprint_pages
-        return access
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random, getrandbits = rng.random, rng.getrandbits
+        footprint, write_fraction = self.footprint_pages, self.write_fraction
+        per_visit, stride = self.lines_per_visit, self.stride_pages
+        revisit, lag_pages = self.revisit_fraction, self.revisit_lag_pages
+        lag_bits = lag_pages.bit_length()
+        page = line = 0
+        while True:
+            if revisit and random() < revisit:
+                # lag is randint(1, lag_pages) - 1.
+                while (lag := getrandbits(lag_bits)) >= lag_pages:
+                    pass
+                while (revisit_line := getrandbits(_LINE_BITS)) >= LINES_PER_PAGE:
+                    pass
+                yield ((page - 1 - lag) % footprint, revisit_line, random() < write_fraction)
+                continue
+            yield (page, line, random() < write_fraction)
+            line += 1
+            if line >= per_visit:
+                line = 0
+                page = (page + stride) % footprint
 
 
 class UniformPattern(AccessPattern):
     """Uniform random page, random line: pointer-chasing with no reuse
     locality (the mcf/gems trait)."""
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        page = rng.randrange(self.footprint_pages)
-        line = rng.randrange(LINES_PER_PAGE)
-        return (page, line, self._is_write(rng))
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random, getrandbits = rng.random, rng.getrandbits
+        footprint, write_fraction = self.footprint_pages, self.write_fraction
+        page_bits = footprint.bit_length()
+        while True:
+            while (page := getrandbits(page_bits)) >= footprint:
+                pass
+            while (line := getrandbits(_LINE_BITS)) >= LINES_PER_PAGE:
+                pass
+            yield (page, line, random() < write_fraction)
 
 
 class ZipfPattern(AccessPattern):
@@ -168,30 +188,24 @@ class ZipfPattern(AccessPattern):
         self.alpha = alpha
         self.drift_period = drift_period
         self.drift_step = drift_step
-        self._shuffle = shuffle
-        self._perm: List[int] = []
-        self._base = 0
-        self._since_drift = 0
+        self.shuffle = shuffle
 
-    def _permutation(self, rng: DeterministicRng) -> Sequence[int]:
-        if not self._perm:
-            pages = list(range(self.footprint_pages))
-            if self._shuffle:
-                rng.child("zipf-perm").shuffle(pages)
-            self._perm = pages
-        return self._perm
-
-    def next_access(self, rng: DeterministicRng) -> Access:
-        if self.drift_period:
-            self._since_drift += 1
-            if self._since_drift >= self.drift_period:
-                self._since_drift = 0
-                self._base = (self._base + self.drift_step) % self.footprint_pages
-        rank = rng.zipf_index(self.footprint_pages, self.alpha)
-        slot = (rank + self._base) % self.footprint_pages
-        page = self._permutation(rng)[slot]
-        line = rng.randrange(LINES_PER_PAGE)
-        return (page, line, self._is_write(rng))
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random, getrandbits = rng.random, rng.getrandbits
+        footprint, write_fraction = self.footprint_pages, self.write_fraction
+        period, step = self.drift_period, self.drift_step
+        pages = list(range(footprint))
+        if self.shuffle:
+            rng.child("zipf-perm").shuffle(pages)
+        cdf, last = rng.zipf_cdf(footprint, self.alpha), footprint - 1
+        base = 0
+        for drawn in count(1):
+            if period and drawn % period == 0:
+                base = (base + step) % footprint
+            rank = bisect_left(cdf, random(), 0, last)
+            while (line := getrandbits(_LINE_BITS)) >= LINES_PER_PAGE:
+                pass
+            yield (pages[(rank + base) % footprint], line, random() < write_fraction)
 
 
 class HotColdPattern(AccessPattern):
@@ -248,38 +262,39 @@ class HotColdPattern(AccessPattern):
         self.drift_step = drift_step
         self.rotate_period = rotate_period
         self.rotate_step = rotate_step
-        self._hot_base = 0
-        self._since_drift = 0
-        self._rotation = 0
-        self._since_rotate = 0
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        if self.drift_period:
-            self._since_drift += 1
-            if self._since_drift >= self.drift_period:
-                self._since_drift = 0
-                self._hot_base = (self._hot_base + self.drift_step) % self.footprint_pages
-        if self.rotate_period:
-            self._since_rotate += 1
-            if self._since_rotate >= self.rotate_period:
-                self._since_rotate = 0
-                self._rotation = (self._rotation + self.rotate_step) % self.hot_pages
-        if rng.random() < self.hot_fraction:
-            if self.hot_alpha > 0 and self.hot_pages > 1:
-                rank = rng.zipf_index(self.hot_pages, self.hot_alpha)
-                offset = (rank + self._rotation) % self.hot_pages
-            else:
-                offset = rng.randrange(self.hot_pages)
-            page = (self._hot_base + offset) % self.footprint_pages
-        else:
-            cold_span = self.footprint_pages - self.hot_pages
-            if cold_span <= 0:
-                page = rng.randrange(self.footprint_pages)
-            else:
-                offset = rng.randrange(cold_span)
-                page = (self._hot_base + self.hot_pages + offset) % self.footprint_pages
-        line = rng.randrange(LINES_PER_PAGE)
-        return (page, line, self._is_write(rng))
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random, getrandbits = rng.random, rng.getrandbits
+        footprint, write_fraction = self.footprint_pages, self.write_fraction
+        hot, hot_fraction = self.hot_pages, self.hot_fraction
+        drift_period, drift_step = self.drift_period, self.drift_step
+        rotate_period, rotate_step = self.rotate_period, self.rotate_step
+        skewed = self.hot_alpha > 0 and hot > 1
+        cdf = rng.zipf_cdf(hot, self.hot_alpha) if skewed else []
+        cold = footprint - hot
+        hot_bits, cold_bits = hot.bit_length(), cold.bit_length()
+        hot_base = rotation = 0
+        for drawn in count(1):
+            if drift_period and drawn % drift_period == 0:
+                hot_base = (hot_base + drift_step) % footprint
+            if rotate_period and drawn % rotate_period == 0:
+                rotation = (rotation + rotate_step) % hot
+            if random() < hot_fraction:
+                if skewed:
+                    offset = (bisect_left(cdf, random(), 0, hot - 1) + rotation) % hot
+                else:
+                    while (offset := getrandbits(hot_bits)) >= hot:
+                        pass
+                page = (hot_base + offset) % footprint
+            elif cold:
+                while (offset := getrandbits(cold_bits)) >= cold:
+                    pass
+                page = (hot_base + hot + offset) % footprint
+            else:  # the hot window spans the whole footprint
+                page = rng.randrange(footprint)
+            while (line := getrandbits(_LINE_BITS)) >= LINES_PER_PAGE:
+                pass
+            yield (page, line, random() < write_fraction)
 
 
 class WavefrontPattern(AccessPattern):
@@ -315,23 +330,22 @@ class WavefrontPattern(AccessPattern):
             )
         self.zone_pages = zone_pages
         self.advance_period = advance_period
-        self._front = zone_pages
-        self._since_advance = 0
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        self._since_advance += 1
-        if self._since_advance >= self.advance_period:
-            self._since_advance = 0
-            self._front = (self._front + 1) % self.footprint_pages
-        # sqrt draw => density rises linearly toward the leading edge,
-        # so freshly reached pages are hottest and work tapers off as
-        # the front departs.
-        depth = int(self.zone_pages * math.sqrt(rng.random()))
-        if depth >= self.zone_pages:
-            depth = self.zone_pages - 1
-        page = (self._front - self.zone_pages + depth) % self.footprint_pages
-        line = rng.randrange(LINES_PER_PAGE)
-        return (page, line, self._is_write(rng))
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random, getrandbits, sqrt = rng.random, rng.getrandbits, math.sqrt
+        footprint, write_fraction = self.footprint_pages, self.write_fraction
+        zone, period = self.zone_pages, self.advance_period
+        for drawn in count(1):
+            # The zone is the ``zone`` pages behind the front, which sits
+            # at ``zone + drawn // period``.  sqrt draw => density rises
+            # linearly toward the leading edge, so freshly reached pages
+            # are hottest and work tapers off as the front departs.
+            depth = int(zone * sqrt(random()))
+            if depth >= zone:
+                depth = zone - 1
+            while (line := getrandbits(_LINE_BITS)) >= LINES_PER_PAGE:
+                pass
+            yield ((drawn // period + depth) % footprint, line, random() < write_fraction)
 
 
 class PhasedPattern(AccessPattern):
@@ -356,16 +370,13 @@ class PhasedPattern(AccessPattern):
         super().__init__(total, write_fraction)
         self.phases = list(phases)
         self.phase_length = phase_length
-        self._current = 0
-        self._in_phase = 0
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        self._in_phase += 1
-        if self._in_phase > self.phase_length:
-            self._in_phase = 1
-            self._current = (self._current + 1) % len(self.phases)
-        page, line, is_write = self.phases[self._current].next_access(rng)
-        return (page + self._bases[self._current], line, is_write)
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        streams = [phase.stream(rng) for phase in self.phases]
+        while True:
+            for stream, base in zip(streams, self._bases):
+                for page, line, is_write in islice(stream, self.phase_length):
+                    yield (page + base, line, is_write)
 
 
 class CompositePattern(AccessPattern):
@@ -399,10 +410,13 @@ class CompositePattern(AccessPattern):
             self._cdf.append(acc)
         self._cdf[-1] = 1.0
 
-    def next_access(self, rng: DeterministicRng) -> Access:
-        u = rng.random()
-        idx = 0
-        while self._cdf[idx] < u:
-            idx += 1
-        page, line, is_write = self.parts[idx].next_access(rng)
-        return (page + self._bases[idx], line, is_write)
+    def stream(self, rng: DeterministicRng) -> Iterator[Access]:
+        random = rng.random
+        draws = [part.stream(rng).__next__ for part in self.parts]
+        cdf, bases, last = self._cdf, self._bases, len(self._cdf) - 1
+        while True:
+            # The first part whose cumulative weight reaches the draw;
+            # the final entry is pinned to 1.0, so it is never searched.
+            idx = bisect_left(cdf, random(), 0, last)
+            page, line, is_write = draws[idx]()
+            yield (page + bases[idx], line, is_write)

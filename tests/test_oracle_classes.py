@@ -6,6 +6,8 @@ the library's workload primitives must *themselves* produce the
 MEA-vs-FC regimes the paper describes.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.common.rng import DeterministicRng
@@ -17,10 +19,9 @@ INTERVAL = 2000
 
 
 def trace_from(pattern, accesses=24_000, seed=5):
-    rng = DeterministicRng(seed, "oracle-class")
+    stream = pattern.stream(DeterministicRng(seed, "oracle-class"))
     records = []
-    for i in range(accesses):
-        page, line, is_write = pattern.next_access(rng)
+    for i, (page, line, is_write) in enumerate(islice(stream, accesses)):
         records.append((i * 9_000, page * 2048 + line * LINE_BYTES, int(is_write), 0))
     return Trace(name="class", records=records)
 

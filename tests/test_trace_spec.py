@@ -1,5 +1,7 @@
 """Benchmark profiles: registry completeness and behavioural contracts."""
 
+from itertools import islice
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -33,8 +35,7 @@ class TestRegistry:
         rng = DeterministicRng(1)
         for name in benchmark_names():
             pattern = get_benchmark(name).build(geometry)
-            for _ in range(200):
-                page, line, is_write = pattern.next_access(rng.child(name))
+            for page, line, is_write in islice(pattern.stream(rng.child(name)), 200):
                 assert 0 <= page < pattern.footprint_pages
 
     def test_intensities_positive_and_sane(self):

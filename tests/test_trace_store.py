@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.common as common
 import repro.trace.io
 import repro.trace.packed
 from repro.common.errors import ConfigError, TraceError
@@ -305,12 +306,34 @@ class TestTraceForIntegration:
         def boom(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("warm path must not re-synthesise")
 
-        import repro.experiments.common as common
-
-        monkeypatch.setattr(common, "_cached_trace", boom)
+        monkeypatch.setattr(common, "build_trace", boom)
         warm = trace_for(config, "milc")
         assert len(warm) == 1500
         common._stored_trace.cache_clear()
+
+    def test_cold_store_path_keeps_no_in_memory_build(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        clear_trace_cache()
+        cold = trace_for(ExperimentConfig(scale=64, length=1200, seed=13), "lbm")
+        assert len(cold) == 1200
+        if _np is not None:
+            assert cold.packed().mapped
+        assert common._cached_trace.cache_info().currsize == 0
+        clear_trace_cache()
+
+    @pytest.mark.parametrize("failing", ["open", "save"])
+    def test_store_failure_falls_back_to_in_memory_build(self, monkeypatch, tmp_path, failing):
+        def unwritable(*args, **kwargs):
+            raise OSError("store unavailable")
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        monkeypatch.setattr(TraceStore, failing, unwritable)
+        clear_trace_cache()
+        trace = trace_for(ExperimentConfig(scale=64, length=1200, seed=13), "lbm")
+        eager = build_trace(get_workload("lbm"), scaled_geometry(64), length=1200, seed=13)
+        assert _records(trace) == _records(eager.trace)
+        assert not trace.packed().mapped
+        clear_trace_cache()
 
     def test_window_env_validation(self, monkeypatch):
         assert resolve_trace_window() == DEFAULT_TRACE_WINDOW

@@ -2,6 +2,7 @@
 
 import pytest
 from collections import Counter
+from itertools import islice
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
@@ -22,8 +23,13 @@ def rng():
 
 
 def pages_of(pattern, n, r=None):
-    r = r or rng()
-    return [pattern.next_access(r)[0] for _ in range(n)]
+    """The first ``n`` pages of a fresh stream of ``pattern``."""
+    return pages_from(pattern.stream(r or rng()), n)
+
+
+def pages_from(accesses, n):
+    """The next ``n`` pages of an open stream."""
+    return [page for page, _, _ in islice(accesses, n)]
 
 
 class TestBounds:
@@ -41,9 +47,7 @@ class TestBounds:
         ids=lambda p: type(p).__name__,
     )
     def test_pages_within_footprint(self, pattern):
-        r = rng()
-        for _ in range(2000):
-            page, line, is_write = pattern.next_access(r)
+        for page, line, is_write in islice(pattern.stream(rng()), 2000):
             assert 0 <= page < pattern.footprint_pages
             assert 0 <= line < LINES_PER_PAGE
             assert isinstance(is_write, bool)
@@ -52,8 +56,7 @@ class TestBounds:
 class TestStream:
     def test_sequential_lines_then_pages(self):
         pattern = StreamPattern(10, write_fraction=0.0, lines_per_visit=4)
-        r = rng()
-        accesses = [pattern.next_access(r) for _ in range(8)]
+        accesses = list(islice(pattern.stream(rng()), 8))
         assert [a[0] for a in accesses] == [0, 0, 0, 0, 1, 1, 1, 1]
         assert [a[1] for a in accesses[:4]] == [0, 1, 2, 3]
 
@@ -70,21 +73,20 @@ class TestStream:
             5000, write_fraction=0.0, lines_per_visit=1,
             revisit_fraction=0.5, revisit_lag_pages=20,
         )
-        r = rng()
         behind = 0
-        for _ in range(2000):
-            front = pattern._page  # front position when the access is drawn
-            page, _, _ = pattern.next_access(r)
+        front = 0  # the sweep's position when each access is drawn
+        for page, _, _ in islice(pattern.stream(rng()), 2000):
             distance = (front - page) % 5000
             assert distance <= 20
             if distance > 0:
                 behind += 1
+            else:
+                front = (front + 1) % 5000  # one line per visit
         assert behind > 500  # roughly half are revisits
 
     def test_write_fraction_respected(self):
         pattern = StreamPattern(100, write_fraction=0.4)
-        r = rng()
-        writes = sum(pattern.next_access(r)[2] for _ in range(5000))
+        writes = sum(is_write for _, _, is_write in islice(pattern.stream(rng()), 5000))
         assert writes == pytest.approx(2000, rel=0.1)
 
     def test_revisit_requires_lag(self):
@@ -112,9 +114,9 @@ class TestZipf:
 
     def test_drift_moves_top_page(self):
         pattern = ZipfPattern(100, alpha=1.3, shuffle=False, drift_period=100, drift_step=10)
-        r = rng()
-        early = Counter(pages_of(pattern, 3000, r))
-        late = Counter(pages_of(pattern, 3000, r))
+        accesses = pattern.stream(rng())
+        early = Counter(pages_from(accesses, 3000))
+        late = Counter(pages_from(accesses, 3000))
         assert early.most_common(1)[0][0] != late.most_common(1)[0][0]
 
     def test_rejects_nonpositive_alpha(self):
@@ -139,9 +141,9 @@ class TestHotCold:
             1000, hot_pages=50, hot_fraction=1.0, hot_alpha=1.3,
             rotate_period=200, rotate_step=10,
         )
-        r = rng()
-        early = Counter(pages_of(pattern, 4000, r))
-        late = Counter(pages_of(pattern, 4000, r))
+        accesses = pattern.stream(rng())
+        early = Counter(pages_from(accesses, 4000))
+        late = Counter(pages_from(accesses, 4000))
         assert early.most_common(1)[0][0] != late.most_common(1)[0][0]
         # The *set* is unchanged: all accesses stay inside pages [0, 50).
         assert all(k < 50 for k in early)
@@ -163,10 +165,8 @@ class TestHotCold:
 class TestWavefront:
     def test_zone_trails_front(self):
         pattern = WavefrontPattern(1000, zone_pages=30, advance_period=10)
-        r = rng()
-        for _ in range(3000):
-            page, _, _ = pattern.next_access(r)
-            front = pattern._front
+        for i, (page, _, _) in enumerate(islice(pattern.stream(rng()), 3000)):
+            front = (30 + (i + 1) // 10) % 1000  # the front after access i
             lag = (front - page) % 1000
             assert lag <= 30
 
@@ -174,7 +174,7 @@ class TestWavefront:
         # Density rises toward the leading (freshly reached) edge.
         pattern = WavefrontPattern(10_000, zone_pages=100, advance_period=10**9)
         counts = Counter(pages_of(pattern, 20000))
-        front = pattern._front
+        front = (100 + 20000 // 10**9) % 10_000  # the front after the last access
         trailing = sum(counts.get((front - 100 + i) % 10_000, 0) for i in range(0, 20))
         leading = sum(counts.get((front - 100 + i) % 10_000, 0) for i in range(80, 100))
         assert leading > trailing * 2
@@ -188,16 +188,15 @@ class TestPhased:
     def test_phases_use_disjoint_regions(self):
         phases = [UniformPattern(10), UniformPattern(10), UniformPattern(10)]
         pattern = PhasedPattern(phases, phase_length=100)
-        r = rng()
-        first = {pattern.next_access(r)[0] for _ in range(100)}
-        second = {pattern.next_access(r)[0] for _ in range(100)}
+        accesses = pattern.stream(rng())
+        first = set(pages_from(accesses, 100))
+        second = set(pages_from(accesses, 100))
         assert first <= set(range(0, 10))
         assert second <= set(range(10, 20))
 
     def test_cycles_back_to_first_phase(self):
         pattern = PhasedPattern([UniformPattern(5), UniformPattern(5)], phase_length=10)
-        r = rng()
-        pages = [pattern.next_access(r)[0] for _ in range(25)]
+        pages = pages_of(pattern, 25)
         assert all(p < 5 for p in pages[20:25])
 
     def test_empty_phases_rejected(self):
