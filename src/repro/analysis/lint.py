@@ -150,12 +150,13 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # deferred full-counter batch once per epoch or window
     "repro/tracking/mea.py::MeaTracker.record",
     "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
-    # the memory-mapped trace path: the streamed grouping, the windowed
-    # record source of the per-record loops, and the decode helpers must
-    # keep matching the eager plane builders bit for bit
-    # (windowed-vs-in-memory differential suite)
+    # the streamed trace path: the windowed grouping and its one-sort
+    # window helper, the windowed record source of the per-record loops,
+    # and the decode helpers must keep matching the eager plane builders
+    # bit for bit (windowed-vs-eager differential suites)
     "repro/trace/packed.py::PackedTrace.chunk_groups",
     "repro/trace/packed.py::PackedTrace.chunk_groups_streamed",
+    "repro/trace/packed.py::_group_window",
     "repro/trace/packed.py::PackedTrace.from_planes",
     "repro/kernel/replay.py::_single_decode_np",
     "repro/kernel/replay.py::_hybrid_decode_np",

@@ -66,12 +66,10 @@ TWIN_PAIRS: Tuple[TwinPair, ...] = (
         same_signature=False,
     ),
     # fused twins: one body, both legs
-    TwinPair("chunk-groups", "repro/trace/packed.py::PackedTrace.chunk_groups"),
     TwinPair("trace-v1-encode", "repro/trace/io.py::_encode_records_v1"),
     TwinPair("trace-v1-decode", "repro/trace/io.py::_decode_records_v1"),
     TwinPair("trace-v2-encode-plane", "repro/trace/io.py::_encode_plane"),
     TwinPair("trace-v2-load-planes", "repro/trace/io.py::load_columnar_planes"),
-    TwinPair("single-plane", "repro/kernel/replay.py::_single_plane"),
     TwinPair("hybrid-decode", "repro/kernel/replay.py::_hybrid_decode"),
 )
 

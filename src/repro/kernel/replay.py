@@ -7,8 +7,9 @@ times.  The kernels here replay the *identical* sequence of state
 mutations with the per-record overhead hoisted out:
 
 * input comes from a :class:`~repro.trace.packed.PackedTrace`: columnar
-  record fields plus per-record page numbers and address decodes
-  (channel/bank/row), vectorised through numpy when available;
+  record fields plus page numbers and address decodes
+  (channel/bank/row), computed one bounded window at a time and
+  vectorised through numpy when available;
 * one specialised loop per manager type inlines ``handle`` with every
   attribute lookup bound to a local and the common case fast-pathed —
   no blocked page (both block structures empty), identity remapping
@@ -28,9 +29,10 @@ mutations with the per-record overhead hoisted out:
 
 Each mechanism has one kernel, chosen because it measured fastest:
 
-* tlm / single-level replay every chunk pre-grouped by controller
-  (``PackedTrace.chunk_groups``, numpy stable-argsort with a
-  pure-Python twin);
+* tlm / single-level replay every chunk pre-grouped by controller:
+  ``PackedTrace.chunk_groups_streamed`` decodes a window, sorts it once
+  by (chunk, controller) and yields each chunk's groups as list slices;
+  numpy-free installs group through the eager ``chunk_groups``;
 * mempod, thm, hma and cameo are per-record loops over
   :func:`_record_stream`, which decodes the trace one bounded window
   at a time.  MemPod's per-pod MEA and THM's competing counters are
@@ -65,13 +67,15 @@ not plausibility, so dispatch is deliberately conservative:
 The fallback *is* the reference loop, so ``fast_simulate`` is total:
 anything it cannot accelerate it still simulates correctly.
 
-**Mapped traces** (``packed.mapped`` — columns are memory-mapped planes
-of a columnar trace file, see :mod:`repro.trace.store`) replay through
-the same loops without trace-length derived columns: the direct
-kernels consume ``chunk_groups_streamed`` and the per-record loops read
-:func:`_record_stream` windows.  Peak Python-heap usage is bounded by
-the streaming window instead of the trace length; results are pinned
-byte-identical to the in-memory path by ``tests/test_trace_store.py``.
+**Streaming.** Every trace replays without trace-length derived
+columns: the direct kernels consume ``chunk_groups_streamed`` and the
+per-record loops read :func:`_record_stream` windows, whether the
+columns are memory-mapped planes of a columnar trace file, in-memory
+synthesised columns (``packed.mapped`` for both, see
+:mod:`repro.trace.store`) or an eager record list converted per window.
+Peak Python-heap usage is bounded by the streaming window instead of
+the trace length; results are pinned byte-identical to the eager path
+by ``tests/test_trace_store.py``.
 """
 
 from __future__ import annotations
@@ -104,11 +108,10 @@ LINE_SHIFT = LINE_BYTES.bit_length() - 1
 # -- decode planes ---------------------------------------------------------
 #
 # A plane is a per-record column of precomputed address decode results,
-# cached on an in-memory PackedTrace under a key derived from the memory
-# layout — two managers over the same geometry share planes, and a
-# trace replayed at several configurations computes each plane once.
-# Only the chunk-grouped direct kernels read planes; mapped traces never
-# build them.
+# cached on a PackedTrace under a key derived from the memory layout —
+# two managers over the same geometry share planes.  Only the numpy-free
+# legs of the direct kernels build planes; with numpy they decode one
+# window at a time inside chunk_groups_streamed.
 
 
 def _mapper_key(mapper) -> tuple:
@@ -150,39 +153,30 @@ def _hybrid_layout_key(memory) -> tuple:
 
 
 def _single_plane(packed, device):
-    """(controller, bank, row) columns for a single-device memory."""
+    """(controller, bank, row) columns for a single-device memory,
+    decoded per record through the mapper (the numpy-free leg)."""
     key = _single_layout_key(device)
     plane = packed.planes.get(key)
     if plane is None:
-        addresses = packed.np_addresses()
-        if addresses is not None:
-            plane = tuple(
-                column.tolist() for column in _single_decode_np(device)(addresses)
-            )
-        else:
-            decode = device.mapper.fast_decode
-            ctrls, banks, rows = [], [], []
-            for address in packed.addresses:
-                channel, bank, row = decode(address)
-                ctrls.append(channel)
-                banks.append(bank)
-                rows.append(row)
-            plane = (ctrls, banks, rows)
-        packed.planes[key] = plane
+        decode = device.mapper.fast_decode
+        ctrls, banks, rows = [], [], []
+        for address in packed.addresses:
+            channel, bank, row = decode(address)
+            ctrls.append(channel)
+            banks.append(bank)
+            rows.append(row)
+        plane = packed.planes[key] = (ctrls, banks, rows)
     return plane
 
 
 def _hybrid_plane(packed, memory):
     """(controller, bank, row) columns for a tiered memory — the whole
-    trace through :func:`_hybrid_decode`, memoised per layout."""
+    trace through :func:`_hybrid_decode`'s numpy-free leg, memoised per
+    layout."""
     key = _hybrid_layout_key(memory)
     plane = packed.planes.get(key)
     if plane is None:
-        addresses = packed.np_addresses() if _np is not None else None
-        plane = _hybrid_decode(memory)(
-            packed.addresses if addresses is None else addresses
-        )
-        packed.planes[key] = plane
+        plane = packed.planes[key] = _hybrid_decode(memory)(packed.addresses)
     return plane
 
 
@@ -349,13 +343,11 @@ def _replay_tlm(trace, packed, manager, throttle_cap_ps):
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if packed.mapped:
+    if _np is None:
+        chunks = packed.chunk_groups(*_hybrid_plane(packed, memory), sample)
+    else:
         chunks = packed.chunk_groups_streamed(
             _hybrid_decode_np(memory), sample, _stream_window(packed)
-        )
-    else:
-        chunks = packed.chunk_groups(
-            _hybrid_layout_key(memory), *_hybrid_plane(packed, memory), sample
         )
     return _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks)
 
@@ -364,13 +356,11 @@ def _replay_single(trace, packed, manager, throttle_cap_ps):
     """HBM-only / DDR-only: one device, no remapping."""
     device = manager.memory.device
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if packed.mapped:
+    if _np is None:
+        chunks = packed.chunk_groups(*_single_plane(packed, device), sample)
+    else:
         chunks = packed.chunk_groups_streamed(
             _single_decode_np(device), sample, _stream_window(packed)
-        )
-    else:
-        chunks = packed.chunk_groups(
-            _single_layout_key(device), *_single_plane(packed, device), sample
         )
     return _replay_direct(
         trace, packed, manager, throttle_cap_ps, device.controllers, chunks
@@ -381,9 +371,9 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
     """Shared loop for managers whose handle() is a bare memory access.
 
     Fully batched: every throttle chunk arrives already regrouped by
-    controller index — from the memoised ``PackedTrace.chunk_groups``
-    for in-memory traces, or the windowed ``chunk_groups_streamed``
-    generator for mapped ones (identical chunks, O(window) memory) — so
+    controller index — from the windowed ``chunk_groups_streamed``
+    generator (O(window) memory), or the eager ``chunk_groups`` on
+    numpy-free installs (identical chunks) — so
     the replay is one ``enqueue_batch`` call per (chunk, controller)
     plus the throttle sample — no per-record Python work at all while
     the offset is zero.

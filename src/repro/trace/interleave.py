@@ -37,6 +37,7 @@ from ..common.rng import DeterministicRng
 from ..geometry import MemoryGeometry
 from .record import LINE_BYTES, Trace
 from .spec import BenchmarkProfile, get_benchmark
+from .store import column_trace
 
 # The paper's measured average: 5,500 requests per 50 us window.
 PAPER_REQUESTS_PER_US = 110.0
@@ -198,8 +199,9 @@ def build_trace(
     heapreplace = heapq.heapreplace
     bound, place = placer._bindings.get, placer.place
     page_bytes = geometry.page_bytes
-    records: List[Tuple[int, int, int, int]] = []
-    append = records.append
+    # The records are written straight into four columns.
+    columns: Tuple[List[int], ...] = ([], [], [], [])
+    add_arrival, add_address, add_write, add_core = (column.append for column in columns)
     per_core = [0] * spec.cores
     for _ in range(length):
         at_ps, core = heap[0]
@@ -207,14 +209,18 @@ def build_trace(
         ppage = bound((core, vpage))
         if ppage is None:
             ppage = place(core, vpage)
-        append((at_ps, ppage * page_bytes + line * LINE_BYTES, 1 if is_write else 0, core))
+        add_arrival(at_ps)
+        add_address(ppage * page_bytes + line * LINE_BYTES)
+        add_write(1 if is_write else 0)
+        add_core(core)
         per_core[core] += 1
         gap = round(-log(1.0 - arrivals[core]()) * gaps_ps[core])
         heapreplace(heap, (at_ps + (gap if gap > 1 else 1), core))
 
-    trace = Trace(name=spec.name, records=records, page_bytes=page_bytes)
     return TraceBuildResult(
-        trace=trace,
+        # Arrivals never decrease, addresses are placed pages and cores
+        # index spec.cores, so the columns skip Trace.validate.
+        trace=column_trace(spec.name, page_bytes, columns),
         fast_resident_fraction=placer.fast_resident_fraction(),
         pages_allocated=placer.pages_allocated,
         per_core_requests=per_core,

@@ -273,8 +273,9 @@ def _encode_plane(column: Sequence[int], count: int) -> bytes:
     stride = _padded_count(count)
     if _np is not None:
         out = _np.zeros(stride, dtype="<i8")
-        # Unwrap PackedTrace's _IntColumn wrapper (``.array``) so mapped
-        # traces re-encode zero-copy instead of element-wise.
+        # Unwrap PackedTrace's _IntColumn wrapper (``.array``) so
+        # column-backed traces (stored or synthesised) encode straight
+        # from their int64 arrays instead of element-wise.
         out[:count] = _np.asarray(getattr(column, "array", column), dtype=_np.int64)
         return out.tobytes()
     plane = array("q", column)
@@ -287,7 +288,8 @@ def _encode_plane(column: Sequence[int], count: int) -> bytes:
 
 
 def save_columnar(trace: Trace, path: PathLike) -> None:
-    """Write ``trace`` to ``path`` in the v2 columnar format."""
+    """Write ``trace`` to ``path`` in the v2 columnar format (a
+    column-backed trace encodes straight from its int64 columns)."""
     packed = trace.packed()
     count = packed.length
     page_bytes = trace.page_bytes

@@ -4,34 +4,34 @@ The reference :class:`~repro.trace.record.Trace` stores one tuple per
 record, which is the right interchange format but a poor replay format:
 the hot loops touch one field at a time and recompute page numbers and
 address decodes per record.  :class:`PackedTrace` stores the same data
-as parallel columns (plain lists — the fastest thing CPython iterates)
-plus memoised derived columns:
+as parallel columns plus memoised derived columns:
 
 * page numbers for any page-size shift (``pages``),
 * per-memory-layout address decode planes (channel/bank/row), cached in
-  :attr:`planes` under a layout key chosen by the kernel.
+  :attr:`planes` by the numpy-free kernels.
 
-Derived columns are computed vectorised through numpy when it is
-available and with plain comprehensions otherwise — numpy is an
-accelerator here, never a requirement.
+A packed trace is a *view* of immutable records: it is built once per
+:class:`Trace` (see :meth:`Trace.packed`) and assumes the records do
+not change afterwards.
 
-A packed trace is a *view* of an immutable record list: it is built
-once per :class:`Trace` (see :meth:`Trace.packed`) and assumes the
-records do not change afterwards.
+Column-backed traces
+--------------------
 
-Mapped traces
--------------
+:meth:`PackedTrace.from_planes` builds the columnar view directly over
+int64 columns: the ``np.memmap`` planes of a v2 columnar trace file (see
+:mod:`repro.trace.io`), where opening is O(1) and the OS pages record
+data in on demand, or the in-memory columns synthesis writes (see
+:func:`repro.trace.store.column_trace`).  Such a trace is *mapped*
+(:attr:`mapped` is true) and the replay kernels stream it — decode
+planes are computed per bounded window instead of trace-length lists,
+so peak RSS stays flat for traces much larger than memory.  Columns are
+wrapped in :class:`_IntColumn` so every scalar read is a plain Python
+int (numpy scalar types must never leak into controller stats — the
+JSON result cache cannot serialise them).
 
-:meth:`PackedTrace.from_planes` builds the same columnar view directly
-over the int64 planes of a v2 columnar trace file (see
-:mod:`repro.trace.io`), typically ``np.memmap`` views: opening is O(1)
-and the OS pages record data in on demand.  Such a trace is *mapped*
-(:attr:`mapped` is true) and the replay kernels switch to streaming —
-decode planes are computed per bounded window instead of trace-length
-lists, so peak RSS stays flat for traces much larger than memory.
-Columns are wrapped in :class:`_IntColumn` so every scalar read is a
-plain Python int (numpy scalar types must never leak into controller
-stats — the JSON result cache cannot serialise them)."""
+With numpy, the direct kernels group every trace through
+:meth:`PackedTrace.chunk_groups_streamed`, one stable sort per window;
+the eager :meth:`PackedTrace.chunk_groups` is the numpy-free leg."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 
 
 class _IntColumn:
-    """Sequence-of-Python-ints view over an int64 array (typically a
-    ``np.memmap`` plane of a columnar trace file).
+    """Sequence-of-Python-ints view over an int64 array: a ``np.memmap``
+    plane of a columnar trace file, or a synthesised column (converted once).
 
     Replay code indexes trace columns with ints and slices and zips
     over them; handing out the raw memmap would leak numpy scalar types
@@ -61,8 +61,8 @@ class _IntColumn:
 
     _ITER_BLOCK = 65_536
 
-    def __init__(self, array) -> None:
-        self.array = array
+    def __init__(self, column) -> None:
+        self.array = _as_int64(column)
 
     def __len__(self) -> int:
         return len(self.array)
@@ -80,13 +80,11 @@ class _IntColumn:
 
 
 def _as_int64(column):
-    """``column`` as an int64 numpy array, zero-copy when it already is
-    one (directly or behind an :class:`_IntColumn`)."""
-    if isinstance(column, _IntColumn):
-        return column.array
+    """``column`` as an int64 numpy array: itself when it already is one
+    (a memmap plane stays zero-copy), else converted once."""
     if isinstance(column, _np.ndarray):
         return column
-    return _np.asarray(column, dtype=_np.int64)
+    return _np.fromiter(column, dtype=_np.int64, count=len(column))
 
 
 class PackedTrace:
@@ -117,11 +115,12 @@ class PackedTrace:
         self.is_writes: List[int] = is_writes
         self.cores: List[int] = cores
         self.max_address: int = max(addresses) if addresses else -1
-        #: kernel-managed cache: memory-layout key -> decode plane tuple
+        #: numpy-free kernels' cache: memory-layout key -> decode plane tuple
         self.planes: Dict[tuple, tuple] = {}
-        #: true when the columns are views of an on-disk columnar file
+        #: true when the columns are int64 arrays (mapped or in memory)
         self.mapped: bool = False
-        #: streaming window (records) for mapped replay; ``None`` otherwise
+        #: streaming window (records) for mapped replay; ``None`` for the
+        #: kernels' default
         self.window = None
         self._np_addresses = None
         self._pages: Dict[int, Sequence[int]] = {}
@@ -134,46 +133,32 @@ class PackedTrace:
         page_shift: int,
         window: int = None,
     ) -> "PackedTrace":
-        """Columnar view over the planes of a v2 trace file.
+        """Columnar view over int64 record columns.
 
-        ``planes`` maps the :data:`repro.trace.io.PLANE_NAMES` to int64
-        columns as returned by
-        :func:`repro.trace.io.load_columnar_planes` — numpy memmaps on
-        the numpy leg, plain lists on the pure leg.  The numpy leg is
-        zero-copy (columns wrapped in :class:`_IntColumn`, the stored
-        page plane registered under ``page_shift``) and flags the trace
-        :attr:`mapped` so kernels stream decode work per ``window``
-        records; the pure leg is an ordinary eager packed trace.
-        ``page_shift`` below 0 (non-power-of-two page size) leaves the
-        page memo empty.
+        ``planes`` maps the :data:`repro.trace.io.PLANE_NAMES` to
+        columns: the planes :func:`repro.trace.io.load_columnar_planes`
+        returns (numpy memmaps, or plain lists on the pure leg), or
+        synthesised columns.  With numpy the view is zero-copy over
+        int64 arrays (lists are converted once), columns are wrapped in
+        :class:`_IntColumn`, and the trace is flagged :attr:`mapped` so
+        kernels stream decode work per ``window`` records; without numpy
+        it is an ordinary eager packed trace.  The ``page`` plane is
+        registered under ``page_shift`` when that is 0 or more;
+        ``page_shift`` below 0 leaves the page memo empty, so
+        :meth:`pages` computes the column on first use.
         """
         self = object.__new__(cls)
-        arrival = planes["arrival"]
-        self.length = len(arrival)
+        self.length = len(planes["arrival"])
         self.max_address = max_address
         self.planes = {}
-        if _np is not None and isinstance(arrival, _np.ndarray):
-            self.arrivals = _IntColumn(arrival)
-            self.addresses = _IntColumn(planes["address"])
-            self.is_writes = _IntColumn(planes["iswrite"])
-            self.cores = _IntColumn(planes["core"])
-            self._np_addresses = planes["address"]
-            self._pages = (
-                {page_shift: _IntColumn(planes["page"])} if page_shift >= 0 else {}
-            )
-            self.mapped = True
-            self.window = window
-        else:
-            self.arrivals = list(planes["arrival"])
-            self.addresses = list(planes["address"])
-            self.is_writes = list(planes["iswrite"])
-            self.cores = list(planes["core"])
-            self._np_addresses = None
-            self._pages = (
-                {page_shift: list(planes["page"])} if page_shift >= 0 else {}
-            )
-            self.mapped = False
-            self.window = None
+        self.mapped = _np is not None
+        self.window = window if self.mapped else None
+        column = _IntColumn if self.mapped else list
+        self.arrivals, self.addresses, self.is_writes, self.cores = (
+            column(planes[name]) for name in ("arrival", "address", "iswrite", "core")
+        )
+        self._np_addresses = self.addresses.array if self.mapped else None
+        self._pages = {page_shift: column(planes["page"])} if page_shift >= 0 else {}
         return self
 
     def np_addresses(self):
@@ -206,7 +191,6 @@ class PackedTrace:
 
     def chunk_groups(
         self,
-        layout_key: tuple,
         ctrls: Sequence[int],
         banks: Sequence[int],
         rows: Sequence[int],
@@ -224,86 +208,56 @@ class PackedTrace:
 
         Returns a list of ``(record_count, groups)`` chunks where
         ``groups`` is a tuple of ``(ctrl, banks, rows, is_writes,
-        arrivals)`` column tuples ordered by controller index.  Memoised
-        in :attr:`planes` under ``("chunk-groups", sample, layout_key)``.
-        Grouped through numpy's stable argsort when available; the pure
-        dict-accumulation twin produces identical chunks.
+        arrivals)`` column tuples ordered by controller index.  This
+        eager dict-accumulation form is the numpy-free kernels' leg;
+        with numpy the kernels use :meth:`chunk_groups_streamed`, which
+        yields the same chunks.
         """
-        key = ("chunk-groups", sample, layout_key)
-        cached = self.planes.get(key)
-        if cached is not None:
-            return cached
         total = self.length
         step = sample if sample else (total or 1)
+        is_writes = self.is_writes
+        arrivals = self.arrivals
         chunks = []
-        if _np is not None:
-            ctrl_col = _as_int64(ctrls)
-            bank_col = _as_int64(banks)
-            row_col = _as_int64(rows)
-            write_col = _as_int64(self.is_writes)
-            arrival_col = _as_int64(self.arrivals)
-            for begin in range(0, total, step):
-                end = begin + step
-                if end > total:
-                    end = total
-                order = _np.argsort(ctrl_col[begin:end], kind="stable") + begin
-                sorted_ctrl = ctrl_col[order]
-                cuts = _np.flatnonzero(sorted_ctrl[1:] != sorted_ctrl[:-1]) + 1
-                bounds = [0, *cuts.tolist(), end - begin]
-                groups = tuple(
-                    (
-                        int(sorted_ctrl[bounds[gi]]),
-                        bank_col[sel].tolist(),
-                        row_col[sel].tolist(),
-                        write_col[sel].tolist(),
-                        arrival_col[sel].tolist(),
-                    )
-                    for gi in range(len(bounds) - 1)
-                    for sel in (order[bounds[gi]:bounds[gi + 1]],)
+        for begin in range(0, total, step):
+            end = begin + step
+            if end > total:
+                end = total
+            index: Dict[int, List[int]] = {}
+            for i in range(begin, end):
+                members = index.get(ctrls[i])
+                if members is None:
+                    index[ctrls[i]] = [i]
+                else:
+                    members.append(i)
+            groups = tuple(
+                (
+                    ci,
+                    [banks[i] for i in members],
+                    [rows[i] for i in members],
+                    [is_writes[i] for i in members],
+                    [arrivals[i] for i in members],
                 )
-                chunks.append((end - begin, groups))
-        else:
-            is_writes = self.is_writes
-            arrivals = self.arrivals
-            for begin in range(0, total, step):
-                end = begin + step
-                if end > total:
-                    end = total
-                index: Dict[int, List[int]] = {}
-                for i in range(begin, end):
-                    members = index.get(ctrls[i])
-                    if members is None:
-                        index[ctrls[i]] = [i]
-                    else:
-                        members.append(i)
-                groups = tuple(
-                    (
-                        ci,
-                        [banks[i] for i in members],
-                        [rows[i] for i in members],
-                        [is_writes[i] for i in members],
-                        [arrivals[i] for i in members],
-                    )
-                    for ci, members in sorted(index.items())
-                )
-                chunks.append((end - begin, groups))
-        self.planes[key] = chunks
+                for ci, members in sorted(index.items())
+            )
+            chunks.append((end - begin, groups))
         return chunks
 
     def chunk_groups_streamed(self, decode, sample: int, window: int):
-        """Windowed generator form of :meth:`chunk_groups` for mapped
-        traces (numpy only — the pure twin is the eager method itself).
+        """Windowed generator form of :meth:`chunk_groups` (numpy only —
+        the pure twin is the eager method itself).
 
         Instead of consuming precomputed trace-length decode planes, it
         decodes ``window`` records at a time through ``decode`` (an
         ``int64 address array -> (ctrl, bank, row) arrays`` callable)
         and yields the same ``(record_count, groups)`` chunks, so peak
-        memory is O(window) regardless of trace length.  Exactness:
-        when ``sample`` is positive ``window`` must be a multiple of it,
-        so chunk boundaries land on the same global grid as the eager
-        method; when ``sample`` is 0 the eager method emits one whole-
-        trace chunk and this one emits one chunk per window — equal by
-        batch splitting, because controllers share no state, the
+        memory is O(window) regardless of trace length.  List-backed
+        columns are converted one window at a time.  Each window is
+        grouped by :func:`_group_window`.  Exactness: when ``sample`` is
+        positive ``window`` must be a multiple of it, so chunk
+        boundaries land on the same global grid as the eager method;
+        when ``sample`` is 0 the eager method emits one whole-trace
+        chunk and this one emits one chunk per window — equal by batch
+        splitting, because controllers share no state, the
         per-controller record order is preserved across the split, and
         no throttle adjustment separates unthrottled chunks.  Nothing is
         memoised; the differential suite pins generator output to the
@@ -314,35 +268,48 @@ class PackedTrace:
             raise ValueError(
                 f"window {window} is not a multiple of throttle sample {sample}"
             )
-        addresses = self.np_addresses()
-        write_full = _as_int64(self.is_writes)
-        arrival_full = _as_int64(self.arrivals)
+        columns = (self.addresses, self.is_writes, self.arrivals)
         step = sample if sample else window
         for w_begin in range(0, total, window):
             w_end = w_begin + window
-            if w_end > total:
-                w_end = total
-            ctrl_w, bank_w, row_w = decode(addresses[w_begin:w_end])
-            write_w = write_full[w_begin:w_end]
-            arrival_w = arrival_full[w_begin:w_end]
-            span = w_end - w_begin
-            for begin in range(0, span, step):
-                end = begin + step
-                if end > span:
-                    end = span
-                order = _np.argsort(ctrl_w[begin:end], kind="stable") + begin
-                sorted_ctrl = ctrl_w[order]
-                cuts = _np.flatnonzero(sorted_ctrl[1:] != sorted_ctrl[:-1]) + 1
-                bounds = [0, *cuts.tolist(), end - begin]
-                groups = tuple(
-                    (
-                        int(sorted_ctrl[bounds[gi]]),
-                        bank_w[sel].tolist(),
-                        row_w[sel].tolist(),
-                        write_w[sel].tolist(),
-                        arrival_w[sel].tolist(),
-                    )
-                    for gi in range(len(bounds) - 1)
-                    for sel in (order[bounds[gi]:bounds[gi + 1]],)
-                )
-                yield (end - begin, groups)
+            address_w, write_w, arrival_w = (
+                column.array[w_begin:w_end]
+                if isinstance(column, _IntColumn)
+                else _as_int64(column[w_begin:w_end])
+                for column in columns
+            )
+            yield from _group_window(*decode(address_w), write_w, arrival_w, step)
+
+
+def _group_window(ctrl, bank, row, is_write, arrival, step: int):
+    """Throttle chunks of ``step`` records over one window, each grouped
+    by controller, as :meth:`PackedTrace.chunk_groups` groups them.
+
+    The arguments are int64 arrays over the window's records; controller
+    indices are small non-negative ints.  One stable argsort by
+    ``(chunk index << 32) | ctrl`` keeps every chunk's
+    records in their own block of the sorted order, groups each chunk's
+    records by ascending controller, and keeps arrival order within a
+    group.  Each column is then gathered and converted to a list once
+    per window, and every group is a list slice of it.
+    """
+    span = len(ctrl)
+    key = (_np.arange(span) // step << 32) | ctrl
+    order = _np.argsort(key, kind="stable")
+    key = key[order]
+    bounds = [0, *(_np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), span]
+    ids = (key[bounds[:-1]] & 0xFFFFFFFF).tolist()
+    banks, rows, writes, arrivals = (
+        column[order].tolist() for column in (bank, row, is_write, arrival)
+    )
+    group = 0
+    for begin in range(0, span, step):
+        end = begin + step if begin + step < span else span
+        groups = []
+        while bounds[group] < end:
+            lo, hi = bounds[group], bounds[group + 1]
+            groups.append(
+                (ids[group], banks[lo:hi], rows[lo:hi], writes[lo:hi], arrivals[lo:hi])
+            )
+            group += 1
+        yield end - begin, tuple(groups)

@@ -2,9 +2,11 @@
 
 A trace is the unit of simulator input: a time-ordered sequence of 64 B
 LLC-miss transactions, each ``(arrival_ps, address, is_write, core)``.
-Records are stored as plain tuples inside :class:`Trace` — the simulator
-iterates millions of them, so we avoid per-record object overhead — with
-the class carrying workload-level metadata (name, page size, footprint).
+Records are plain tuples inside :class:`Trace` — the simulator iterates
+millions of them, so we avoid per-record object overhead — with the
+class carrying workload-level metadata (name, page size, footprint).
+Synthesised and stored traces keep the same records as int64 columns
+behind a view of tuples (:class:`repro.trace.store.MappedTrace`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ class Trace:
 
     def __post_init__(self) -> None:
         self.validate()
+
+    def __eq__(self, other):
+        # Equal records are equal traces whether they are held as tuples
+        # or as columns (MappedTrace).
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.name, self.records, self.page_bytes) == (
+            other.name, other.records, other.page_bytes
+        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -110,11 +121,7 @@ class Trace:
         valid, so the copy skips re-validation — slicing large traces is
         on the sweep-construction path.
         """
-        clone = object.__new__(type(self))
-        clone.name = self.name
-        clone.records = self.records[start:stop]
-        clone.page_bytes = self.page_bytes
-        return clone
+        return type(self).unchecked(self.name, self.records[start:stop], self.page_bytes)
 
     def packed(self):
         """Columnar :class:`~repro.trace.packed.PackedTrace` view.
@@ -130,6 +137,17 @@ class Trace:
             cached = PackedTrace(self.records)
             self._packed_cache = cached
         return cached
+
+    @classmethod
+    def unchecked(cls, name: str, records: List[TraceRecord], page_bytes: int) -> "Trace":
+        """A trace over ``records`` known valid already, without
+        re-running :meth:`validate` (slices of a valid trace, stored or
+        synthesised columns)."""
+        trace = object.__new__(cls)
+        trace.name = name
+        trace.records = records
+        trace.page_bytes = page_bytes
+        return trace
 
     @classmethod
     def from_records(

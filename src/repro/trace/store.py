@@ -7,10 +7,12 @@ so a 7-mechanism comparison synthesised the same trace seven times.
 This module persists each synthesised trace once, in the v2 columnar
 format of :mod:`repro.trace.io`, under a SHA-256 key over exactly the
 inputs that determine its content — the trace spec plus the code-version
-token, so a synthesis change can never serve a stale trace.  Every later
-request memory-maps the stored planes in O(1) and streams them through
-the replay kernels with flat peak RSS (see
-:meth:`repro.trace.packed.PackedTrace.from_planes`).
+token, so a synthesis change can never serve a stale trace.  Synthesis
+writes int64 columns from the start (:func:`column_trace`), so a cold
+save encodes its planes straight from those arrays and no record tuple
+is built on the way.  Every later request memory-maps the stored planes
+in O(1) and streams them through the replay kernels with flat peak RSS
+(see :meth:`repro.trace.packed.PackedTrace.from_planes`).
 
 The same machinery replays *external* traces: ``repro trace import``
 converts tracehm-style ``cnt<TAB>addr<TAB>is_write`` TSV captures (and
@@ -32,11 +34,13 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Union
 
 from ..common.errors import ConfigError, TraceError
 from .io import (
     CHUNK_RECORDS,
+    PLANE_NAMES,
     load_columnar_planes,
     read_columnar_header,
     save_columnar,
@@ -107,13 +111,14 @@ def resolve_trace_window() -> int:
 
 
 class _ColumnRecords:
-    """Record-tuple view over a mapped :class:`PackedTrace`'s columns.
+    """Record-tuple view over a column-backed :class:`PackedTrace`.
 
-    Stands in for ``Trace.records`` on mapped traces: indexing,
-    slicing, and iteration produce the same ``(arrival, address,
-    is_write, core)`` tuples of Python ints an eager record list holds,
-    but nothing trace-length is ever materialised — iteration zips the
-    blockwise column iterators and slices convert only their span.
+    Stands in for the ``Trace.records`` list on column-backed traces:
+    indexing, slicing, iteration, ``==`` and ``repr`` behave as on the
+    eager record list of the same ``(arrival, address, is_write, core)``
+    tuples of Python ints, but nothing trace-length is kept —
+    iteration converts one window of each column at a time and slices
+    convert only their span.
     """
 
     __slots__ = ("_packed",)
@@ -124,53 +129,57 @@ class _ColumnRecords:
     def __len__(self) -> int:
         return self._packed.length
 
-    def __getitem__(self, index):
+    def _columns(self):
         packed = self._packed
+        return packed.arrivals, packed.addresses, packed.is_writes, packed.cores
+
+    def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(
-                zip(
-                    packed.arrivals[index],
-                    packed.addresses[index],
-                    packed.is_writes[index],
-                    packed.cores[index],
-                )
-            )
-        if index < 0:
-            index += packed.length
-        if not 0 <= index < packed.length:
-            raise IndexError("trace record index out of range")
-        return (
-            packed.arrivals[index],
-            packed.addresses[index],
-            packed.is_writes[index],
-            packed.cores[index],
-        )
+            return list(zip(*(column[index] for column in self._columns())))
+        return tuple(column[index] for column in self._columns())
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        packed = self._packed
-        return zip(packed.arrivals, packed.addresses, packed.is_writes, packed.cores)
+        columns, block = self._columns(), DEFAULT_TRACE_WINDOW
+        return chain.from_iterable(
+            zip(*(column[begin:begin + block] for column in columns))
+            for begin in range(0, len(self), block)
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _ColumnRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class MappedTrace(Trace):
-    """A :class:`Trace` whose records live in a columnar trace file.
+    """A :class:`Trace` whose records live in int64 columns.
 
-    Behaves exactly like the eager trace it was written from — same
-    records, same metadata, same ``packed()`` columns — but the record
-    "list" is a :class:`_ColumnRecords` view over memory-mapped planes
-    and ``packed()`` returns the zero-copy mapped
+    The columns are the memory-mapped planes of a columnar trace file
+    (:func:`open_columnar`) or the in-memory columns synthesis writes
+    (:func:`column_trace`).  Behaves exactly like the eager trace of
+    the same records — same records, same metadata, same ``packed()``
+    columns — but the record "list" is a :class:`_ColumnRecords` view
+    and ``packed()`` returns the zero-copy column-backed
     :class:`PackedTrace`, so opening is O(1) and replay streams.
     ``sliced()`` still works and degrades gracefully: the clone holds a
     plain in-memory record list for its span.
     """
 
-    @classmethod
-    def _wrap(cls, name: str, page_bytes: int, packed: PackedTrace) -> "MappedTrace":
-        trace = object.__new__(cls)
-        trace.name = name
-        trace.page_bytes = page_bytes
-        trace.records = _ColumnRecords(packed)
-        trace._packed_cache = packed
-        return trace
+
+def _packed_trace(name: str, page_bytes: int, packed: PackedTrace) -> Trace:
+    """The trace over ``packed``'s columns, which are valid already: a
+    :class:`MappedTrace` when they are int64 arrays, else an eager
+    :class:`Trace` holding the identical records."""
+    if packed.mapped:
+        trace = MappedTrace.unchecked(name, _ColumnRecords(packed), page_bytes)
+    else:
+        columns = (packed.arrivals, packed.addresses, packed.is_writes, packed.cores)
+        trace = Trace.unchecked(name, list(zip(*columns)), page_bytes)
+    trace._packed_cache = packed
+    return trace
 
 
 def open_columnar(
@@ -187,23 +196,25 @@ def open_columnar(
     the O(n) record validation.
     """
     info, planes = load_columnar_planes(path)
-    trace_name = name or Path(path).stem
     packed = PackedTrace.from_planes(
         planes,
         info.max_address,
         info.page_shift,
         window if window is not None else resolve_trace_window(),
     )
-    if packed.mapped:
-        return MappedTrace._wrap(trace_name, info.page_bytes, packed)
-    records: List[TraceRecord] = list(
-        zip(planes["arrival"], planes["address"], planes["iswrite"], planes["core"])
-    )
-    trace = object.__new__(Trace)
-    trace.name = trace_name
-    trace.records = records
-    trace.page_bytes = info.page_bytes
-    return trace
+    return _packed_trace(name or Path(path).stem, info.page_bytes, packed)
+
+
+def column_trace(name: str, page_bytes: int, columns: Sequence[Sequence[int]]) -> Trace:
+    """The trace over ``(arrival, address, is_write, core)`` columns
+    that are valid by construction, as synthesis writes them, without
+    :meth:`Trace.validate`: with numpy a :class:`MappedTrace` over
+    in-memory int64 columns (its page column computed on first use),
+    without numpy an eager :class:`Trace` of the zipped records."""
+    planes = dict(zip(PLANE_NAMES, columns))  # the four record planes
+    addresses = planes["address"]
+    packed = PackedTrace.from_planes(planes, max(addresses) if addresses else -1, -1)
+    return _packed_trace(name, page_bytes, packed)
 
 
 class TraceStore:
@@ -344,6 +355,7 @@ __all__ = [
     "TRACE_DIR_ENV_VAR",
     "TraceStore",
     "WINDOW_ENV_VAR",
+    "column_trace",
     "default_store_dir",
     "import_tracehm_tsv",
     "open_columnar",

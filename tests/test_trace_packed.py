@@ -2,11 +2,11 @@
 
 import pytest
 
-import repro.trace.packed
 from repro.common.errors import TraceError
 from repro.common.rng import DeterministicRng
-from repro.trace.packed import PackedTrace
+from repro.trace.packed import PackedTrace, _np
 from repro.trace.record import Trace
+from repro.trace.store import column_trace
 
 
 RECORDS = [
@@ -94,38 +94,97 @@ class TestChunkGroups:
     @pytest.mark.parametrize("sample", [0, 128, 100, 1_000, 5_000])
     def test_matches_reference_partition(self, sample):
         packed, ctrls, banks, rows = _grouping_fixture()
-        chunks = packed.chunk_groups(("k",), ctrls, banks, rows, sample)
+        chunks = packed.chunk_groups(ctrls, banks, rows, sample)
         assert chunks == self._reference_groups(packed, ctrls, banks, rows, sample)
-
-    @pytest.mark.parametrize("sample", [0, 128])
-    def test_pure_python_twin_is_identical(self, sample, monkeypatch):
-        packed, ctrls, banks, rows = _grouping_fixture()
-        with_numpy = packed.chunk_groups(("k",), ctrls, banks, rows, sample)
-        monkeypatch.setattr(repro.trace.packed, "_np", None)
-        twin = PackedTrace(
-            list(zip(packed.arrivals, packed.addresses, packed.is_writes, packed.cores))
-        )
-        assert twin.chunk_groups(("k",), ctrls, banks, rows, sample) == with_numpy
-
-    def test_memoised_per_sample_and_layout(self):
-        packed, ctrls, banks, rows = _grouping_fixture(count=300)
-        first = packed.chunk_groups(("a",), ctrls, banks, rows, 128)
-        assert packed.chunk_groups(("a",), ctrls, banks, rows, 128) is first
-        assert packed.chunk_groups(("b",), ctrls, banks, rows, 128) is not first
-        assert packed.chunk_groups(("a",), ctrls, banks, rows, 0) is not first
 
     def test_empty_trace(self):
         packed = PackedTrace([])
-        assert packed.chunk_groups(("k",), [], [], [], 128) == []
+        assert packed.chunk_groups([], [], [], 128) == []
 
     def test_preserves_intra_controller_order(self):
         packed, ctrls, banks, rows = _grouping_fixture(seed=6, count=700)
-        for count, groups in packed.chunk_groups(("k",), ctrls, banks, rows, 128):
+        for count, groups in packed.chunk_groups(ctrls, banks, rows, 128):
             assert count == sum(len(g[4]) for g in groups)
             group_ids = [g[0] for g in groups]
             assert group_ids == sorted(group_ids)
             for _, _, _, _, arrival_col in groups:
                 assert arrival_col == sorted(arrival_col)
+
+
+def _twelve_controller_decode(addresses):
+    """A 12-controller decode of an int64 address window."""
+    return (addresses >> 6) % 12, (addresses >> 10) & 15, addresses >> 14
+
+
+def _streaming_fixture(count=1_037):
+    """Records whose first chunk hits one controller of twelve, whose
+    second hits all twelve, and whose last chunk is ragged."""
+    rng = DeterministicRng(9)
+    records = []
+    at = 0
+    for i in range(count):
+        at += rng.randrange(3_000)
+        if i < 128:
+            address = (5 + 12 * rng.randrange(4_096)) << 6
+        elif i < 256:
+            address = (i % 12 + 12 * rng.randrange(4_096)) << 6
+        else:
+            address = rng.randrange(1 << 22) & ~63
+        records.append((at, address, int(rng.random() < 0.3), rng.randrange(8)))
+    return records
+
+
+@pytest.mark.skipif(_np is None, reason="streamed grouping requires numpy")
+class TestStreamedAgainstEager:
+    """The windowed grouping (one stable sort per window) against the
+    eager dict-accumulation grouping, chunk for chunk."""
+
+    def _eager(self, records, sample):
+        packed = PackedTrace(records)
+        planes = _twelve_controller_decode(_np.asarray(packed.addresses, dtype=_np.int64))
+        return packed.chunk_groups(*(plane.tolist() for plane in planes), sample)
+
+    def _packed(self, records, backing):
+        if backing == "list":
+            return PackedTrace(records)
+        columns = tuple(list(column) for column in zip(*records))
+        return column_trace("t", 2048, columns).packed()
+
+    def test_fixture_chunks(self):
+        chunks = self._eager(_streaming_fixture(), 128)
+        assert [len(groups) for _, groups in chunks[:2]] == [1, 12]
+        assert chunks[-1][0] == 1_037 % 128
+
+    # 1_280 is one chunk more than the trace, rounded up to whole chunks.
+    @pytest.mark.parametrize("backing", ["list", "array"])
+    @pytest.mark.parametrize("sample", [0, 128])
+    @pytest.mark.parametrize("window", [128, 256, 4_096, 1_280])
+    def test_streamed_matches_eager(self, backing, sample, window):
+        records = _streaming_fixture()
+        packed = self._packed(records, backing)
+        streamed = list(
+            packed.chunk_groups_streamed(_twelve_controller_decode, sample, window)
+        )
+        # Unthrottled, the streamed form emits one chunk per window: the
+        # eager grouping of window-sized chunks, which is the eager
+        # whole-trace chunk once the window covers the trace.
+        assert streamed == self._eager(records, sample or window)
+        if window > len(records) and not sample:
+            assert streamed == self._eager(records, 0)
+
+    def test_regrouped_on_every_call(self):
+        # Nothing is memoised: every call regroups, to equal chunks.
+        records = _streaming_fixture(count=300)
+        packed = self._packed(records, "array")
+        planes = [plane.tolist() for plane in _twelve_controller_decode(
+            packed.np_addresses()
+        )]
+        first = packed.chunk_groups(*planes, 128)
+        again = packed.chunk_groups(*planes, 128)
+        assert again == first and again is not first
+        streamed = packed.chunk_groups_streamed(_twelve_controller_decode, 128, 256)
+        assert list(streamed) == first
+        assert packed.planes == {}
 
 
 class TestTracePackedAccessor:

@@ -63,6 +63,12 @@ def _records(trace):
     return [tuple(r) for r in trace.records]
 
 
+def _file_backed(trace):
+    """True when the trace's columns are memory-mapped planes of a file."""
+    column = getattr(trace.packed().arrivals, "array", None)
+    return _np is not None and isinstance(column, _np.memmap)
+
+
 class TestColumnarFormat:
     def test_chunk_matches_throttle_period(self):
         # The format's padding unit IS the replay throttle chunk: a
@@ -247,6 +253,63 @@ class TestMappedTraceView:
         assert loaded.duration_ps == sample_trace.duration_ps
         assert loaded.sliced(5, 50).records == sample_trace.sliced(5, 50).records
 
+    def test_view_compares_and_prints_as_its_list(self, sample_trace, tmp_path):
+        if _np is None:
+            pytest.skip("mapped view requires numpy")
+        path = tmp_path / "v.mpt"
+        save_columnar(sample_trace, path)
+        view = open_columnar(path).records
+        records = _records(sample_trace)
+        assert view == records and records == view
+        assert view == sample_trace.records  # a view against a view
+        assert view != records[:-1]
+        assert view != records[:-1] + [(0, 0, 0, 0)]
+        assert view != tuple(records)
+        assert repr(view) == repr(records)
+        assert list(view) == records
+
+
+class TestSynthesisedColumns:
+    """Synthesis writes columns, valid by construction."""
+
+    def test_build_skips_validation(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("synthesised columns were re-validated")
+
+        monkeypatch.setattr(Trace, "validate", refuse)
+        built = build_trace(get_workload("mix3"), scaled_geometry(64), length=700, seed=2)
+        assert len(built.trace) == 700
+        assert sum(built.per_core_requests) == 700
+        if _np is not None:
+            assert isinstance(built.trace, MappedTrace)
+            assert built.trace.packed().mapped
+            assert not _file_backed(built.trace)
+        # Every other way in still validates.
+        with pytest.raises(AssertionError):
+            Trace.from_records("t", _records(built.trace))
+
+    def test_column_trace_equals_its_eager_copy(self, sample_trace, tmp_path):
+        eager = Trace.from_records(
+            sample_trace.name, _records(sample_trace), sample_trace.page_bytes
+        )
+        assert sample_trace == eager and eager == sample_trace
+        save_columnar(sample_trace, tmp_path / "s.mpt")
+        assert open_columnar(tmp_path / "s.mpt", name=sample_trace.name) == eager
+        assert eager != Trace.from_records("other", eager.records, eager.page_bytes)
+
+    @pytest.mark.parametrize("workload", ["xalanc", "mcf", "libquantum", "mix3"])
+    @pytest.mark.parametrize("length", [1, 127, 129, 50_000])
+    def test_cold_store_bytes_match_eager_save(self, monkeypatch, tmp_path, workload, length):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "store"))
+        clear_trace_cache()
+        trace_for(ExperimentConfig(scale=64, length=length, seed=1), workload)
+        stored, = (tmp_path / "store").rglob("*.mpt")
+        built = build_trace(get_workload(workload), scaled_geometry(64), length=length, seed=1)
+        eager = Trace.from_records(workload, list(built.trace.records), built.trace.page_bytes)
+        save_columnar(eager, tmp_path / "eager.mpt")
+        assert stored.read_bytes() == (tmp_path / "eager.mpt").read_bytes()
+        clear_trace_cache()
+
 
 class TestTraceStore:
     def test_save_open_roundtrip(self, sample_trace, tmp_path):
@@ -317,7 +380,7 @@ class TestTraceForIntegration:
         cold = trace_for(ExperimentConfig(scale=64, length=1200, seed=13), "lbm")
         assert len(cold) == 1200
         if _np is not None:
-            assert cold.packed().mapped
+            assert _file_backed(cold)
         assert common._cached_trace.cache_info().currsize == 0
         clear_trace_cache()
 
@@ -332,7 +395,7 @@ class TestTraceForIntegration:
         trace = trace_for(ExperimentConfig(scale=64, length=1200, seed=13), "lbm")
         eager = build_trace(get_workload("lbm"), scaled_geometry(64), length=1200, seed=13)
         assert _records(trace) == _records(eager.trace)
-        assert not trace.packed().mapped
+        assert not _file_backed(trace)
         clear_trace_cache()
 
     def test_window_env_validation(self, monkeypatch):
@@ -412,7 +475,7 @@ class TestStreamedChunkGroups:
 
     def _eager(self, packed, sample):
         ctrls, banks, rows = self._columns(packed)
-        return packed.chunk_groups(("test-layout",), ctrls, banks, rows, sample)
+        return packed.chunk_groups(ctrls, banks, rows, sample)
 
     @pytest.mark.parametrize("window", [128, 256, 1024, 2048])
     def test_throttled_windows_match_eager(self, sample_trace, window):
