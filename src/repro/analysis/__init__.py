@@ -1,6 +1,6 @@
 """Static analysis and runtime invariant checking for the reproduction.
 
-Three layers keep the "refactor freely, run fast" loop safe:
+These layers keep the "refactor freely, run fast" loop safe:
 
 * :mod:`repro.analysis.lint` — project-specific AST rules (determinism,
   wall-clock isolation, mutable defaults, broad excepts, float equality,
@@ -12,21 +12,19 @@ Three layers keep the "refactor freely, run fast" loop safe:
   specializes.  Editing one of those functions fails lint until the
   change is re-proven bit-identical and re-acknowledged with
   ``repro lint --update-manifest``.
-* :mod:`repro.analysis.sanitize` — a runtime checker layered on the
-  simulator (``simulate(sanitize=True)`` / ``--sanitize`` /
+* :mod:`repro.analysis.sanitize` — a runtime checker that observes the
+  reference replay loop (``simulate(sanitize=True)`` / ``--sanitize`` /
   ``REPRO_SANITIZE``) validating remap bijectivity, intra-pod closure,
   MEA counter bounds, timeline monotonicity, and stats conservation.
-* the **deep dataflow lint** (``repro lint --deep``) — per-function
-  CFGs (:mod:`~repro.analysis.cfg`) and dataflow queries
-  (:mod:`~repro.analysis.dataflow`) powering three checkers:
-  hoisted-state write-back proofs (:mod:`~repro.analysis.writeback`),
-  the numpy<->pure twin registry and manifest
-  (:mod:`~repro.analysis.twins`), and cache-key soundness from
-  ``simulate()`` (:mod:`~repro.analysis.cachekey`).
+* the **deep lint** (``repro lint --deep``) — per-function CFGs
+  (:mod:`~repro.analysis.cfg`) powering two checkers: hoisted-state
+  write-back proofs (:mod:`~repro.analysis.writeback`, whose must-pass
+  query is :func:`~repro.analysis.writeback.reaches_exit_avoiding`) and
+  cache-key soundness from ``simulate()``
+  (:mod:`~repro.analysis.cachekey`).
 """
 
 from .cfg import build_cfg, iter_function_scopes
-from .dataflow import def_use_chains, postdominators, reaches_exit_avoiding
 from .lint import Finding, deep_findings, lint_tree, run_lint
 from .sanitize import (
     SANITIZE_ENV_VAR,
@@ -35,15 +33,14 @@ from .sanitize import (
     resolve_sanitize,
     sanitized_simulate,
 )
+from .writeback import reaches_exit_avoiding
 
 __all__ = [
     "Finding",
     "build_cfg",
-    "def_use_chains",
     "deep_findings",
     "iter_function_scopes",
     "lint_tree",
-    "postdominators",
     "reaches_exit_avoiding",
     "run_lint",
     "SANITIZE_ENV_VAR",

@@ -1,9 +1,9 @@
 """Per-function control-flow graphs over the Python AST.
 
-The deep lint checkers (:mod:`repro.analysis.writeback` and friends)
-need to *prove* statements execute on every path out of a function —
-including the paths an exception takes — so this module builds, per
-function, a statement-level CFG with three edge kinds:
+The write-back checker (:mod:`repro.analysis.writeback`) needs to
+*prove* statements execute on every path out of a function — including
+the paths an exception takes — so this module builds, per function, a
+statement-level CFG with three edge kinds:
 
 * ``normal`` — ordinary fall-through, branch, and loop edges;
 * ``exception`` — from every statement that may raise to the innermost
@@ -99,11 +99,6 @@ class FunctionCFG:
         for node in self.nodes.values():
             if node.kind == STMT:
                 yield node
-
-    def successors(self, node_id: int, *, kinds: Optional[Tuple[str, ...]] = None):
-        for dst, kind in self.succ.get(node_id, ()):
-            if kinds is None or kind in kinds:
-                yield dst
 
 
 def _is_simple_expr(node: ast.expr) -> bool:

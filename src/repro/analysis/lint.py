@@ -30,16 +30,13 @@ encodes them as small AST rules over every module under ``src/``:
   trigger/flexibility, factory shape agreement, importable tracker
   path, unique and consistent names, canonical kinds present.
 
-``repro lint --deep`` adds three CFG/dataflow checkers (they import and
-analyse the whole tree, so they are opt-in for speed):
+``repro lint --deep`` adds two CFG checkers (they import and analyse
+the whole tree, so they are opt-in for speed):
 
 * ``hoist-writeback`` — :mod:`repro.analysis.writeback` proves that
   every controller/manager attribute hoisted into a local is written
   back on *all* exits, including exceptional ones, and that declared
   ``# hoists:`` contracts hold.
-* ``twin-parity`` — :mod:`repro.analysis.twins` checks the registered
-  numpy<->pure twin functions for signature agreement and fingerprints
-  them against ``twin_manifest.json``.
 * ``cache-key`` — :mod:`repro.analysis.cachekey` walks everything
   reachable from ``simulate()`` and flags environment, wall-clock, or
   mutable-global reads that are not folded into the SimCell
@@ -80,10 +77,9 @@ RULES: Dict[str, str] = {
     "mechanism-registry": "every registered mechanism spec resolves",
 }
 
-#: rule id -> description for the ``--deep`` CFG/dataflow checkers.
+#: rule id -> description for the ``--deep`` CFG checkers.
 DEEP_RULES: Dict[str, str] = {
     "hoist-writeback": "hoisted state is written back on every exit path",
-    "twin-parity": "numpy<->pure twins agree and match the twin manifest",
     "cache-key": "no unfingerprinted inputs reachable from simulate()",
 }
 
@@ -736,14 +732,13 @@ def deep_findings(
     root: Optional[Path] = None,
     allowlist: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[Finding]:
-    """Run the ``--deep`` CFG/dataflow checkers over the tree.
+    """Run the ``--deep`` CFG checkers over the tree.
 
     Applies ``# noqa`` line suppression and the allowlist (a deep
     finding is exempt if either its file path or ``path::qualname`` is
     listed under the rule).
     """
     from .cachekey import check_cache_keys
-    from .twins import check_twin_parity
     from .writeback import check_writeback_source
 
     allow = allowlist if allowlist is not None else load_allowlist()
@@ -767,8 +762,6 @@ def deep_findings(
             source, display
         ):
             raw.append(("hoist-writeback", path, line, site, message))
-    for path, line, site, message in check_twin_parity(base):
-        raw.append(("twin-parity", path, line, site, message))
     for path, line, site, message in check_cache_keys(base):
         raw.append(("cache-key", path, line, site, message))
 
@@ -837,26 +830,18 @@ def run_lint(
 ) -> int:
     """Run every lint layer; print findings; return a process exit code.
 
-    ``deep`` adds the CFG/dataflow checkers (hoist-writeback,
-    twin-parity, cache-key).  ``as_json`` emits one JSON object per
-    finding (keys ``rule``/``path``/``line``/``message``) and no
-    summary line, for machine consumption in CI.
+    ``deep`` adds the CFG checkers (hoist-writeback, cache-key).
+    ``as_json`` emits one JSON object per finding (keys
+    ``rule``/``path``/``line``/``message``) and no summary line, for
+    machine consumption in CI.
     """
     import sys
 
     out = stream if stream is not None else sys.stdout
     if update_manifest:
-        from .twins import twin_fingerprints, write_twin_manifest
-
         fingerprints = write_kernel_manifest(manifest_path, root)
         print(
             f"kernel manifest updated: {len(fingerprints)} functions acknowledged",
-            file=out,
-        )
-        twin_prints = twin_fingerprints(root)
-        write_twin_manifest(twin_prints)
-        print(
-            f"twin manifest updated: {len(twin_prints)} sides acknowledged",
             file=out,
         )
 

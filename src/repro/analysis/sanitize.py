@@ -82,10 +82,12 @@ class SanitizerError(SimulationError):
 class SimulationSanitizer:
     """Read-only invariant checker for one manager + memory system.
 
-    Construct it over a manager, then call :meth:`check` at interval
-    boundaries and :meth:`check_final` after result collection.  All
-    state it keeps is *shadow* state (previous timestamp snapshots);
-    it never mutates the simulation.
+    Construct it over a manager, then call :meth:`observe` after every
+    record (it runs :meth:`check` at interval boundaries and every
+    :data:`CHECK_PERIOD` records) and :meth:`check_final` after result
+    collection.  All state it keeps is *shadow* state (previous
+    timestamp snapshots and the sweep countdown); it never mutates the
+    simulation.
     """
 
     def __init__(self, manager) -> None:
@@ -95,6 +97,10 @@ class SimulationSanitizer:
         self._channels = self._enumerate_channels(manager.memory)
         #: label -> (bus_free_ps, last_completion_ps, [bank busy_until_ps])
         self._shadow: Dict[str, Tuple[int, int, List[int]]] = {}
+        #: :meth:`observe` state: the boundary last seen and the records
+        #: left until the periodic sweep.
+        self._boundary = getattr(manager, "_next_boundary_ps", None)
+        self._countdown = CHECK_PERIOD
 
     @staticmethod
     def _enumerate_channels(memory) -> List[Tuple[str, object, object]]:
@@ -137,6 +143,17 @@ class SimulationSanitizer:
         self._check_blocking(cycle_ps)
         self._check_timeline(cycle_ps)
         self._check_controller_stats(cycle_ps)
+
+    def observe(self, arrival_ps: int) -> None:
+        """Per-record hook: sweep when the manager's interval boundary
+        moved (``_next_boundary_ps``), else every :data:`CHECK_PERIOD`
+        records since the last sweep."""
+        self._countdown -= 1
+        boundary = getattr(self.manager, "_next_boundary_ps", None)
+        if boundary != self._boundary or self._countdown == 0:
+            self._boundary = boundary
+            self._countdown = CHECK_PERIOD
+            self.check(arrival_ps)
 
     def check_final(self, trace, result, end_ps: int) -> None:
         """End-of-run conservation checks against the collected result."""
@@ -543,47 +560,23 @@ class SimulationSanitizer:
 def sanitized_simulate(trace, manager, throttle_cap_ps: Optional[int] = None):
     """The reference replay loop with invariant checks layered on.
 
-    Record handling, throttling, and finishing are byte-for-byte the
-    reference loop's (``tests/test_sanitize.py`` proves results are
-    field-for-field identical); the only additions are read-only
-    :class:`SimulationSanitizer` sweeps at interval boundaries (detected
-    by watching the manager's ``_next_boundary_ps``), every
-    :data:`CHECK_PERIOD` records, and after finishing.
+    Runs :func:`~repro.system.simulator.reference_simulate` itself, so
+    record handling, throttling, and finishing are the reference loop's
+    (``tests/test_sanitize.py`` proves results are field-for-field
+    identical); :meth:`SimulationSanitizer.observe` sweeps at interval
+    boundaries and every :data:`CHECK_PERIOD` records, and
+    :meth:`SimulationSanitizer.check_final` after finishing.
     """
     from ..system.simulator import (  # lazy: simulator imports us lazily too
         DEFAULT_THROTTLE_CAP_PS,
-        THROTTLE_SAMPLE_PERIOD,
+        reference_simulate,
     )
-    from ..system.stats import collect_result
 
     if throttle_cap_ps is None:
         throttle_cap_ps = DEFAULT_THROTTLE_CAP_PS
     sanitizer = SimulationSanitizer(manager)
-    handle = manager.handle
-    memory = manager.memory
-    last_ps = 0
-    offset_ps = 0
-    countdown = THROTTLE_SAMPLE_PERIOD
-    check_countdown = CHECK_PERIOD
-    boundary = getattr(manager, "_next_boundary_ps", None)
-    for arrival_ps, address, is_write, core in trace.records:
-        arrival_ps += offset_ps
-        handle(address, bool(is_write), arrival_ps, core)
-        last_ps = arrival_ps
-        check_countdown -= 1
-        new_boundary = getattr(manager, "_next_boundary_ps", None)
-        if new_boundary != boundary or check_countdown == 0:
-            boundary = new_boundary
-            check_countdown = CHECK_PERIOD
-            sanitizer.check(arrival_ps)
-        if throttle_cap_ps:
-            countdown -= 1
-            if countdown == 0:
-                countdown = THROTTLE_SAMPLE_PERIOD
-                backlog = memory.peak_bus_free_ps() - arrival_ps
-                if backlog > throttle_cap_ps:
-                    offset_ps += backlog - throttle_cap_ps
-    end_ps = manager.finish(last_ps)
-    result = collect_result(manager, trace, end_ps)
-    sanitizer.check_final(trace, result, end_ps)
+    result = reference_simulate(
+        trace, manager, throttle_cap_ps, observe=sanitizer.observe
+    )
+    sanitizer.check_final(trace, result, result.duration_ps)
     return result

@@ -39,10 +39,13 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .cfg import (
+    EXCEPTION,
     CFGNode,
+    FunctionCFG,
     FunctionDefNode,
     FunctionNode,
     build_cfg,
@@ -50,7 +53,6 @@ from .cfg import (
     stmt_defs,
     stmt_uses,
 )
-from .dataflow import reaches_exit_avoiding
 
 #: Files the hoist idiom is load-bearing in; the inferred-pair pass
 #: only runs here (declared ``# hoists:`` contracts work everywhere).
@@ -60,6 +62,48 @@ WRITEBACK_TARGET_FILES: Tuple[str, ...] = (
 )
 
 _HOISTS_RE = re.compile(r"#\s*hoists:\s*([A-Za-z0-9_.,\s]+)")
+
+
+def reaches_exit_avoiding(
+    cfg: FunctionCFG,
+    starts: Iterable[int],
+    avoid: Iterable[int],
+    *,
+    drop_start_exception_edges: bool = False,
+) -> bool:
+    """Can flow reach the exit from ``starts`` without entering ``avoid``?
+
+    This is the post-dominance question the checker asks of a restore
+    site, phrased as a plain reachability search.  ``avoid`` nodes are
+    walls: the search never enters them, so a ``False`` proves every
+    exit path passes through one of them.  With
+    ``drop_start_exception_edges`` the *first* hop out of a start node
+    ignores its own exception edges — the phrasing a mutation check
+    needs, because a statement that raises mid-flight never completed
+    its own mutation.
+    """
+    walls = set(avoid)
+    seen: Set[int] = set()
+    work: deque = deque()
+    for start in starts:
+        if start in walls:
+            continue
+        for dst, kind in cfg.succ.get(start, ()):
+            if drop_start_exception_edges and kind == EXCEPTION:
+                continue
+            if dst not in walls:
+                work.append(dst)
+    while work:
+        nid = work.popleft()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        if nid == cfg.exit:
+            return True
+        for dst, _kind in cfg.succ.get(nid, ()):
+            if dst not in walls and dst not in seen:
+                work.append(dst)
+    return False
 
 
 def _attr_key(node: ast.AST) -> Optional[str]:

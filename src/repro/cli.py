@@ -245,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--deep", action="store_true", default=False,
-        help="also run the CFG/dataflow checkers: hoist-writeback, "
-             "twin-parity, cache-key",
+        help="also run the CFG checkers: hoist-writeback, cache-key",
     )
     lint.add_argument(
         "--json", action="store_true", default=False, dest="as_json",

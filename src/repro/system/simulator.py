@@ -18,7 +18,7 @@ module remains the stable import path for simulation entry points.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Callable, Optional
 
 from ..common.config import require_in
 from ..geometry import MemoryGeometry
@@ -72,6 +72,7 @@ def reference_simulate(
     trace: Trace,
     manager: MemoryManager,
     throttle_cap_ps: int = DEFAULT_THROTTLE_CAP_PS,
+    observe: Optional[Callable[[int], None]] = None,
 ) -> SimulationResult:
     """The reference replay loop: one ``handle`` call per record.
 
@@ -88,6 +89,10 @@ def reference_simulate(
     remaining trace is shifted forward by the excess — time the cores
     spend stalled rather than issuing new misses.  ``throttle_cap_ps=0``
     disables the throttle (pure open-loop replay).
+
+    ``observe``, when given, is called with each record's arrival after
+    the record is handled and before the throttle sample; the sanitizer
+    hooks its read-only sweeps in here.
     """
     handle = manager.handle
     memory = manager.memory
@@ -98,6 +103,8 @@ def reference_simulate(
         arrival_ps += offset_ps
         handle(address, bool(is_write), arrival_ps, core)
         last_ps = arrival_ps
+        if observe is not None:
+            observe(arrival_ps)
         if throttle_cap_ps:
             countdown -= 1
             if countdown == 0:
@@ -124,7 +131,7 @@ def simulate(
 
     ``sanitize`` (explicit, or ambient via ``$REPRO_SANITIZE``) layers
     the runtime invariant checker of :mod:`repro.analysis.sanitize` on
-    the replay.  The sanitized loop is a reference-loop clone with
+    the replay.  The sanitizer observes the reference loop with
     read-only checks, so it overrides the kernel choice but still
     produces field-for-field identical results — at reference-loop
     speed, which is why sanitized runs are excluded from benchmark

@@ -15,9 +15,9 @@ All formats round-trip exactly; each binary header carries a magic, a
 version, the page size, and the record count so truncated or foreign
 files fail loudly instead of decoding garbage.  Encode/decode paths are
 vectorised through numpy when it is available and fall back to
-pure-Python struct/array twins otherwise — the twins are registered in
-the twin manifest and proven byte-identical by tests/test_trace_io.py
-and tests/test_trace_store.py.
+pure-Python struct/array twins otherwise; tests/test_trace_io.py and
+tests/test_trace_store.py prove the twins byte-identical, and CI runs
+both suites again on an interpreter without numpy.
 
 v2 columnar format, byte for byte
 ---------------------------------

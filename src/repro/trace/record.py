@@ -126,17 +126,18 @@ class Trace:
     def packed(self):
         """Columnar :class:`~repro.trace.packed.PackedTrace` view.
 
-        Cached on the trace; rebuilt if the record list was replaced or
-        resized since the last call (records are treated as immutable
-        otherwise).
+        Cached on the trace with the record list it was built from;
+        rebuilt if ``records`` is another object or was resized in place
+        since the last call (records are treated as immutable otherwise).
         """
         from .packed import PackedTrace
 
-        cached = getattr(self, "_packed_cache", None)
-        if cached is None or cached.length != len(self.records):
-            cached = PackedTrace(self.records)
-            self._packed_cache = cached
-        return cached
+        records = self.records
+        source, packed = getattr(self, "_packed_cache", (None, None))
+        if source is not records or packed.length != len(records):
+            packed = PackedTrace(records)
+            self._packed_cache = (records, packed)
+        return packed
 
     @classmethod
     def unchecked(cls, name: str, records: List[TraceRecord], page_bytes: int) -> "Trace":

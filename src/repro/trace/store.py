@@ -178,7 +178,7 @@ def _packed_trace(name: str, page_bytes: int, packed: PackedTrace) -> Trace:
     else:
         columns = (packed.arrivals, packed.addresses, packed.is_writes, packed.cores)
         trace = Trace.unchecked(name, list(zip(*columns)), page_bytes)
-    trace._packed_cache = packed
+    trace._packed_cache = (trace.records, packed)
     return trace
 
 

@@ -1,4 +1,4 @@
-"""Tests for the per-function CFG builder and dataflow layers.
+"""Tests for the per-function CFG builder and the write-back query.
 
 These pin the edge semantics the deep lint checkers rely on: abrupt
 jumps route through ``finally`` bodies, ``while/else`` runs only on
@@ -14,19 +14,13 @@ from repro.analysis.cfg import (
     EXCEPTION,
     FINALLY,
     NORMAL,
-    STMT,
     build_cfg,
     iter_function_scopes,
     stmt_defs,
     stmt_may_raise,
     stmt_uses,
 )
-from repro.analysis.dataflow import (
-    def_use_chains,
-    definitions_of,
-    postdominators,
-    reaches_exit_avoiding,
-)
+from repro.analysis.writeback import reaches_exit_avoiding
 
 
 def cfg_of(source, name=None):
@@ -73,12 +67,12 @@ class TestTryFinally:
     def test_restore_postdominates_every_path(self):
         cfg = cfg_of(self.SOURCE)
         restore = node_at(cfg, 8)
-        pdom = postdominators(cfg)
+        # The checker's must-pass query: neither the branch, the early
+        # return nor the mutation can reach the exit avoiding the restore.
         for line in (4, 5, 6):
-            assert restore in pdom[node_at(cfg, line)]
-        # Phrased as the checker's must-pass query: the mutation cannot
-        # reach the exit while avoiding the restore.
-        assert not reaches_exit_avoiding(cfg, [node_at(cfg, 6)], {restore})
+            assert not reaches_exit_avoiding(cfg, [node_at(cfg, line)], {restore})
+        # The hoist save before the try is not covered by it.
+        assert reaches_exit_avoiding(cfg, [node_at(cfg, 2)], {restore})
 
     def test_body_exception_enters_finally(self):
         cfg = cfg_of(self.SOURCE)
@@ -269,36 +263,6 @@ class TestUnreachableCode:
         assert cfg.node_of(func.body[1]) is None
 
 
-class TestDefUseChains:
-    SOURCE = """\
-    def f(cond):
-        x = 1
-        if cond:
-            x = 2
-        return x
-    """
-
-    def test_use_sees_both_reaching_definitions(self):
-        cfg = cfg_of(self.SOURCE)
-        chains = def_use_chains(cfg)
-        ret = node_at(cfg, 5)
-        defs = {node_at(cfg, 2), node_at(cfg, 4)}
-        assert chains[(ret, "x")] == defs
-        assert definitions_of(cfg, "x") == sorted(defs)
-
-    def test_rebind_kills_earlier_definition(self):
-        cfg = cfg_of(
-            """\
-            def f():
-                x = 1
-                x = 2
-                return x
-            """
-        )
-        chains = def_use_chains(cfg)
-        assert chains[(node_at(cfg, 4), "x")] == {node_at(cfg, 3)}
-
-
 class TestPostdominators:
     def test_diamond_join(self):
         cfg = cfg_of(
@@ -311,13 +275,14 @@ class TestPostdominators:
                 return a
             """
         )
-        pdom = postdominators(cfg)
         ret = node_at(cfg, 6)
-        # The simple assignments cannot raise, so the return is on every
-        # path out of them; the if header CAN raise (its test evaluates
-        # code), so only the exit post-dominates it.
+        # The simple assignments cannot raise, so every path out of them
+        # passes the return; the if header CAN raise (its test evaluates
+        # code), so it has an exit path around the return, and either
+        # branch alone does not cover it.
         for line in (3, 5):
-            assert ret in pdom[node_at(cfg, line)]
-        assert ret not in pdom[node_at(cfg, 2)]
-        assert cfg.exit in pdom[node_at(cfg, 2)]
-        assert node_at(cfg, 3) not in pdom[node_at(cfg, 2)]
+            assert not reaches_exit_avoiding(cfg, [node_at(cfg, line)], {ret})
+        header = node_at(cfg, 2)
+        assert reaches_exit_avoiding(cfg, [header], {ret})
+        assert reaches_exit_avoiding(cfg, [header], {node_at(cfg, 3)})
+        assert reaches_exit_avoiding(cfg, [header], {node_at(cfg, 5)})

@@ -8,25 +8,14 @@ finding.
 
 import io
 import json
-from pathlib import Path
-
-import pytest
 
 from repro.analysis import cachekey as cachekey_mod
-from repro.analysis import twins as twins_mod
 from repro.analysis.cachekey import check_cache_keys
 from repro.analysis.lint import (
     deep_findings,
     load_allowlist,
     package_root,
     run_lint,
-)
-from repro.analysis.twins import (
-    TwinPair,
-    check_twin_parity,
-    load_twin_manifest,
-    twin_fingerprints,
-    write_twin_manifest,
 )
 from repro.analysis.writeback import check_writeback_source
 
@@ -174,64 +163,6 @@ class TestWritebackAcceptance:
         assert any("_next_boundary_ps" in f[3] for f in findings)
 
 
-class TestTwinParity:
-    def test_shipped_tree_clean(self):
-        assert check_twin_parity() == []
-
-    def test_manifest_round_trip(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        write_twin_manifest(prints, manifest)
-        assert load_twin_manifest(manifest) == prints
-        assert check_twin_parity(manifest_path=manifest) == []
-
-    def test_drift_fires(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        side = "repro/trace/packed.py::PackedTrace.chunk_groups_streamed"
-        prints[side] = "stale-fingerprint"
-        write_twin_manifest(prints, manifest)
-        findings = check_twin_parity(manifest_path=manifest)
-        assert len(findings) == 1
-        assert findings[0][2] == "PackedTrace.chunk_groups_streamed"
-        assert "changed since" in findings[0][3]
-
-    def test_unacknowledged_side_fires(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        del prints["repro/trace/packed.py::PackedTrace.chunk_groups_streamed"]
-        write_twin_manifest(prints, manifest)
-        findings = check_twin_parity(manifest_path=manifest)
-        assert len(findings) == 1
-        assert "not in the twin manifest" in findings[0][3]
-
-    def test_signature_mismatch_fires(self, tmp_path, monkeypatch):
-        pkg = tmp_path / "repro"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(
-            "def fast(a, b):\n    return a + b\n\n"
-            "def slow(a):\n    return a\n"
-        )
-        pair = TwinPair("demo", "repro/mod.py::fast", "repro/mod.py::slow")
-        monkeypatch.setattr(twins_mod, "TWIN_PAIRS", (pair,))
-        manifest = tmp_path / "twins.json"
-        write_twin_manifest(twin_fingerprints(pkg), manifest)
-        findings = check_twin_parity(pkg, manifest)
-        assert len(findings) == 1
-        assert "signature mismatch" in findings[0][3]
-
-    def test_missing_side_fires(self, tmp_path, monkeypatch):
-        pkg = tmp_path / "repro"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text("def fast(a):\n    return a\n")
-        pair = TwinPair("demo", "repro/mod.py::fast", "repro/mod.py::gone")
-        monkeypatch.setattr(twins_mod, "TWIN_PAIRS", (pair,))
-        manifest = tmp_path / "twins.json"
-        write_twin_manifest(twin_fingerprints(pkg), manifest)
-        findings = check_twin_parity(pkg, manifest)
-        assert any("is missing" in f[3] for f in findings)
-
-
 class TestCacheKey:
     def test_shipped_tree_clean(self):
         assert check_cache_keys() == []
@@ -297,8 +228,32 @@ class TestDeepLintIntegration:
         assert code == 0
         out = buf.getvalue()
         assert "repro lint: clean" in out
-        for rule in ("hoist-writeback", "twin-parity", "cache-key"):
+        for rule in ("hoist-writeback", "cache-key"):
             assert rule in out
+        assert "twin-parity" not in out
+
+    def test_update_manifest_writes_only_the_given_path(self, tmp_path):
+        # The package's own manifests stay untouched when a path is given.
+        analysis = package_root() / "analysis"
+
+        def snapshot():
+            return {
+                p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in analysis.glob("*.json")
+            }
+
+        before = snapshot()
+        manifest = tmp_path / "manifest.json"
+        buf = io.StringIO()
+        run_lint(
+            manifest_path=manifest,
+            update_manifest=True,
+            skip_annotations=True,
+            stream=buf,
+        )
+        assert json.loads(manifest.read_text(encoding="utf-8"))
+        assert snapshot() == before
+        assert "twin" not in buf.getvalue()
 
     def test_run_lint_json_emits_json_lines(self, monkeypatch):
         # Seed a deep finding (un-account an env var) and demand pure

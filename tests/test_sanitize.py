@@ -11,6 +11,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.analysis.sanitize import (
+    CHECK_PERIOD,
     SANITIZE_ENV_VAR,
     SanitizerError,
     SimulationSanitizer,
@@ -108,6 +109,64 @@ class TestResultIdentity:
         sanitized_simulate(_trace(geometry), build_manager("mempod", geometry))
         # at least one boundary/periodic sweep before the final check
         assert len(cycles) >= 2
+
+
+class TestCheckCadence:
+    """The exact cycles the sanitizer sweeps at, derived from the trace.
+
+    A sweep runs at the arrival of every record that moves the manager's
+    interval boundary, and otherwise at every CHECK_PERIOD-th record
+    since the last sweep; the final sweep runs at ``duration_ps``.  The
+    throttle is off, so arrivals are the trace's own timestamps.
+    """
+
+    @staticmethod
+    def _sweeps(monkeypatch, trace, manager):
+        cycles = []
+        original = SimulationSanitizer.check
+
+        def recording(self, cycle_ps):
+            cycles.append(cycle_ps)
+            original(self, cycle_ps)
+
+        monkeypatch.setattr(SimulationSanitizer, "check", recording)
+        result = sanitized_simulate(trace, manager, throttle_cap_ps=0)
+        return cycles, result
+
+    def test_periodic_only(self, geometry, monkeypatch):
+        trace = _trace(geometry)
+        cycles, result = self._sweeps(
+            monkeypatch, trace, build_manager("thm", geometry)
+        )
+        arrivals = [record[0] for record in trace.records]
+        expected = arrivals[CHECK_PERIOD - 1::CHECK_PERIOD]
+        assert len(expected) == 3
+        assert cycles == expected + [result.duration_ps]
+
+    def test_boundaries_restart_the_countdown(self, geometry, monkeypatch):
+        interval_ps = 10_000_000
+        trace = _trace(geometry)
+        cycles, result = self._sweeps(
+            monkeypatch,
+            trace,
+            build_manager("mempod", geometry, interval_ps=interval_ps),
+        )
+        expected = []
+        boundary_sweeps = periodic_sweeps = 0
+        next_boundary = interval_ps
+        countdown = CHECK_PERIOD
+        for arrival, _address, _is_write, _core in trace.records:
+            crossed = arrival >= next_boundary
+            while arrival >= next_boundary:
+                next_boundary += interval_ps
+            countdown -= 1
+            if crossed or countdown == 0:
+                expected.append(arrival)
+                boundary_sweeps += crossed
+                periodic_sweeps += not crossed
+                countdown = CHECK_PERIOD
+        assert boundary_sweeps >= 2 and periodic_sweeps >= 1
+        assert cycles == expected + [result.duration_ps]
 
 
 class TestSimCellRecordsSanitize:

@@ -200,6 +200,42 @@ class TestTracePackedAccessor:
         assert second is not first
         assert second.length == len(RECORDS) + 1
 
+    def test_packed_rebuilds_after_same_length_replacement(self):
+        trace = Trace(name="t", records=list(RECORDS))
+        first = trace.packed()
+        trace.records = [(t + 1, a, w, c) for t, a, w, c in RECORDS]
+        second = trace.packed()
+        assert second is not first
+        assert second.arrivals == [r[0] + 1 for r in RECORDS]
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["eager", "columns"])
+    def test_fast_replay_sees_replaced_records(self, columns):
+        """Regression: a same-length ``records`` swap kept the old
+        packed columns, so the fast kernel replayed the old records."""
+        from dataclasses import asdict
+
+        from repro.geometry import scaled_geometry
+        from repro.system.simulator import build_manager, simulate
+        from repro.trace import build_trace, get_workload
+
+        geometry = scaled_geometry(32)
+
+        def synth(workload):
+            return build_trace(
+                get_workload(workload), geometry, length=2_000, seed=5
+            ).trace
+
+        trace, other = synth("xalanc"), synth("mcf")
+        if not columns:
+            trace = Trace.from_records(trace.name, trace.records, trace.page_bytes)
+        simulate(trace, build_manager("tlm", geometry), kernel="fast")
+        trace.records = list(other.records)
+        fast = simulate(trace, build_manager("tlm", geometry), kernel="fast")
+        reference = simulate(
+            trace, build_manager("tlm", geometry), kernel="reference"
+        )
+        assert asdict(fast) == asdict(reference)
+
 
 class TestSliced:
     def test_sliced_preserves_contents(self):
