@@ -20,7 +20,6 @@ simulating.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest

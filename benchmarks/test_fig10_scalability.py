@@ -11,7 +11,7 @@ latency ratio).
 
 from conftest import emit
 
-from repro.experiments import run_comparison, run_fig10
+from repro.experiments import run_fig10
 
 
 def test_fig10_scalability(benchmark, config, results_dir):

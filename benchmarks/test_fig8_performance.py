@@ -13,7 +13,6 @@ Paper shapes checked (see EXPERIMENTS.md for magnitude discussion):
 from conftest import emit
 
 from repro.experiments import run_comparison
-from repro.trace.workloads import HOMOGENEOUS_NAMES
 
 
 def test_fig8_performance(benchmark, config, results_dir):

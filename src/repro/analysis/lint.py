@@ -134,6 +134,9 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/dram/controller.py::ChannelController._choose",
     "repro/dram/controller.py::ChannelController._service_at",
     "repro/dram/bank.py::Bank.access",
+    # the address mapping the kernels inline at their remapped-decode
+    # sites (shifts and masks hoisted into locals)
+    "repro/dram/address.py::AddressMapper.fast_decode",
     # the migration datapath's batched transaction pattern (CAMEO's
     # kernel issues the line-swap pattern and its swap count inline),
     # and the kernels' swap sink that merges it into buffered demand

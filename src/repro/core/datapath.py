@@ -74,7 +74,7 @@ class MigrationEngine:
         #: When set, :meth:`swap_pages` issues its transaction pattern
         #: as page-copy runs (``ChannelController.enqueue_run``, a
         #: one-run ``enqueue_batch`` call) or, on a shared controller,
-        #: one ``enqueue_batch`` column, instead of per-line ``enqueue``
+        #: one ``enqueue_batch`` entry list, instead of per-line ``enqueue``
         #: calls.  Bit-identical (controllers share no state and
         #: per-controller order is preserved), so the columnar replay
         #: kernels flip it on for the duration of a run (restored in
@@ -90,7 +90,7 @@ class MigrationEngine:
         #:          at_ps, write_ps, lines)
         #:
         #: The columnar replay kernels install one that *merges* the
-        #: swap's per-controller runs into their buffered demand columns
+        #: swap's per-controller runs into their buffered demand entries
         #: (see ``repro.kernel.replay._swap_merged_buffers``), so a due
         #: swap no longer forces the buffered demand out of the batched
         #: path.  The sink owner is responsible for replaying the
@@ -159,16 +159,17 @@ class MigrationEngine:
         elif self.batch_swaps:
             if ctrl_a is ctrl_b:
                 # One shared controller sees the interleaved a/b pattern
-                # as a single column: 2*lines reads, then 2*lines writes.
-                banks = [bank_a, bank_b] * lines
-                rows = [row_a, row_b] * lines
+                # as a single entry list: 2*lines reads, then 2*lines
+                # writes.
                 ctrl_a.enqueue_batch(
-                    banks + banks,
-                    rows + rows,
-                    [False] * (2 * lines) + [True] * (2 * lines),
-                    [at_ps] * (2 * lines) + [write_ps] * (2 * lines),
-                    None,
-                    MIGRATION,
+                    [
+                        (at_ps, at_ps, bank_a, row_a, False, MIGRATION),
+                        (at_ps, at_ps, bank_b, row_b, False, MIGRATION),
+                    ] * lines
+                    + [
+                        (write_ps, write_ps, bank_a, row_a, True, MIGRATION),
+                        (write_ps, write_ps, bank_b, row_b, True, MIGRATION),
+                    ] * lines
                 )
             else:
                 # Distinct controllers share no state, so each side's

@@ -28,11 +28,12 @@ Two service datapaths share the same semantics:
 
 * :meth:`ChannelController.enqueue` — the reference path, one
   transaction per call;
-* :meth:`ChannelController.enqueue_batch` — the columnar path the
-  replay kernels use: whole per-controller columns, and the page-copy
-  runs queued between their elements, handed down at once,
-  serviced with controller, bank, and stats state hoisted into locals,
-  an idle-channel drain fast path for the uncontended common case, and
+* :meth:`ChannelController.enqueue_batch` — the batched path the
+  replay kernels use: a list of pending-entry tuples per controller,
+  built by the kernel in the buffer's own layout, and the page-copy
+  runs queued between its elements, handed down at once, serviced
+  with controller, bank, and stats state hoisted into locals, an
+  idle-channel drain fast path for the uncontended common case, and
   run-length row-hit streaming.  It must stay bit-for-bit equal to
   calling ``enqueue`` per element — ``tests/test_dram_controller_batch.py``
   and the kernel differential suite enforce it, and the scheduling
@@ -60,7 +61,8 @@ from .timing import DramTiming
 REQUEST_BYTES = 64
 
 #: Pending-buffer entry layout (plain tuple, index-addressed):
-#: ``(arrival_ps, account_ps, bank, row, is_write, kind)``.
+#: ``(arrival_ps, account_ps, bank, row, is_write, kind)``.  It is also
+#: the unit :meth:`ChannelController.enqueue_batch` takes.
 PendingEntry = Tuple[int, int, int, int, int, int]
 
 
@@ -278,46 +280,31 @@ class ChannelController:
                 break
             service_at(idx)
 
-    def enqueue_batch(
-        self,
-        banks,
-        rows,
-        is_writes,
-        arrivals,
-        accounts=None,
-        kind: int = DEMAND,
-        kinds=None,
-        runs=None,
-    ) -> None:
-        """Columnar :meth:`enqueue`: service whole per-controller columns.
+    def enqueue_batch(self, entries, runs=None) -> None:
+        """Batched :meth:`enqueue`: service a list of pending entries.
 
-        Bit-for-bit equal to calling ``enqueue(banks[i], rows[i],
-        is_writes[i], arrivals[i], kinds[i], accounts[i])`` for each
-        ``i`` in order, but with every controller, bank, and stats field
-        hoisted into locals for the whole batch.  ``accounts=None``
-        accounts each element from its own arrival; ``kinds=None``
-        applies the scalar ``kind`` to every element (the migrating
-        replay kernels pass a per-element kind column when they merge
-        swap traffic into a buffered demand column).  Every element
-        reads its kind from the column, so a mixed column is serviced
-        in one pass: kind only buckets the per-kind stats and never
-        steers a scheduling decision, and the closed-form episodes only
-        collapse runs whose kinds match too.  The column is
-        replayed in *reference enqueue order* — arrivals need not be
-        monotone (migration write-backs carry future timestamps), the
-        loop is an exact per-element clone either way.
+        ``entries`` holds :data:`PendingEntry` tuples ``(arrival_ps,
+        account_ps, bank, row, is_write, kind)`` — the pending buffer's
+        own layout, so an element enters the buffer as the very tuple
+        the caller built.  The call is bit-for-bit equal to
+        ``enqueue(bank, row, is_write, arrival_ps, kind, account_ps)``
+        for each entry in order, but with every controller, bank, and
+        stats field hoisted into locals for the whole batch.  Kind only
+        buckets the per-kind stats and never steers a scheduling
+        decision, so a list mixing demand and migration traffic is
+        serviced in one pass.  Entries are replayed in *reference
+        enqueue order* — arrivals need not be monotone (migration
+        write-backs carry future timestamps).
 
-        ``runs`` is an optional list of page-copy runs, ``(pos, bank,
-        row, is_write, arrival, count, kind)`` with ``pos`` ascending
-        (a ``ValueError`` otherwise, raised before anything is serviced):
-        ``count`` identical transactions, each accounted from its own
-        arrival, enqueued right before column element ``pos`` (``pos ==
-        len(arrivals)`` appends the run after the column).  The call
-        splits into segments — stretches of the column between run
-        positions, and each run as a *twin column* of ``count`` copies
-        of one element — and feeds them to the engines below in order,
-        so a run costs no Python call per element and no call of its
-        own.
+        ``runs`` is an optional list of page-copy runs, ``(pos, entry,
+        count)`` with ``pos`` ascending (a ``ValueError`` otherwise,
+        raised before anything is serviced): ``count`` copies of
+        ``entry`` enqueued right before element ``pos`` (``pos ==
+        len(entries)`` appends the run after the list).  The call splits
+        into segments — stretches of ``entries`` between run positions,
+        and each run as a *twin column* ``[entry] * count`` — and feeds
+        them to the engines below in order, so a run costs no Python
+        call per element and no call of its own.
 
         Two engines alternate inside the loop:
 
@@ -325,8 +312,8 @@ class ChannelController:
           transaction and each arrival past the previous transaction's
           service start, the scheduler provably services the older
           transaction immediately (the window never fills), so the loop
-          keeps the single in-flight transaction in locals and never
-          touches the pending buffer; consecutive same-bank same-row
+          holds the single in-flight entry in locals and never touches
+          the pending buffer; consecutive same-bank same-row
           transactions stream as a run-length row-hit burst with the
           bank's fields cached in locals too.
         * **scan engine** — contended stretches run the window-bounded
@@ -343,6 +330,11 @@ class ChannelController:
           the episode re-forms as soon as the drain has worked off the
           demand queued ahead of the run.
 
+        Per service the engines update only the per-kind counts and
+        latencies, the write count and the row hits; ``served``, the
+        read count and the total latency are derived from them on exit,
+        exactly as ``_service_at`` keeps them in step.
+
         ``window == 1`` defeats both the fast path (an uncontended pair
         forced through ``_choose`` may reorder) and the episode
         preconditions, so an FCFS controller takes the reference
@@ -352,44 +344,29 @@ class ChannelController:
         :class:`ServicePathStats` sidecar (``self.service_paths``) —
         observability only, never part of a simulation result.
         """
-        stop = len(arrivals)
+        stop = len(entries)
         if not stop and not runs:
             return
-        if kinds is None:
-            kinds = [kind] * stop
-        if accounts is None:
-            accounts = arrivals
-        # Segments ``(banks, rows, is_writes, arrivals, accounts, kinds,
-        # start, stop, twin)``, kept last-first for ``pop``: column
-        # stretches, and each run as a twin column (``twin`` set).  A
-        # run-free call builds none: its column is the one segment,
-        # already in the engine's locals.
+        # Segments ``(entries, start, stop, twin)``, kept last-first for
+        # ``pop``: stretches of the list, and each run as a twin column
+        # (``twin`` set).  A run-free call builds none: its list is the
+        # one segment, already in the engine's locals.
         if runs:
             segments = []
             lo = 0
-            for pos, r_bank, r_row, r_w, r_arr, count, r_kind in runs:
+            for pos, r_entry, count in runs:
                 if pos != lo:
                     if not lo < pos <= stop:
                         raise ValueError(
                             f"run position {pos} outside [{lo}, {stop}]: runs "
-                            "must be sorted by position within the column"
+                            "must be sorted by position within the entries"
                         )
-                    segments.append((
-                        banks, rows, is_writes, arrivals, accounts, kinds,
-                        lo, pos, False,
-                    ))
+                    segments.append((entries, lo, pos, False))
                     lo = pos
                 if count > 0:
-                    r_col = [r_arr] * count
-                    segments.append((
-                        [r_bank] * count, [r_row] * count, [r_w] * count,
-                        r_col, r_col, [r_kind] * count, 0, count, True,
-                    ))
+                    segments.append(([r_entry] * count, 0, count, True))
             if stop > lo:
-                segments.append((
-                    banks, rows, is_writes, arrivals, accounts, kinds,
-                    lo, stop, False,
-                ))
+                segments.append((entries, lo, stop, False))
             segments.reverse()
             stop = 0  # the engine loads the first segment on entry
         else:
@@ -402,13 +379,10 @@ class ChannelController:
             before = stats.served
             enqueue = self.enqueue
             if not runs:
-                segments = [(banks, rows, is_writes, arrivals, accounts, kinds, 0, stop, False)]
-            for banks, rows, is_writes, arrivals, accounts, kinds, i, stop, _ in reversed(
-                segments
-            ):
-                for i in range(i, stop):
-                    enqueue(banks[i], rows[i], is_writes[i], arrivals[i], kinds[i],
-                            accounts[i])
+                segments = [(entries, 0, stop, False)]
+            for entries, i, stop, _ in reversed(segments):
+                for arrival, account, bank, row, is_write, kind in entries[i:stop]:
+                    enqueue(bank, row, is_write, arrival, kind, account)
             self.service_paths.scalar_fallback_served += stats.served - before
             return
         if not self._dirty:
@@ -435,11 +409,8 @@ class ChannelController:
         next_refresh = self._next_refresh_ps
         refreshes = self.refreshes
         last_completion = self.last_completion_ps
-        served = 0
-        n_reads = 0
         n_writes = 0
         row_hits = 0
-        total_lat = 0
         demand_lat = 0
         migration_lat = 0
         bookkeeping_lat = 0
@@ -460,25 +431,21 @@ class ChannelController:
                 if i >= stop:
                     if not segments:
                         break
-                    (banks, rows, is_writes, arrivals, accounts, kinds, i, stop,
-                     twin) = segments.pop()
+                    entries, i, stop, twin = segments.pop()
                     continue
                 if len(pending) <= 1:
                     # -- idle-channel drain fast path -----------------------
-                    # Holds the one in-flight transaction in locals; the
+                    # Holds the one in-flight entry ``p`` in locals; the
                     # pending buffer is only touched again on exit.
                     if pending:
-                        p_arr, p_acc, p_bank, p_row, p_w, p_kind = pending.pop()
+                        p = pending.pop()
                     else:
-                        p_arr = arrivals[i]
-                        p_acc = accounts[i]
-                        p_bank = banks[i]
-                        p_row = rows[i]
-                        p_w = is_writes[i]
-                        p_kind = kinds[i]
+                        p = entries[i]
                         i += 1
+                    p_arr, p_acc, p_bank, p_row, p_w, p_kind = p
                     while i < stop:
-                        arrival = arrivals[i]
+                        entry = entries[i]
+                        arrival = entry[0]
                         bank = bank_list[p_bank]
                         busy = bank.busy_until_ps
                         start = p_arr if p_arr > busy else busy
@@ -529,30 +496,21 @@ class ChannelController:
                         bus_free = completion
                         if completion > last_completion:
                             last_completion = completion
-                        served += 1
                         if p_w:
                             n_writes += 1
-                        else:
-                            n_reads += 1
-                        latency = completion - p_acc
-                        total_lat += latency
                         if p_kind == DEMAND:
-                            demand_lat += latency
+                            demand_lat += completion - p_acc
                             demand_n += 1
                         elif p_kind == MIGRATION:
-                            migration_lat += latency
+                            migration_lat += completion - p_acc
                             migration_n += 1
                         else:
-                            bookkeeping_lat += latency
+                            bookkeeping_lat += completion - p_acc
                             bookkeeping_n += 1
                         s_bank = p_bank
                         s_row = p_row
-                        p_arr = arrival
-                        p_acc = accounts[i]
-                        p_bank = banks[i]
-                        p_row = rows[i]
-                        p_w = is_writes[i]
-                        p_kind = kinds[i]
+                        p = entry
+                        p_arr, p_acc, p_bank, p_row, p_w, p_kind = entry
                         i += 1
                         if p_bank != s_bank or p_row != s_row:
                             continue
@@ -563,7 +521,8 @@ class ChannelController:
                         # the streak back to the full path above).
                         run_hits = 0
                         while i < stop:
-                            arrival = arrivals[i]
+                            entry = entries[i]
+                            arrival = entry[0]
                             start = p_arr if p_arr > bank_busy else bank_busy
                             if start >= arrival:
                                 break
@@ -579,28 +538,19 @@ class ChannelController:
                                 data_ready if data_ready > bus_free else bus_free
                             ) + burst
                             bus_free = completion
-                            served += 1
                             if p_w:
                                 n_writes += 1
-                            else:
-                                n_reads += 1
-                            latency = completion - p_acc
-                            total_lat += latency
                             if p_kind == DEMAND:
-                                demand_lat += latency
+                                demand_lat += completion - p_acc
                                 demand_n += 1
                             elif p_kind == MIGRATION:
-                                migration_lat += latency
+                                migration_lat += completion - p_acc
                                 migration_n += 1
                             else:
-                                bookkeeping_lat += latency
+                                bookkeeping_lat += completion - p_acc
                                 bookkeeping_n += 1
-                            p_arr = arrival
-                            p_acc = accounts[i]
-                            p_bank = banks[i]
-                            p_row = rows[i]
-                            p_w = is_writes[i]
-                            p_kind = kinds[i]
+                            p = entry
+                            p_arr, p_acc, p_bank, p_row, p_w, p_kind = entry
                             i += 1
                             if p_bank != s_bank or p_row != s_row:
                                 break
@@ -610,7 +560,7 @@ class ChannelController:
                             bank.busy_until_ps = bank_busy
                             if completion > last_completion:
                                 last_completion = completion
-                    pending.append((p_arr, p_acc, p_bank, p_row, p_w, p_kind))
+                    pending.append(p)
                     if i >= stop:
                         continue  # segment done: on to the next one
                     # The next element is contended against the held one:
@@ -644,13 +594,9 @@ class ChannelController:
                     if v != prev:
                         uni = False
                         break
-                s0 = served - closed_served
+                s0 = demand_n + migration_n + bookkeeping_n - closed_served
                 while i < stop:
-                    arrival = arrivals[i]
-                    entry = (
-                        arrival, accounts[i], banks[i], rows[i],
-                        is_writes[i], kinds[i],
-                    )
+                    entry = entries[i]
                     # -- closed-form backlog episode --------------------
                     # With the buffer holding only twins of the incoming
                     # element, appends below the window are provably
@@ -673,15 +619,7 @@ class ChannelController:
                         e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
                         if not twin:
                             j = i + 1
-                            while (
-                                j < stop
-                                and arrivals[j] == e_arr
-                                and banks[j] == e_bank
-                                and rows[j] == e_row
-                                and is_writes[j] == e_w
-                                and accounts[j] == e_acc
-                                and kinds[j] == e_kind
-                            ):
+                            while j < stop and entries[j] == entry:
                                 j += 1
                         else:
                             j = stop
@@ -738,12 +676,8 @@ class ChannelController:
                             row_hits += run
                             if bus_free > last_completion:
                                 last_completion = bus_free
-                            served += run
                             if e_w:
                                 n_writes += run
-                            else:
-                                n_reads += run
-                            total_lat += lat
                             if e_kind == DEMAND:
                                 demand_lat += lat
                                 demand_n += run
@@ -773,6 +707,12 @@ class ChannelController:
                         uni = twin
                         if k == 1:
                             break  # lone transaction: back to the fast path
+                    arrival = entry[0]
+                    if k == 2 and pending[0][0] >= arrival:
+                        # Neither entry can start before this arrival:
+                        # every start is at least its own arrival, and
+                        # the other entry is the incoming one.
+                        continue
                     # The window-bounded drain, ``_choose`` and
                     # ``_service_at`` inlined once: while the buffer is
                     # over the window the chosen entry is serviced
@@ -786,8 +726,10 @@ class ChannelController:
                             same_direction = -1
                             for idx, cand in enumerate(pending):
                                 if bank_list[cand[2]].open_row == cand[3]:
-                                    if cand[0] > pending[0][0] + starvation:
-                                        idx = 0  # age promotion beats the row hit
+                                    # Age promotion beats the row hit; a
+                                    # hit at the head is the head anyway.
+                                    if idx and cand[0] > pending[0][0] + starvation:
+                                        idx = 0
                                     break
                                 if same_direction < 0 and cand[4] == last_was_write:
                                     same_direction = idx
@@ -856,21 +798,16 @@ class ChannelController:
                         bus_free = completion
                         if completion > last_completion:
                             last_completion = completion
-                        served += 1
                         if c_w:
                             n_writes += 1
-                        else:
-                            n_reads += 1
-                        latency = completion - c_acc
-                        total_lat += latency
                         if c_kind == DEMAND:
-                            demand_lat += latency
+                            demand_lat += completion - c_acc
                             demand_n += 1
                         elif c_kind == MIGRATION:
-                            migration_lat += latency
+                            migration_lat += completion - c_acc
                             migration_n += 1
                         else:
-                            bookkeeping_lat += latency
+                            bookkeeping_lat += completion - c_acc
                             bookkeeping_n += 1
                     if k <= 1:
                         break  # drained: the fast path takes over
@@ -878,7 +815,9 @@ class ChannelController:
                 # an episode's, and the episodes tracked their own count,
                 # so the scan tally is the served delta minus the closed
                 # delta — no per-service increment in the drain.
-                scan_served += served - closed_served - s0
+                scan_served += (
+                    demand_n + migration_n + bookkeeping_n - closed_served - s0
+                )
 
         finally:
             self.bus_free_ps = bus_free
@@ -886,12 +825,13 @@ class ChannelController:
             self._next_refresh_ps = next_refresh
             self.refreshes = refreshes
             self.last_completion_ps = last_completion
+            served = demand_n + migration_n + bookkeeping_n
             stats = self.stats
             stats.served += served
-            stats.reads += n_reads
+            stats.reads += served - n_writes
             stats.writes += n_writes
             stats.row_hits += row_hits
-            stats.total_latency_ps += total_lat
+            stats.total_latency_ps += demand_lat + migration_lat + bookkeeping_lat
             stats.demand_latency_ps += demand_lat
             stats.migration_latency_ps += migration_lat
             stats.bookkeeping_latency_ps += bookkeeping_lat
@@ -914,15 +854,12 @@ class ChannelController:
     ) -> None:
         """``count`` identical :meth:`enqueue` calls, bit for bit.
 
-        One page-copy run through :meth:`enqueue_batch` with empty
-        columns.  The replay kernels pass their runs inside the
-        ``enqueue_batch`` call that carries the demand around them;
-        this entry point serves ``MigrationEngine.swap_pages``'
-        ``batch_swaps`` path (interval boundaries and ``finish``).
+        One page-copy run through :meth:`enqueue_batch` with no entries;
+        the replay kernels pass their runs inside the ``enqueue_batch``
+        call that carries the demand around them.
         """
         self.enqueue_batch(
-            (), (), (), (), None, kind, None,
-            [(0, bank, row, is_write, arrival_ps, count, kind)],
+            (), [(0, (arrival_ps, arrival_ps, bank, row, is_write, kind), count)]
         )
 
     def flush(self) -> int:

@@ -22,8 +22,9 @@ mutations with the per-record overhead hoisted out:
   dirty-channel cache instead of scanning every controller per sample;
 * the DRAM datapath is **batched**: instead of one
   ``ChannelController.enqueue`` call per record, transactions are
-  regrouped by controller index and whole columns go down one
-  ``enqueue_batch`` call per controller — exact because controllers
+  regrouped by controller index and each controller's list of
+  pending-entry tuples ``(arrival, account, bank, row, is_write,
+  kind)`` goes down one ``enqueue_batch`` call — exact because controllers
   share no state, intra-controller order is preserved, and the offset
   only changes at chunk boundaries.
 
@@ -31,7 +32,8 @@ Each mechanism has one kernel, chosen because it measured fastest:
 
 * tlm / single-level replay every chunk pre-grouped by controller:
   ``PackedTrace.chunk_groups_streamed`` decodes a window, sorts it once
-  by (chunk, controller) and yields each chunk's groups as list slices;
+  by (chunk, controller) and yields each chunk's columns in that order,
+  with each controller's span;
   numpy-free installs group through the eager ``chunk_groups``;
 * mempod, thm, hma and cameo are per-record loops over
   :func:`_record_stream`, which decodes the trace one bounded window
@@ -42,7 +44,7 @@ Each mechanism has one kernel, chosen because it measured fastest:
   its full-counter updates into one ``FullCountersTracker.record_batch``
   call per epoch or window.  All four share one buffered datapath
   (:func:`_swap_merged_buffers`): demand and swap traffic append to
-  per-controller columns that flush through one ``enqueue_batch`` call
+  per-controller entry buffers that flush through one ``enqueue_batch`` call
   per controller per chunk — mempod's, thm's and hma's page swaps as
   page-copy runs recorded through the engine's swap sink, cameo's line
   swaps (one on nearly every slow access) appended inline.
@@ -81,7 +83,7 @@ by ``tests/test_trace_store.py``.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from ..common.errors import MigrationError
 from ..core.mempod import MemPodManager
@@ -373,30 +375,27 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
     Fully batched: every throttle chunk arrives already regrouped by
     controller index — from the windowed ``chunk_groups_streamed``
     generator (O(window) memory), or the eager ``chunk_groups`` on
-    numpy-free installs (identical chunks) — so
-    the replay is one ``enqueue_batch`` call per (chunk, controller)
-    plus the throttle sample — no per-record Python work at all while
-    the offset is zero.
+    numpy-free installs (identical chunks) — so the replay zips the
+    chunk's ``DEMAND`` pending entries once and makes one
+    ``enqueue_batch`` call per (chunk, controller), plus the throttle
+    sample.  Entries are built one chunk at a time, never a window at a
+    time: a window's worth of live tuples would wake the cyclic garbage
+    collector over and over, a chunk's never does.
     """
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = manager.memory.peak_bus_free_ps
     arrivals = packed.arrivals
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    demand = DEMAND
+    demand = repeat(DEMAND)
     last_ps = 0
     offset = 0
     pos = 0
-    for count, groups in chunks:
+    for count, at, banks, rows, is_writes, spans in chunks:
         if offset:
-            for ci, bank_col, row_col, write_col, arrival_col in groups:
-                batch[ci](
-                    bank_col, row_col, write_col,
-                    [arrival + offset for arrival in arrival_col],
-                    None, demand,
-                )
-        else:
-            for ci, bank_col, row_col, write_col, arrival_col in groups:
-                batch[ci](bank_col, row_col, write_col, arrival_col, None, demand)
+            at = [arrival + offset for arrival in at]
+        entries = list(zip(at, at, banks, rows, is_writes, demand))
+        for ci, lo, hi in spans:
+            batch[ci](entries[lo:hi])
         pos += count
         last_ps = arrivals[pos - 1] + offset
         if count == sample:
@@ -408,30 +407,27 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
 
 
 def _swap_merged_buffers(ctrls, batch):
-    """Per-controller column buffers with the swap datapath merged in.
+    """Per-controller entry buffers with the swap datapath merged in.
 
-    Shared by every migrating kernel.  Returns ``((bk, rw, wr, ar, ac,
-    kd), flush_all, sink)``.  The first five column lists accumulate
-    deferred demand per controller; ``kd`` — the per-element
-    request-kind column — is lazy: ``None`` while a controller's buffer
-    holds pure demand, materialised the first time swap traffic merges
-    into the column — through ``sink``, or cameo's inline line swaps —
-    and from then on the owning kernel mirrors its demand appends into
-    it.  ``flush_all()`` hands every controller's columns and page-copy
-    runs to one ``enqueue_batch`` call and resets them.
+    Shared by every migrating kernel.  Returns ``(bufs, flush_all,
+    sink)``.  ``bufs[c]`` accumulates controller ``c``'s deferred
+    transactions as pending-entry tuples ``(arrival, account, bank, row,
+    is_write, kind)`` — the kernels append their demand, cameo its line
+    swaps too — and ``flush_all()`` hands every controller's entries and
+    page-copy runs to one ``enqueue_batch`` call and empties them (the
+    lists themselves are kept, so a kernel may hoist them).
 
     ``sink`` has the ``MigrationEngine.swap_sink`` signature: it merges
     one swap's per-controller transaction pattern — exactly the pattern
     ``swap_pages`` would have enqueued — into the buffers instead of
     enqueuing it.  A distinct-controller side (``lines`` same-bank
     same-row reads, then ``lines`` writes — the overwhelmingly common
-    shape) becomes two run items, ``(pos, bank, row, is_write, arrival,
-    lines, MIGRATION)``, recorded against the open column at its
-    current length, so the flush's ``enqueue_batch`` replays each run
-    right before the demand that followed it, as a twin column of its
-    own.  Only same-controller swaps, whose two banks interleave per
-    line, expand into the columns per element (and materialise the lazy
-    ``kd`` column).
+    shape) becomes two runs, ``(pos, entry, lines)``, recorded against
+    the open buffer at its current length, so the flush's
+    ``enqueue_batch`` replays each run right before the demand that
+    followed it, as a twin column of its own.  Only same-controller
+    swaps, whose two banks interleave per line, expand into the buffer
+    per element.
 
     Exact because a kernel issues a swap at the point of its record
     loop where the reference loop would — after the earlier records'
@@ -440,70 +436,46 @@ def _swap_merged_buffers(ctrls, batch):
     ejects the buffered demand from the batched path, and the backlog
     it creates lands in the controller's closed-form episode engine.
     """
-    demand = DEMAND
     migration = MIGRATION
     nctrl = len(ctrls)
-    buf_bk = [[] for _ in range(nctrl)]
-    buf_rw = [[] for _ in range(nctrl)]
-    buf_wr = [[] for _ in range(nctrl)]
-    buf_ar = [[] for _ in range(nctrl)]
-    buf_ac = [[] for _ in range(nctrl)]
-    buf_kd = [None] * nctrl
+    bufs = [[] for _ in range(nctrl)]
     runs = [[] for _ in range(nctrl)]
     ctrl_index = {id(ctrl): ci for ci, ctrl in enumerate(ctrls)}
 
     def flush_all():
         for c in range(nctrl):
-            bk = buf_bk[c]
+            buf = bufs[c]
             rn = runs[c]
-            if not (bk or rn):
-                continue
-            batch[c](
-                bk, buf_rw[c], buf_wr[c], buf_ar[c], buf_ac[c], demand,
-                buf_kd[c], rn,
-            )
-            buf_bk[c] = []
-            buf_rw[c] = []
-            buf_wr[c] = []
-            buf_ar[c] = []
-            buf_ac[c] = []
-            buf_kd[c] = None
             if rn:
+                batch[c](buf, rn)
                 runs[c] = []
+            elif buf:
+                batch[c](buf)
+            else:
+                continue
+            buf.clear()
 
     def sink(ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b, at_ps, write_ps, lines):
         ca = ctrl_index[id(ctrl_a)]
         cb = ctrl_index[id(ctrl_b)]
+        read_a = (at_ps, at_ps, bank_a, row_a, False, migration)
+        write_a = (write_ps, write_ps, bank_a, row_a, True, migration)
+        read_b = (at_ps, at_ps, bank_b, row_b, False, migration)
+        write_b = (write_ps, write_ps, bank_b, row_b, True, migration)
         if ca == cb:
             # One shared controller sees the interleaved a/b pattern:
             # 2*lines reads, then 2*lines writes (cf. swap_pages).
-            kd = buf_kd[ca]
-            if kd is None:
-                buf_kd[ca] = kd = [demand] * len(buf_bk[ca])
-            pair_bk = [bank_a, bank_b] * lines
-            pair_rw = [row_a, row_b] * lines
-            buf_bk[ca].extend(pair_bk + pair_bk)
-            buf_rw[ca].extend(pair_rw + pair_rw)
-            buf_wr[ca].extend([False] * (2 * lines) + [True] * (2 * lines))
-            buf_ar[ca].extend([at_ps] * (2 * lines) + [write_ps] * (2 * lines))
-            buf_ac[ca].extend([at_ps] * (2 * lines) + [write_ps] * (2 * lines))
-            kd.extend([migration] * (4 * lines))
+            bufs[ca] += [read_a, read_b] * lines + [write_a, write_b] * lines
         else:
             # Distinct controllers share no state: each side's
             # subsequence (lines reads, then lines writes) is the
             # reference per-controller order of the interleaved loop.
-            pos = len(buf_bk[ca])
-            runs[ca] += (
-                (pos, bank_a, row_a, False, at_ps, lines, migration),
-                (pos, bank_a, row_a, True, write_ps, lines, migration),
-            )
-            pos = len(buf_bk[cb])
-            runs[cb] += (
-                (pos, bank_b, row_b, False, at_ps, lines, migration),
-                (pos, bank_b, row_b, True, write_ps, lines, migration),
-            )
+            pos = len(bufs[ca])
+            runs[ca] += ((pos, read_a, lines), (pos, write_a, lines))
+            pos = len(bufs[cb])
+            runs[cb] += ((pos, read_b, lines), (pos, write_b, lines))
 
-    return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_all, sink
+    return bufs, flush_all, sink
 
 
 def _replay_hma(trace, packed, manager, throttle_cap_ps):
@@ -513,13 +485,13 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     Per record over :func:`_record_stream`, in the shape of
     :func:`_replay_mempod`: the epoch check and due swaps run inline,
     each record's decoded transaction appends to the per-controller
-    columns of :func:`_swap_merged_buffers`, and a due swap's traffic
-    merges into those columns through the engine's swap sink.  Columns
+    buffers of :func:`_swap_merged_buffers`, and a due swap's traffic
+    merges into those buffers through the engine's swap sink.  Buffers
     flush through ``enqueue_batch`` at every chunk end and right before
     an epoch, whose plans may touch any controller and may stall the
-    machine.  A remapped page decodes inline through the mappers; the
-    page table only holds in-range frames, so the routing is
-    ``memory.access``'s.
+    machine.  A remapped page decodes inline with the mappers' shifts
+    and masks; the page table only holds in-range frames, so the
+    routing is ``memory.access``'s.
 
     Full-counter updates are deferred and applied with one
     ``FullCountersTracker.record_batch`` call right before each epoch
@@ -548,12 +520,17 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     page_shift = manager._page_shift
     page_mask = manager._page_mask
     fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
+    # AddressMapper.fast_decode, inlined: each tier's shifts and masks.
+    f_row_sh, f_bank_sh, f_chan_sh, f_bank_m, f_chan_m = _mapper_key(
+        memory.fast.mapper
+    )
+    s_row_sh, s_bank_sh, s_chan_sh, s_bank_m, s_chan_m = _mapper_key(
+        memory.slow.mapper
+    )
     demand = DEMAND
     bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = [buf.append for buf in bufs]
 
     window = _stream_window(packed)
     deferred = []  # pages whose full-counter updates are pending
@@ -593,8 +570,8 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
                         next_boundary += interval
                     engine.swap_sink = swap_sink
                 if queue and queue[0][0] <= arrival:
-                    # Due swaps merge into the buffered columns through
-                    # the sink; every buffered demand arrival precedes
+                    # Due swaps merge into the buffers through the
+                    # sink; every buffered demand arrival precedes
                     # the swap's issue time, so per-controller enqueue
                     # order is the reference's.
                     issue_swaps(arrival)
@@ -607,18 +584,15 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
                 if frame is not None:
                     translated = (frame << page_shift) | (address & page_mask)
                     if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
+                        ci = (translated >> f_bank_sh) & f_chan_m
+                        bank = (translated >> f_row_sh) & f_bank_m
+                        row = translated >> f_chan_sh
                     else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buf_bk[ci].append(bank)
-                buf_rw[ci].append(row)
-                buf_wr[ci].append(is_write)
-                buf_ar[ci].append(arrival)
-                buf_ac[ci].append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
+                        translated -= fast_bytes
+                        ci = ((translated >> s_bank_sh) & s_chan_m) + fast_channels
+                        bank = (translated >> s_row_sh) & s_bank_m
+                        row = translated >> s_chan_sh
+                push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
             flush_all()
             if len(deferred) >= window:
                 record_batch(deferred)
@@ -651,13 +625,13 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
 
     The manager-side work runs per record over :func:`_record_stream`,
     but the DRAM side batches: each record's decoded transaction is
-    appended to the per-controller columns of
+    appended to the per-controller buffers of
     :func:`_swap_merged_buffers`, flushed through ``enqueue_batch`` at
     every chunk end and — to preserve the reference's per-controller
     enqueue order — right before an interval boundary.  A due swap does
-    not flush: its transaction pattern *merges* into the buffered
-    columns through the engine's swap sink.  Remapped frames decode
-    inline through the mappers instead of ``memory.access``: remap
+    not flush: its transaction pattern *merges* into the buffers
+    through the engine's swap sink.  Remapped frames decode inline with
+    the mappers' shifts and masks instead of ``memory.access``: remap
     tables only ever hold in-range frames, so the routing is identical
     and the bounds check is vacuous.
     """
@@ -678,12 +652,17 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     page_shift = manager._page_shift
     page_mask = manager._page_mask
     fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
+    # AddressMapper.fast_decode, inlined: each tier's shifts and masks.
+    f_row_sh, f_bank_sh, f_chan_sh, f_bank_m, f_chan_m = _mapper_key(
+        memory.fast.mapper
+    )
+    s_row_sh, s_bank_sh, s_chan_sh, s_bank_m, s_chan_m = _mapper_key(
+        memory.slow.mapper
+    )
     demand = DEMAND
     bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = [buf.append for buf in bufs]
 
     fast_pages = manager._fast_pages
     ppr = manager._ppr
@@ -723,8 +702,8 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                         next_boundary += interval
                     engine.swap_sink = swap_sink
                 if queue and queue[0][0] <= arrival:
-                    # Due swaps merge into the buffered columns through
-                    # the sink; per-controller enqueue order is the
+                    # Due swaps merge into the buffers through the
+                    # sink; per-controller enqueue order is the
                     # reference's because every buffered demand arrival
                     # precedes the swap's issue time.
                     issue_swaps(arrival)
@@ -742,18 +721,15 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                 if frame is not None:
                     translated = (frame << page_shift) | (address & page_mask)
                     if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
+                        ci = (translated >> f_bank_sh) & f_chan_m
+                        bank = (translated >> f_row_sh) & f_bank_m
+                        row = translated >> f_chan_sh
                     else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buf_bk[ci].append(bank)
-                buf_rw[ci].append(row)
-                buf_wr[ci].append(is_write)
-                buf_ar[ci].append(arrival)
-                buf_ac[ci].append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
+                        translated -= fast_bytes
+                        ci = ((translated >> s_bank_sh) & s_chan_m) + fast_channels
+                        bank = (translated >> s_row_sh) & s_bank_m
+                        row = translated >> s_chan_sh
+                push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
             flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
@@ -780,11 +756,11 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     segment-local remap, block penalties.
 
     Per record over :func:`_record_stream`, with the DRAM side batched
-    into per-controller column buffers flushed at chunk ends; an inline
-    migration's swap traffic *merges* into the buffered columns through
+    into per-controller entry buffers flushed at chunk ends; an inline
+    migration's swap traffic *merges* into the buffers through
     the engine's swap sink instead of forcing a flush (``_migrate``
     never reads controller state, and buffered demand arrivals precede
-    the swap's issue time, so the flushed column replays the reference
+    the swap's issue time, so the flushed buffer replays the reference
     per-controller enqueue order).
     """
     memory = manager.memory
@@ -802,12 +778,17 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     page_shift = manager._page_shift
     page_mask = manager._page_mask
     fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
+    # AddressMapper.fast_decode, inlined: each tier's shifts and masks.
+    f_row_sh, f_bank_sh, f_chan_sh, f_bank_m, f_chan_m = _mapper_key(
+        memory.fast.mapper
+    )
+    s_row_sh, s_bank_sh, s_chan_sh, s_bank_m, s_chan_m = _mapper_key(
+        memory.slow.mapper
+    )
     demand = DEMAND
     bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = [buf.append for buf in bufs]
 
     arrivals = packed.arrivals
     records = _record_stream(packed, memory, page_shift)
@@ -843,8 +824,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 else:
                     challenger = access_challenger(segment, page)
                     if challenger is not None:
-                        # The swap traffic merges into the buffered
-                        # columns through the sink; _migrate itself never
+                        # The swap traffic merges into the buffers
+                        # through the sink; _migrate itself never
                         # reads controller state, so deferred demand need
                         # not land first.
                         penalty += migrate(segment, challenger, arrival)
@@ -852,18 +833,15 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 if frame is not None:
                     translated = (frame << page_shift) | (address & page_mask)
                     if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
+                        ci = (translated >> f_bank_sh) & f_chan_m
+                        bank = (translated >> f_row_sh) & f_bank_m
+                        row = translated >> f_chan_sh
                     else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buf_bk[ci].append(bank)
-                buf_rw[ci].append(row)
-                buf_wr[ci].append(is_write)
-                buf_ar[ci].append(arrival)
-                buf_ac[ci].append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
+                        translated -= fast_bytes
+                        ci = ((translated >> s_bank_sh) & s_chan_m) + fast_channels
+                        bank = (translated >> s_row_sh) & s_bank_m
+                        row = translated >> s_chan_sh
+                push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
             flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
@@ -900,14 +878,14 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     swap's ``MigrationEngine.swap_lines`` pattern — a read then a write
     on the fast slot's controller and on the slow line's, always two
     distinct devices — append to the :func:`_swap_merged_buffers`
-    columns, the swap traffic tagged ``MIGRATION`` in the lazy kind
-    column, and flush through one ``enqueue_batch`` per controller per
-    throttle chunk.  Exact because CAMEO's bookkeeping never reads
-    controller state, controllers share no state, each controller's
-    column is in reference enqueue order (demand, then the swap's read
-    and write on its side), and the arrival offset only changes at
-    chunk boundaries.  A remapped line decodes ``current * 64`` through
-    the mappers instead of ``memory.access``: the remap table only holds
+    buffers as pending entries, the swap's tagged ``MIGRATION``, and
+    flush through one ``enqueue_batch`` per controller per throttle
+    chunk.  Exact because CAMEO's bookkeeping never reads controller
+    state, controllers share no state, each controller's buffer is in
+    reference enqueue order (demand, then the swap's read and write on
+    its side), and the arrival offset only changes at chunk boundaries.
+    A remapped line decodes ``current * 64`` with the mappers' shifts
+    and masks instead of ``memory.access``: the remap table only holds
     in-range lines, so the routing is identical and the bounds check is
     vacuous.
     """
@@ -925,9 +903,14 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     blocked_get = blocked.get
     expiry = manager._blocked_expiry
     fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
+    # AddressMapper.fast_decode, inlined: each tier's shifts and masks.
+    f_row_sh, f_bank_sh, f_chan_sh, f_bank_m, f_chan_m = _mapper_key(
+        memory.fast.mapper
+    )
+    s_row_sh, s_bank_sh, s_chan_sh, s_bank_m, s_chan_m = _mapper_key(
+        memory.slow.mapper
+    )
     engine = manager.engine
     line_phase = engine._line_phase_ps
     swap_cost = engine.line_swap_cost_ps
@@ -935,7 +918,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     demand = DEMAND
     migration = MIGRATION
     bufs, flush_all, _ = _swap_merged_buffers(ctrls, batch)
-    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = [buf.append for buf in bufs]
 
     arrivals = packed.arrivals
     records = _record_stream(packed, memory, LINE_SHIFT)
@@ -978,23 +961,15 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                 else:
                     translated = current << LINE_SHIFT
                     if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
+                        ci = (translated >> f_bank_sh) & f_chan_m
+                        bank = (translated >> f_row_sh) & f_bank_m
+                        row = translated >> f_chan_sh
                     else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                bk = buf_bk[ci]
-                rw = buf_rw[ci]
-                wr = buf_wr[ci]
-                ar = buf_ar[ci]
-                ac = buf_ac[ci]
-                bk.append(bank)
-                rw.append(row)
-                wr.append(is_write)
-                ar.append(arrival)
-                ac.append(arrival - penalty)
-                kd = buf_kd[ci]
-                if kd is not None:
-                    kd.append(demand)
+                        translated -= fast_bytes
+                        ci = ((translated >> s_bank_sh) & s_chan_m) + fast_channels
+                        bank = (translated >> s_row_sh) & s_bank_m
+                        row = translated >> s_chan_sh
+                push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
                 if current < fast_lines:
                     continue
                 # Slow hit: swap the line into its group's fast slot
@@ -1026,26 +1001,18 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                     resident[fast_slot] = line_b
                 write_ps = arrival + line_phase
                 # Slow side (the demand's controller): read, then write.
-                if kd is None:
-                    buf_kd[ci] = kd = [demand] * len(bk)
-                bk += (bank, bank)
-                rw += (row, row)
-                wr += (False, True)
-                ar += (arrival, write_ps)
-                ac += (arrival, write_ps)
-                kd += (migration, migration)
+                bufs[ci] += (
+                    (arrival, arrival, bank, row, False, migration),
+                    (write_ps, write_ps, bank, row, True, migration),
+                )
                 # Fast side: the slot's controller, read then write.
-                fc, fbank, frow = fast_decode(fast_slot << LINE_SHIFT)
-                bk = buf_bk[fc]
-                kd = buf_kd[fc]
-                if kd is None:
-                    buf_kd[fc] = kd = [demand] * len(bk)
-                bk += (fbank, fbank)
-                buf_rw[fc] += (frow, frow)
-                buf_wr[fc] += (False, True)
-                buf_ar[fc] += (arrival, write_ps)
-                buf_ac[fc] += (arrival, write_ps)
-                kd += (migration, migration)
+                slot = fast_slot << LINE_SHIFT
+                bank = (slot >> f_row_sh) & f_bank_m
+                row = slot >> f_chan_sh
+                bufs[(slot >> f_bank_sh) & f_chan_m] += (
+                    (arrival, arrival, bank, row, False, migration),
+                    (write_ps, write_ps, bank, row, True, migration),
+                )
                 # Both _block_page calls.
                 completion = arrival + swap_cost
                 if completion > blocked_get(line_a, 0):

@@ -52,8 +52,12 @@ class PagePlacer:
         require_in("policy", policy, PLACEMENTS)
         self.geometry = geometry
         self.policy = policy
-        self._rng = rng
         self._total = geometry.total_pages
+        # ``rng.randrange(total)``, written out in ``place`` as CPython's
+        # ``getrandbits(total.bit_length())`` rejection loop (pinned
+        # against ``Random.randrange`` by ``tests/test_trace_golden.py``).
+        self._getrandbits = rng.getrandbits
+        self._total_bits = self._total.bit_length()
         self._bindings: Dict[Tuple[int, int], int] = {}
         self._used: set = set()
         self._next_sequential = 0
@@ -74,7 +78,9 @@ class PagePlacer:
                 f"{total} pages; shrink footprints or grow the geometry"
             )
         if self.policy == "spread":
-            page = self._rng.randrange(total)
+            getrandbits, bits = self._getrandbits, self._total_bits
+            while (page := getrandbits(bits)) >= total:
+                pass
             while page in used:
                 page = (page + 1) % total
         else:  # sequential / slow_only share the bump allocator

@@ -196,7 +196,7 @@ class PackedTrace:
         rows: Sequence[int],
         sample: int,
     ) -> list:
-        """Throttle chunks regrouped columnarly by controller index.
+        """Throttle chunks regrouped by controller index.
 
         Splits the trace into runs of ``sample`` records (one run for
         the whole trace when ``sample`` is 0 — the unthrottled case) and
@@ -206,9 +206,11 @@ class PackedTrace:
         boundaries, so handing each group to
         ``ChannelController.enqueue_batch`` replays the chunk exactly.
 
-        Returns a list of ``(record_count, groups)`` chunks where
-        ``groups`` is a tuple of ``(ctrl, banks, rows, is_writes,
-        arrivals)`` column tuples ordered by controller index.  This
+        Returns a list of ``(record_count, arrivals, banks, rows,
+        is_writes, spans)`` chunks: the chunk's records as columns,
+        ordered by controller index and arrival order within one, and
+        ``spans`` a tuple of ``(ctrl, lo, hi)`` marking each
+        controller's group as the column slice ``[lo, hi)``.  This
         eager dict-accumulation form is the numpy-free kernels' leg;
         with numpy the kernels use :meth:`chunk_groups_streamed`, which
         yields the same chunks.
@@ -229,17 +231,19 @@ class PackedTrace:
                     index[ctrls[i]] = [i]
                 else:
                     members.append(i)
-            groups = tuple(
-                (
-                    ci,
-                    [banks[i] for i in members],
-                    [rows[i] for i in members],
-                    [is_writes[i] for i in members],
-                    [arrivals[i] for i in members],
-                )
-                for ci, members in sorted(index.items())
-            )
-            chunks.append((end - begin, groups))
+            order: List[int] = []
+            spans = []
+            for ci, members in sorted(index.items()):
+                spans.append((ci, len(order), len(order) + len(members)))
+                order += members
+            chunks.append((
+                end - begin,
+                [arrivals[i] for i in order],
+                [banks[i] for i in order],
+                [rows[i] for i in order],
+                [is_writes[i] for i in order],
+                tuple(spans),
+            ))
         return chunks
 
     def chunk_groups_streamed(self, decode, sample: int, window: int):
@@ -249,7 +253,7 @@ class PackedTrace:
         Instead of consuming precomputed trace-length decode planes, it
         decodes ``window`` records at a time through ``decode`` (an
         ``int64 address array -> (ctrl, bank, row) arrays`` callable)
-        and yields the same ``(record_count, groups)`` chunks, so peak
+        and yields the same chunks, so peak
         memory is O(window) regardless of trace length.  List-backed
         columns are converted one window at a time.  Each window is
         grouped by :func:`_group_window`.  Exactness: when ``sample`` is
@@ -291,7 +295,7 @@ def _group_window(ctrl, bank, row, is_write, arrival, step: int):
     records in their own block of the sorted order, groups each chunk's
     records by ascending controller, and keeps arrival order within a
     group.  Each column is then gathered and converted to a list once
-    per window, and every group is a list slice of it.
+    per window, and every chunk's columns are list slices of it.
     """
     span = len(ctrl)
     key = (_np.arange(span) // step << 32) | ctrl
@@ -305,11 +309,11 @@ def _group_window(ctrl, bank, row, is_write, arrival, step: int):
     group = 0
     for begin in range(0, span, step):
         end = begin + step if begin + step < span else span
-        groups = []
+        spans = []
         while bounds[group] < end:
-            lo, hi = bounds[group], bounds[group + 1]
-            groups.append(
-                (ids[group], banks[lo:hi], rows[lo:hi], writes[lo:hi], arrivals[lo:hi])
-            )
+            spans.append((ids[group], bounds[group] - begin, bounds[group + 1] - begin))
             group += 1
-        yield end - begin, tuple(groups)
+        yield (
+            end - begin, arrivals[begin:end], banks[begin:end], rows[begin:end],
+            writes[begin:end], tuple(spans),
+        )

@@ -15,15 +15,19 @@ boundaries:
 * an aged conflicting element parked under the backlog so starvation
   promotion fires mid-stretch,
 * swap-shaped migration runs merged behind demand (the merged-drain
-  column shape), and
+  shape),
+* CAMEO's line swaps: demand, a same-arrival swap read of the same
+  row, then the later write, and
 * idle gaps that drain the window back to the fast path between
   stretches.
 
-Every case drives identical columns through per-element ``enqueue``
+Every case drives identical traffic through per-element ``enqueue``
 and through ``enqueue_batch`` (with and without page-copy runs) /
 ``enqueue_run`` on twin controllers
 and asserts *full* state-snapshot equality (stats, bus/refresh/
-turnaround cursors, per-bank row state, exact pending contents).  The
+turnaround cursors, per-bank row state, exact pending contents), and
+that the batched controller's derived counters are conserved (reads
+plus writes is ``served``; the total latency is the per-kind sum).  The
 suite is pure Python — no numpy anywhere — so CI's no-numpy job runs
 it unchanged as the no-numpy leg.
 """
@@ -36,6 +40,7 @@ from repro.common.rng import DeterministicRng
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.request import DEMAND, MIGRATION
+from tests.batching import assert_conserved, enqueue_columns
 
 BANKS = 16
 
@@ -139,13 +144,32 @@ def assert_batch_matches(requests, timing, window):
     bank_col, row_col, write_col, arrival_col, kind_col = map(
         list, zip(*requests)
     )
-    many.enqueue_batch(
-        bank_col, row_col, write_col, arrival_col, None, DEMAND, kind_col
+    enqueue_columns(
+        many, bank_col, row_col, write_col, arrival_col, kinds=kind_col
     )
     assert snapshot(many) == snapshot(one)
     assert one.flush() == many.flush()
     assert snapshot(many) == snapshot(one)
+    assert_conserved(many)
     return many
+
+
+def cameo_stream(seed, count):
+    """CAMEO's per-controller shape: each demand is followed by its line
+    swap's read — same (bank, row), same arrival, ``MIGRATION`` — and
+    the swap's write one line-phase later.  Zero gaps pile the triples
+    up into contended backlogs; a few idle gaps drain them again."""
+    rng = DeterministicRng(seed)
+    requests = []
+    at = 0
+    for _ in range(count):
+        bank = rng.randrange(4)
+        row = rng.randrange(6)
+        requests.append((bank, row, int(rng.random() < 0.3), at, DEMAND))
+        requests.append((bank, row, 0, at, MIGRATION))
+        requests.append((bank, row, 1, at + 30_000, MIGRATION))
+        at += rng.choice((0, 0, 0, 2_000, 5_000, 400_000))
+    return requests
 
 
 class TestAdversarialStretches:
@@ -207,6 +231,7 @@ class TestAdversarialStretches:
             assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
+        assert_conserved(many)
 
     @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [11, 12])
@@ -242,14 +267,26 @@ class TestAdversarialStretches:
                 if i < len(chunk):
                     one.enqueue(*chunk[i])
             cols = list(map(list, zip(*chunk)))
-            many.enqueue_batch(
-                cols[0], cols[1], cols[2], cols[3], None, DEMAND, cols[4], runs
+            enqueue_columns(
+                many, cols[0], cols[1], cols[2], cols[3], kinds=cols[4], runs=runs
             )
             assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
+        assert_conserved(many)
         if window == 8:
             assert many.service_paths.closed_form_served > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_cameo_line_swap_stream(self, window, seed):
+        # Demand plus its same-arrival swap read is the pair the gated
+        # drain skips without a service; the later write lands behind
+        # them.  Served in one call, as the cameo kernel flushes it.
+        many = assert_batch_matches(cameo_stream(seed, 400), DDR4_1600_TIMING, window)
+        assert many.stats.migration_count == 2 * many.stats.demand_count == 800
+        if window == 8:
+            assert many.service_paths.scan_served > 0
 
     def test_batch_split_points_inside_episodes(self):
         # Splitting a column mid-episode (the kernels flush at
@@ -258,15 +295,16 @@ class TestAdversarialStretches:
         requests = adversarial_stretch(404, 50, HBM_TIMING)
         cols = list(map(list, zip(*requests)))
         whole = ChannelController(HBM_TIMING, BANKS)
-        whole.enqueue_batch(cols[0], cols[1], cols[2], cols[3], None, DEMAND, cols[4])
+        enqueue_columns(whole, cols[0], cols[1], cols[2], cols[3], kinds=cols[4])
         split = ChannelController(HBM_TIMING, BANKS)
         step = 37  # deliberately coprime with the burst sizes
         for lo in range(0, len(requests), step):
             hi = lo + step
-            split.enqueue_batch(
-                cols[0][lo:hi], cols[1][lo:hi], cols[2][lo:hi],
-                cols[3][lo:hi], None, DEMAND, cols[4][lo:hi],
+            enqueue_columns(
+                split, cols[0][lo:hi], cols[1][lo:hi], cols[2][lo:hi],
+                cols[3][lo:hi], kinds=cols[4][lo:hi],
             )
         assert snapshot(split) == snapshot(whole)
         assert whole.flush() == split.flush()
         assert snapshot(split) == snapshot(whole)
+        assert_conserved(split)

@@ -123,7 +123,7 @@ class TestBatchedSwapEquivalence:
 
     def test_shared_controller_swap(self, geometry):
         # Two frames decoding to the same channel controller exercise
-        # the interleaved single-column branch.
+        # the interleaved single entry-list branch.
         probe = MigrationEngine(HybridMemory(geometry), geometry)
         page_bytes = geometry.page_bytes
         base_ctrl = probe._locate(0)[0]

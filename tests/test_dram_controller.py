@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.request import BOOKKEEPING, DEMAND, MIGRATION
 from repro.dram.timing import DramTiming

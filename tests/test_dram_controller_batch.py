@@ -1,9 +1,11 @@
 """enqueue_batch must equal per-record enqueue, state field for field.
 
-``ChannelController.enqueue_batch`` is the columnar datapath the replay
-kernels hand whole per-controller chunks to; its contract is bit-for-bit
-equality with calling :meth:`ChannelController.enqueue` once per
-element.  Every test here drives the same request columns through both
+``ChannelController.enqueue_batch`` is the batched datapath the replay
+kernels hand whole per-controller chunks of pending entries to; its
+contract is bit-for-bit equality with calling
+:meth:`ChannelController.enqueue` once per element.  Every test here
+drives the same requests (built column-wise and handed down through
+:func:`tests.batching.enqueue_columns`) through both
 datapaths on twin controllers and compares a *full* state snapshot —
 aggregate stats, bus/refresh/turnaround state, every bank's row-buffer
 state and tallies, and the exact pending-buffer contents — so a
@@ -23,6 +25,7 @@ from repro.common.rng import DeterministicRng
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.request import DEMAND, MIGRATION
+from tests.batching import assert_conserved, enqueue_columns
 
 BANKS = 16
 
@@ -68,10 +71,11 @@ def run_pair(
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
     else:
         bank_col = row_col = write_col = arrival_col = []
-    many.enqueue_batch(bank_col, row_col, write_col, arrival_col, accounts, kind)
+    enqueue_columns(many, bank_col, row_col, write_col, arrival_col, accounts, kind)
     assert snapshot(many) == snapshot(one)
     assert one.flush() == many.flush()
     assert snapshot(many) == snapshot(one)
+    assert_conserved(many)
     return one
 
 
@@ -138,7 +142,7 @@ class TestEdgeCases:
     def test_empty_batch_is_a_noop(self):
         ctrl = ChannelController(HBM_TIMING, BANKS)
         before = snapshot(ctrl)
-        ctrl.enqueue_batch([], [], [], [])
+        enqueue_columns(ctrl, [], [], [], [])
         assert snapshot(ctrl) == before
 
     def test_single_element(self):
@@ -150,12 +154,12 @@ class TestEdgeCases:
         requests = random_requests(11, 900)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         whole = ChannelController(HBM_TIMING, BANKS)
-        whole.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        enqueue_columns(whole, bank_col, row_col, write_col, arrival_col)
         split = ChannelController(HBM_TIMING, BANKS)
         for begin in range(0, len(requests), 128):
             end = begin + 128
-            split.enqueue_batch(
-                bank_col[begin:end], row_col[begin:end],
+            enqueue_columns(
+                split, bank_col[begin:end], row_col[begin:end],
                 write_col[begin:end], arrival_col[begin:end],
             )
         assert snapshot(split) == snapshot(whole)
@@ -169,7 +173,7 @@ class TestEdgeCases:
             demands = random_requests(13, 600, spacing=4_000)
             if batched:
                 bank_col, row_col, write_col, arrival_col = map(list, zip(*demands))
-                ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+                enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
             else:
                 for bank, row, is_write, arrival in demands:
                     ctrl.enqueue(bank, row, is_write, arrival)
@@ -193,7 +197,7 @@ class TestEdgeCases:
         sink = set()
         ctrl._dirty_sink = sink
         ctrl._dirty_key = 42
-        ctrl.enqueue_batch([0], [1], [0], [100])
+        enqueue_columns(ctrl, [0], [1], [0], [100])
         assert sink == {42}
 
 
@@ -326,7 +330,7 @@ class TestEnqueueBatchRuns:
                 cols = list(map(list, zip(*requests)))
             else:
                 cols = [[], [], [], []]
-            many.enqueue_batch(*cols, None, DEMAND, None, runs)
+            enqueue_columns(many, *cols, runs=runs)
             assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
@@ -428,15 +432,15 @@ class TestEnqueueBatchRuns:
     def test_unsorted_runs_are_rejected(self):
         ctrl = ChannelController(HBM_TIMING, BANKS)
         with pytest.raises(ValueError, match="run position"):
-            ctrl.enqueue_batch(
-                [0, 0], [1, 1], [0, 0], [100, 200], None, DEMAND, None,
-                [(1, 0, 1, False, 150, 4, MIGRATION),
-                 (0, 0, 1, False, 90, 4, MIGRATION)],
+            enqueue_columns(
+                ctrl, [0, 0], [1, 1], [0, 0], [100, 200],
+                runs=[(1, 0, 1, False, 150, 4, MIGRATION),
+                      (0, 0, 1, False, 90, 4, MIGRATION)],
             )
         with pytest.raises(ValueError, match="run position"):
-            ctrl.enqueue_batch(
-                [0], [1], [0], [100], None, DEMAND, None,
-                [(2, 0, 1, False, 150, 4, MIGRATION)],
+            enqueue_columns(
+                ctrl, [0], [1], [0], [100],
+                runs=[(2, 0, 1, False, 150, 4, MIGRATION)],
             )
 
 
@@ -502,7 +506,7 @@ class TestWriteBatching:
         many = ChannelController(HBM_TIMING, BANKS)
         for chunk in (reads, writes):
             bank_col, row_col, write_col, arrival_col = map(list, zip(*chunk))
-            many.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+            enqueue_columns(many, bank_col, row_col, write_col, arrival_col)
         assert snapshot(many) == snapshot(one)
 
 
@@ -553,7 +557,7 @@ class TestServiceEngine:
         one = run_pair(requests)
         many = ChannelController(HBM_TIMING, BANKS)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        many.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        enqueue_columns(many, bank_col, row_col, write_col, arrival_col)
         assert many.service_paths.closed_form_served > 200
         assert many.service_paths.scalar_fallback_served == 0
 
@@ -593,8 +597,8 @@ class TestServiceEngine:
             one.enqueue(bank, row, is_write, arrival, k)
         many = ChannelController(HBM_TIMING, BANKS)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        many.enqueue_batch(
-            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        enqueue_columns(
+            many, bank_col, row_col, write_col, arrival_col, kinds=kinds
         )
         assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
@@ -631,8 +635,8 @@ class TestServiceEngine:
             one.enqueue(bank, row, is_write, arrival, k)
         many = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        many.enqueue_batch(
-            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        enqueue_columns(
+            many, bank_col, row_col, write_col, arrival_col, kinds=kinds
         )
         assert snapshot(many) == snapshot(one)
         assert one.flush() == many.flush()
@@ -653,8 +657,8 @@ class TestServiceEngine:
             one.enqueue(bank, row, is_write, arrival, k)
         many = ChannelController(HBM_TIMING, BANKS, window=window)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        many.enqueue_batch(
-            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        enqueue_columns(
+            many, bank_col, row_col, write_col, arrival_col, kinds=kinds
         )
         assert many.service_paths.closed_form_served > 0
         assert snapshot(many) == snapshot(one)
@@ -674,8 +678,8 @@ class TestServiceEngine:
         requests, kinds = self._cameo_shape(31, 200)
         ctrl = Counting(DDR4_1600_TIMING, BANKS)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        ctrl.enqueue_batch(
-            bank_col, row_col, write_col, arrival_col, None, DEMAND, kinds
+        enqueue_columns(
+            ctrl, bank_col, row_col, write_col, arrival_col, kinds=kinds
         )
         assert calls == [len(requests)]
 
@@ -683,7 +687,7 @@ class TestServiceEngine:
         requests = random_requests(19, 2_000, spacing=400)
         ctrl = ChannelController(HBM_TIMING, BANKS)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
         ctrl.flush()
         paths = ctrl.service_paths
         assert paths.closed_form_served >= 0
@@ -695,7 +699,7 @@ class TestServiceEngine:
         requests = [(i % 2, 3 if i % 3 else 4, 0, i * 10) for i in range(400)]
         ctrl = ChannelController(HBM_TIMING, BANKS, window=1)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scalar_fallback_served > 0
 
     def test_window_eight_counts_scan_engine(self):
@@ -704,7 +708,7 @@ class TestServiceEngine:
         requests = random_requests(19, 2_000, spacing=400)
         ctrl = ChannelController(HBM_TIMING, BANKS, window=8)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        ctrl.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scan_served > 0
 
     def test_sidecar_never_leaks_into_snapshots(self):

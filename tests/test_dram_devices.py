@@ -5,7 +5,6 @@ import pytest
 from repro.common.units import gib
 from repro.dram import (
     DDR4_1600_TIMING,
-    HBM_TIMING,
     MemoryDevice,
     ddr4_device,
     hbm_device,

@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.lint import (
     KERNEL_FINGERPRINT_FUNCTIONS,
-    RULES,
     Finding,
     check_kernel_manifest,
     kernel_fingerprints,
@@ -171,6 +170,21 @@ class TestUnusedImportRule:
 
     def test_init_reexports_exempt(self):
         assert lint_source("from os import sep\n", "repro/pkg/__init__.py") == []
+
+    def test_tests_and_benchmarks_import_nothing_unused(self):
+        # CI's ruff gate (pyflakes F401) covers tests/ and benchmarks/
+        # too; this keeps a host without ruff honest about them.
+        repo = Path(__file__).resolve().parent.parent
+        findings = [
+            finding.format()
+            for root in ("tests", "benchmarks")
+            for file in sorted((repo / root).rglob("*.py"))
+            for finding in lint_source(
+                file.read_text(), file.relative_to(repo).as_posix(), allowlist={}
+            )
+            if finding.rule == "unused-import"
+        ]
+        assert findings == [], "\n".join(findings)
 
 
 class TestSuppression:

@@ -1,6 +1,5 @@
 """Property-based manager tests: remap consistency under random traffic."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

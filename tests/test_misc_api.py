@@ -1,7 +1,5 @@
 """Small public-API corners: descriptions, formatting edge cases."""
 
-import math
-
 import pytest
 
 from repro import NoMigrationManager, scaled_geometry

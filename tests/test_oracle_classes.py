@@ -8,8 +8,6 @@ MEA-vs-FC regimes the paper describes.
 
 from itertools import islice
 
-import pytest
-
 from repro.common.rng import DeterministicRng
 from repro.tracking import run_oracle_study
 from repro.trace.record import LINE_BYTES, Trace

@@ -1,6 +1,5 @@
 """Property-based tests on page placement and trace assembly."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

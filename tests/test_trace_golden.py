@@ -118,6 +118,8 @@ def _profile_bounds():
         geometry = scaled_geometry(scale)
         for profile in BENCHMARKS.values():
             found |= _bounds(profile.build(geometry))
+        # PagePlacer's spread policy draws randrange(total_pages).
+        found.add(geometry.total_pages)
     return sorted(found)
 
 

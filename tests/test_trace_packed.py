@@ -78,17 +78,20 @@ class TestChunkGroups:
             by_ctrl = {}
             for i in range(begin, end):
                 by_ctrl.setdefault(ctrls[i], []).append(i)
-            groups = tuple(
-                (
-                    ci,
-                    [banks[i] for i in members],
-                    [rows[i] for i in members],
-                    [packed.is_writes[i] for i in members],
-                    [packed.arrivals[i] for i in members],
-                )
-                for ci, members in sorted(by_ctrl.items())
-            )
-            chunks.append((end - begin, groups))
+            # The chunk's records as columns in controller order, and
+            # each controller's [lo, hi) span of them.
+            order, spans = [], []
+            for ci, members in sorted(by_ctrl.items()):
+                spans.append((ci, len(order), len(order) + len(members)))
+                order += members
+            chunks.append((
+                end - begin,
+                [packed.arrivals[i] for i in order],
+                [banks[i] for i in order],
+                [rows[i] for i in order],
+                [packed.is_writes[i] for i in order],
+                tuple(spans),
+            ))
         return chunks
 
     @pytest.mark.parametrize("sample", [0, 128, 100, 1_000, 5_000])
@@ -103,12 +106,14 @@ class TestChunkGroups:
 
     def test_preserves_intra_controller_order(self):
         packed, ctrls, banks, rows = _grouping_fixture(seed=6, count=700)
-        for count, groups in packed.chunk_groups(ctrls, banks, rows, 128):
-            assert count == sum(len(g[4]) for g in groups)
-            group_ids = [g[0] for g in groups]
+        for count, arrivals, _, _, _, spans in packed.chunk_groups(
+            ctrls, banks, rows, 128
+        ):
+            assert count == len(arrivals) == sum(hi - lo for _, lo, hi in spans)
+            group_ids = [g[0] for g in spans]
             assert group_ids == sorted(group_ids)
-            for _, _, _, _, arrival_col in groups:
-                assert arrival_col == sorted(arrival_col)
+            for _, lo, hi in spans:
+                assert arrivals[lo:hi] == sorted(arrivals[lo:hi])
 
 
 def _twelve_controller_decode(addresses):
@@ -152,7 +157,7 @@ class TestStreamedAgainstEager:
 
     def test_fixture_chunks(self):
         chunks = self._eager(_streaming_fixture(), 128)
-        assert [len(groups) for _, groups in chunks[:2]] == [1, 12]
+        assert [len(chunk[-1]) for chunk in chunks[:2]] == [1, 12]
         assert chunks[-1][0] == 1_037 % 128
 
     # 1_280 is one chunk more than the trace, rounded up to whole chunks.

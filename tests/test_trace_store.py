@@ -12,8 +12,6 @@ Three layers of proof:
   keeping peak memory bounded by the window, not the trace.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +32,6 @@ from repro.system.simulator import (
 from repro.trace import Trace, build_trace, get_workload
 from repro.trace.io import (
     CHUNK_RECORDS,
-    MAGIC2,
     columnar_size,
     read_columnar_header,
     save_columnar,
@@ -494,23 +491,19 @@ class TestStreamedChunkGroups:
         # streamed one a chunk per window.  Per-controller concatenation
         # across streamed chunks must reproduce the eager groups.
         packed = sample_trace.packed()
-        (eager_count, eager_groups), = self._eager(packed, 0)
+        (eager_count, *eager_columns, eager_spans), = self._eager(packed, 0)
         merged = {}
         total = 0
-        for count, groups in packed.chunk_groups_streamed(self._decode, 0, window):
+        for count, *columns, spans in packed.chunk_groups_streamed(
+            self._decode, 0, window
+        ):
             total += count
-            for ctrl, banks, rows, writes, arrivals in groups:
-                entry = merged.setdefault(ctrl, ([], [], [], []))
-                entry[0].extend(banks)
-                entry[1].extend(rows)
-                entry[2].extend(writes)
-                entry[3].extend(arrivals)
+            for ctrl, lo, hi in spans:
+                merged.setdefault(ctrl, []).extend(zip(*(c[lo:hi] for c in columns)))
         assert total == eager_count
-        assert [
-            (ctrl, *entry) for ctrl, entry in sorted(merged.items())
-        ] == [
-            (ctrl, list(banks), list(rows), list(writes), list(arrivals))
-            for ctrl, banks, rows, writes, arrivals in eager_groups
+        assert sorted(merged.items()) == [
+            (ctrl, list(zip(*(c[lo:hi] for c in eager_columns))))
+            for ctrl, lo, hi in eager_spans
         ]
 
     def test_window_must_align_with_sample(self, sample_trace):
