@@ -60,6 +60,10 @@ from .timing import DramTiming
 
 REQUEST_BYTES = 64
 
+#: ``enqueue_batch``'s next-refresh cursor on a channel without refresh:
+#: no arrival reaches it, so every refresh test is one comparison.
+_NO_REFRESH = float("inf")
+
 #: Pending-buffer entry layout (plain tuple, index-addressed):
 #: ``(arrival_ps, account_ps, bank, row, is_write, kind)``.  It is also
 #: the unit :meth:`ChannelController.enqueue_batch` takes.
@@ -138,8 +142,9 @@ class ServicePathStats:
     :class:`ControllerStats` or the differential state snapshots.  They
     never feed a simulation result.
 
-    * ``closed_form_served`` — serviced by a closed-form backlog
-      episode (arithmetic-series timing, no per-element scheduling),
+    * ``closed_form_served`` — serviced as part of a row-hit twin
+      prefix in one step (the prefix drain or a backlog episode;
+      arithmetic-series timing, no per-element scheduling),
       on a demand column or on a page-copy run's twin column;
     * ``scan_served`` — serviced per element by the direct-scan
       FR-FCFS engine inside a contended stretch (any ``window >= 2``);
@@ -320,12 +325,19 @@ class ChannelController:
           FR-FCFS drain on the reference pending list, exact at any
           window: one loop per appended element with ``_choose``'s scan
           and ``_service_at``'s timing written out inline, so a
-          contended service costs no Python call.  Degenerate
-          backlogs — every buffered entry a twin of the incoming
-          element, row open, bus direction matching, no refresh due —
-          collapse into **closed-form episodes** (an arithmetic-series
-          recurrence).  Any episode precondition failing falls back to
-          the exact per-element drain.  On a twin column every element
+          contended service costs no Python call.  Twin prefixes are
+          served in closed form, as one arithmetic series of row hits
+          one burst apart.  The **prefix drain** fires whenever the
+          buffer's head is a row hit (bus direction matching, no
+          refresh due) with a twin right behind it: ``_choose`` then
+          picks the head for as long as the twins last, so the drain
+          serves the overflow plus every twin that could start before
+          the incoming arrival in one step, whatever follows the
+          twins.  The **episode** is its uniform case: with every
+          buffered entry a twin of the incoming element, the element's
+          whole twin run is appended at once and the overflow is
+          prefix-drained.  Any precondition failing falls back to the
+          exact per-element drain.  On a twin column every element
           re-tests the backlog for uniformity (one ``list.count``), so
           the episode re-forms as soon as the drain has worked off the
           demand queued ahead of the run.
@@ -333,10 +345,13 @@ class ChannelController:
         Per service the engines update only the per-kind counts and
         latencies, the write count and the row hits; ``served``, the
         read count and the total latency are derived from them on exit,
-        exactly as ``_service_at`` keeps them in step.
+        exactly as ``_service_at`` keeps them in step.  So is
+        ``last_completion_ps``: every completion becomes the bus cursor
+        and completions strictly increase, so a call that served
+        anything leaves its last completion in the bus cursor.
 
         ``window == 1`` defeats both the fast path (an uncontended pair
-        forced through ``_choose`` may reorder) and the episode
+        forced through ``_choose`` may reorder) and the closed forms'
         preconditions, so an FCFS controller takes the reference
         :meth:`enqueue` for every element and run element instead.
 
@@ -403,12 +418,13 @@ class ChannelController:
         starvation = self.STARVATION_PS
         # Controller cursors and stats accumulators, hoisted into plain
         # locals: no nested function shares them, so both engines below
-        # update them without cell indirection.
+        # update them without cell indirection.  Without refresh the
+        # next boundary is a sentinel no arrival reaches, so a refresh
+        # test is one comparison either way.
         bus_free = self.bus_free_ps
         last_was_write = self._last_was_write
-        next_refresh = self._next_refresh_ps
+        next_refresh = self._next_refresh_ps if trefi else _NO_REFRESH
         refreshes = self.refreshes
-        last_completion = self.last_completion_ps
         n_writes = 0
         row_hits = 0
         demand_lat = 0
@@ -417,6 +433,10 @@ class ChannelController:
         demand_n = 0
         migration_n = 0
         bookkeeping_n = 0
+        # The prefix drain is tried only where a buffer can hold twins:
+        # a call carrying runs, a buffer that already starts with two,
+        # or after an episode (which sets it).
+        prefix = bool(runs) or (len(pending) > 1 and pending[0] == pending[1])
 
         # Service paths below mutate only the hoisted cursors and
         # accumulators; the finally writes every one of them back so
@@ -445,15 +465,14 @@ class ChannelController:
                     p_arr, p_acc, p_bank, p_row, p_w, p_kind = p
                     while i < stop:
                         entry = entries[i]
-                        arrival = entry[0]
                         bank = bank_list[p_bank]
                         busy = bank.busy_until_ps
                         start = p_arr if p_arr > busy else busy
-                        if start >= arrival:
+                        if start >= entry[0]:
                             break  # contended: buffer it, take the general path
                         # Service the held transaction (== _service_at on a
                         # lone pending entry).
-                        if trefi and p_arr >= next_refresh:
+                        if p_arr >= next_refresh:
                             elapsed = (p_arr - next_refresh) // trefi
                             boundary = next_refresh + elapsed * trefi
                             refreshes += elapsed + 1
@@ -494,8 +513,6 @@ class ChannelController:
                             data_ready if data_ready > bus_free else bus_free
                         ) + burst
                         bus_free = completion
-                        if completion > last_completion:
-                            last_completion = completion
                         if p_w:
                             n_writes += 1
                         if p_kind == DEMAND:
@@ -522,11 +539,10 @@ class ChannelController:
                         run_hits = 0
                         while i < stop:
                             entry = entries[i]
-                            arrival = entry[0]
                             start = p_arr if p_arr > bank_busy else bank_busy
-                            if start >= arrival:
+                            if start >= entry[0]:
                                 break
-                            if trefi and p_arr >= next_refresh:
+                            if p_arr >= next_refresh:
                                 break
                             run_hits += 1
                             bank_busy = start + burst
@@ -558,8 +574,6 @@ class ChannelController:
                             bank.hits += run_hits
                             row_hits += run_hits
                             bank.busy_until_ps = bank_busy
-                            if completion > last_completion:
-                                last_completion = completion
                     pending.append(p)
                     if i >= stop:
                         continue  # segment done: on to the next one
@@ -570,9 +584,10 @@ class ChannelController:
                 # scan, exact at any window: appends stay a plain list
                 # append and a mid-list pop of a handful of entries is a
                 # single small memmove.  What the engine adds on top of
-                # the reference drain is the closed-form backlog episode,
-                # gated on the ``uni`` flag below so ordinary demand pays
-                # one local bool test per element.
+                # the reference drain is closed-form service of twin
+                # prefixes (the episode and the prefix drain below),
+                # gated on the ``uni`` and ``prefix`` flags so ordinary
+                # demand pays one local bool test for each.
                 #
                 # ``uni`` tracks "every buffered entry equals ``prev``"
                 # incrementally instead of rescanning the buffer per
@@ -587,132 +602,142 @@ class ChannelController:
                 # moment the drain has worked off the demand queued
                 # ahead of the run.  The episode always checks the
                 # buffer before it collapses anything, so the flag is a
-                # performance hint, never a correctness input.
+                # performance hint, never a correctness input.  The
+                # buffer holds at least one entry on every pass below.
                 prev = pending[-1]
-                uni = True
-                for v in pending:
-                    if v != prev:
-                        uni = False
-                        break
+                uni = pending.count(prev) == len(pending)
                 s0 = demand_n + migration_n + bookkeeping_n - closed_served
                 while i < stop:
                     entry = entries[i]
-                    # -- closed-form backlog episode --------------------
-                    # With the buffer holding only twins of the incoming
-                    # element, appends below the window are provably
-                    # service-free — the chosen head is a twin whose
-                    # start ``max(arrival, busy)`` can never precede its
-                    # own arrival, so the gated drain breaks at once —
-                    # and the window fill collapses into one bulk
-                    # extend.  Once the window is full (and the twins'
-                    # row open, the bus direction matching, no refresh
-                    # due), every further append services exactly one
-                    # twin head: a row hit at its own arrival, age
-                    # promotion dormant under equal arrivals, the
-                    # serviced head replaced by the identical incoming
-                    # element.  A run of incoming twins therefore
-                    # collapses into an arithmetic-series recurrence.
-                    # Any precondition failing falls through to the
-                    # exact per-element drain below.
                     gate = uni and entry == prev
                     if gate and pending.count(entry) == len(pending):
-                        e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
-                        if not twin:
+                        # -- closed-form backlog episode ----------------
+                        # With the buffer holding only twins of the
+                        # incoming element, appending the element's whole
+                        # twin run at once is exact: below the window an
+                        # append is service-free (the chosen head is a
+                        # twin, which cannot start before its own
+                        # arrival), and past it — twins' row open, bus
+                        # direction matching, no refresh due — each
+                        # append services exactly one twin head, which is
+                        # the overflow the prefix drain below serves in
+                        # closed form.  With a precondition failing only
+                        # the window fill is bulk-appended, and the next
+                        # twin takes the exact per-element drain.
+                        if twin:
+                            j = stop
+                        else:
                             j = i + 1
                             while j < stop and entries[j] == entry:
                                 j += 1
-                        else:
-                            j = stop
-                        run = j - i
-                        fill = window - len(pending)
-                        if fill > 0:
-                            if fill > run:
-                                fill = run
-                            pending.extend([entry] * fill)
-                            run -= fill
-                            i += fill
-                            if run == 0:
-                                continue
-                        if (
-                            e_w == last_was_write
-                            and bank_list[e_bank].open_row == e_row
-                            and not (trefi and e_arr >= next_refresh)
+                        k = len(pending) + j - i
+                        if k > window and not (
+                            entry[4] == last_was_write
+                            and entry[0] < next_refresh
+                            and bank_list[entry[2]].open_row == entry[3]
                         ):
-                            bank = bank_list[e_bank]
-                            bank_busy = bank.busy_until_ps
-                            # The recurrence stabilises within three
-                            # steps: from the second element start
-                            # advances by exactly one burst, and the bus
-                            # excess e = bus_free - (start + tcas) maps
-                            # to max(e, 0), a fixed point from the third
-                            # element on.  Everything after is an
-                            # arithmetic series: completions one burst
-                            # apart.
-                            warm = 3 if run > 3 else run
-                            completion = bus_free
-                            lat = 0
-                            for _ in range(warm):
-                                start = (
-                                    e_arr if e_arr > bank_busy else bank_busy
-                                )
-                                bank_busy = start + burst
-                                data_ready = start + tcas
-                                completion = (
-                                    data_ready if data_ready > bus_free
-                                    else bus_free
-                                ) + burst
-                                bus_free = completion
-                                lat += completion - e_acc
-                            tail = run - warm
-                            if tail > 0:
-                                bank_busy += tail * burst
-                                bus_free += tail * burst
-                                lat += (
-                                    tail * (completion - e_acc)
-                                    + burst * tail * (tail + 1) // 2
-                                )
-                            bank.busy_until_ps = bank_busy
-                            bank.hits += run
-                            row_hits += run
-                            if bus_free > last_completion:
-                                last_completion = bus_free
-                            if e_w:
-                                n_writes += run
-                            if e_kind == DEMAND:
-                                demand_lat += lat
-                                demand_n += run
-                            elif e_kind == MIGRATION:
-                                migration_lat += lat
-                                migration_n += run
-                            else:
-                                bookkeeping_lat += lat
-                                bookkeeping_n += run
-                            closed_served += run
-                            i = j
+                            j -= k - window
+                            if j <= i:
+                                j = i + 1
+                        pending.extend(entries[i:j])
+                        i = j
+                        k = len(pending)
+                        if k <= window:
                             continue
-                    # -- per-element: append + window-bounded drain -----
-                    pending.append(entry)
-                    i += 1
-                    k = len(pending)
-                    if not gate:
-                        # An ordinary append breaks a column's twin
-                        # shape, and arms a twin column's per-element
-                        # re-test.  A gated append whose episode
-                        # preconditions failed (row closed, turnaround,
-                        # refresh due, or a twin column's backlog not
-                        # yet uniform) is another twin: a column's
-                        # buffer stays uniform, and a twin column
-                        # re-tests its buffer anyway.
-                        prev = entry
-                        uni = twin
-                        if k == 1:
-                            break  # lone transaction: back to the fast path
+                        prefix = True
+                    else:
+                        # -- per-element: append + window-bounded drain -
+                        pending.append(entry)
+                        i += 1
+                        k = len(pending)
+                        if not gate:
+                            # An ordinary append breaks a column's twin
+                            # shape, and arms a twin column's per-element
+                            # re-test.  A gated append whose buffer is
+                            # not uniform yet is another twin: a column's
+                            # buffer stays uniform, and a twin column
+                            # re-tests its buffer anyway.
+                            prev = entry
+                            uni = twin
                     arrival = entry[0]
                     if k == 2 and pending[0][0] >= arrival:
                         # Neither entry can start before this arrival:
                         # every start is at least its own arrival, and
                         # the other entry is the incoming one.
                         continue
+                    if prefix:
+                        # -- prefix drain -------------------------------
+                        # A row-hit head twinned by the next entry, bus
+                        # direction matching and no refresh due at its
+                        # arrival: ``_choose`` picks index 0 for as long
+                        # as the twins last (the first row hit wins, and
+                        # age promotion only acts past the head), and
+                        # each service is a row hit one burst after the
+                        # previous start.  So the drain serves
+                        # ``t = max(overflow, gated)`` heads in one step,
+                        # ``gated`` counting the starts still below this
+                        # arrival, capped by the twin-prefix length.
+                        head = pending[0]
+                        if (
+                            pending[1] == head
+                            and head[4] == last_was_write
+                            and head[0] < next_refresh
+                        ):
+                            bank = bank_list[head[2]]
+                            if bank.open_row == head[3]:
+                                e_arr = head[0]
+                                busy = bank.busy_until_ps
+                                start = e_arr if e_arr > busy else busy
+                                t = k - window
+                                if start < arrival:
+                                    gated = (arrival - start + burst - 1) // burst
+                                    if gated > t:
+                                        t = gated
+                                if t <= 0:
+                                    continue  # the head cannot start: drained
+                                if t > 2:
+                                    n = pending.count(head)
+                                    if n < t:
+                                        t = n
+                                    if pending[:t].count(head) != t:
+                                        t = 2
+                                        while pending[t] == head:
+                                            t += 1
+                                # Closed form: the first service completes
+                                # at ``completion``; every later start is
+                                # one burst after the previous one, so the
+                                # bus excess over the bank-limited
+                                # completion stays what the first service
+                                # left, and the completions form an
+                                # arithmetic series one burst apart.
+                                data_ready = start + tcas
+                                completion = (
+                                    data_ready if data_ready > bus_free else bus_free
+                                ) + burst
+                                bank.busy_until_ps = start + t * burst
+                                bus_free = completion + (t - 1) * burst
+                                lat = t * (completion - head[1]) + burst * t * (t - 1) // 2
+                                bank.hits += t
+                                row_hits += t
+                                if head[4]:
+                                    n_writes += t
+                                e_kind = head[5]
+                                if e_kind == DEMAND:
+                                    demand_lat += lat
+                                    demand_n += t
+                                elif e_kind == MIGRATION:
+                                    migration_lat += lat
+                                    migration_n += t
+                                else:
+                                    bookkeeping_lat += lat
+                                    bookkeeping_n += t
+                                closed_served += t
+                                del pending[:t]
+                                k -= t
+                                if pending[0] == head:
+                                    # A twin is left at the head, and it
+                                    # cannot start before this arrival.
+                                    continue
                     # The window-bounded drain, ``_choose`` and
                     # ``_service_at`` inlined once: while the buffer is
                     # over the window the chosen entry is serviced
@@ -721,7 +746,6 @@ class ChannelController:
                     # could have started before this arrival.
                     while k:
                         # _choose, against the hoisted bus direction.
-                        idx = 0
                         if k > 1:
                             same_direction = -1
                             for idx, cand in enumerate(pending):
@@ -735,27 +759,32 @@ class ChannelController:
                                     same_direction = idx
                             else:
                                 idx = same_direction if same_direction >= 0 else 0
-                        if k <= window:
-                            cand = pending[idx]
-                            busy = bank_list[cand[2]].busy_until_ps
-                            start = cand[0] if cand[0] > busy else busy
+                        elif pending[0][0] >= arrival:
+                            break  # a lone entry this young cannot start yet
+                        else:
+                            idx = 0
+                        c_arr, c_acc, c_bank, c_row, c_w, c_kind = pending[idx]
+                        bank = bank_list[c_bank]
+                        busy = bank.busy_until_ps
+                        start = c_arr if c_arr > busy else busy
+                        if k <= window and start >= arrival:
+                            # The preferred candidate cannot start yet;
+                            # an older transaction to a free bank still
+                            # can, so drain that one.
+                            if not idx:
+                                break
+                            c_arr, c_acc, c_bank, c_row, c_w, c_kind = pending[0]
+                            bank = bank_list[c_bank]
+                            busy = bank.busy_until_ps
+                            start = c_arr if c_arr > busy else busy
                             if start >= arrival:
-                                # The preferred candidate cannot start
-                                # yet; an older transaction to a free
-                                # bank still can, so drain that one.
-                                if not idx:
-                                    break
-                                head = pending[0]
-                                start = bank_list[head[2]].busy_until_ps
-                                if head[0] > start:
-                                    start = head[0]
-                                if start >= arrival:
-                                    break
-                                idx = 0
-                        # _service_at on the chosen entry.
-                        c_arr, c_acc, c_bank, c_row, c_w, c_kind = pending.pop(idx)
+                                break
+                            idx = 0
+                        # _service_at on the chosen entry, reusing its
+                        # bank and start unless a refresh stalls it.
+                        del pending[idx]
                         k -= 1
-                        if trefi and c_arr >= next_refresh:
+                        if c_arr >= next_refresh:
                             elapsed = (c_arr - next_refresh) // trefi
                             boundary = next_refresh + elapsed * trefi
                             refreshes += elapsed + 1
@@ -766,9 +795,8 @@ class ChannelController:
                             for b in bank_list:
                                 if b.busy_until_ps < stall_end:
                                     b.busy_until_ps = stall_end
-                        bank = bank_list[c_bank]
-                        busy = bank.busy_until_ps
-                        start = c_arr if c_arr > busy else busy
+                            busy = bank.busy_until_ps
+                            start = c_arr if c_arr > busy else busy
                         open_row = bank.open_row
                         if open_row == c_row:
                             bank.hits += 1
@@ -796,8 +824,6 @@ class ChannelController:
                             data_ready if data_ready > bus_free else bus_free
                         ) + burst
                         bus_free = completion
-                        if completion > last_completion:
-                            last_completion = completion
                         if c_w:
                             n_writes += 1
                         if c_kind == DEMAND:
@@ -812,8 +838,8 @@ class ChannelController:
                     if k <= 1:
                         break  # drained: the fast path takes over
                 # Every service in this stretch is either the drain's or
-                # an episode's, and the episodes tracked their own count,
-                # so the scan tally is the served delta minus the closed
+                # a closed form's, and those tracked their own count, so
+                # the scan tally is the served delta minus the closed
                 # delta — no per-service increment in the drain.
                 scan_served += (
                     demand_n + migration_n + bookkeeping_n - closed_served - s0
@@ -822,10 +848,16 @@ class ChannelController:
         finally:
             self.bus_free_ps = bus_free
             self._last_was_write = last_was_write
-            self._next_refresh_ps = next_refresh
             self.refreshes = refreshes
-            self.last_completion_ps = last_completion
+            if trefi:
+                self._next_refresh_ps = next_refresh
             served = demand_n + migration_n + bookkeeping_n
+            # Every completion becomes the bus cursor and completions
+            # strictly increase, so the last one is the bus cursor at
+            # exit — if anything was served (``block_until`` may have
+            # pushed the cursor past the last completion).
+            if served and bus_free > self.last_completion_ps:
+                self.last_completion_ps = bus_free
             stats = self.stats
             stats.served += served
             stats.reads += served - n_writes

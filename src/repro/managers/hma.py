@@ -21,8 +21,8 @@ scaled experiments pass both down proportionally (see DESIGN.md).
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..common.config import (
     require_in,
@@ -141,7 +141,7 @@ class HmaManager(ComposedManager):
         candidates.sort(key=lambda pair: (-pair[0], pair[1]))
         candidates = candidates[: self.max_migrations_per_interval]
         if candidates:
-            victims = self._victim_heap(counts)
+            victims = self._victim_order(counts)
             # The OS performs the copies back to back after the sort; the
             # copies are paced at twice the pipelined swap cost so demand
             # keeps a share of the channels while the burst drains, and
@@ -149,9 +149,10 @@ class HmaManager(ComposedManager):
             # copy starts (the page table flips per page, not per epoch).
             plans = []
             for count, page in candidates:
-                if not victims:
-                    break
-                victim_count, _, victim_frame = heapq.heappop(victims)
+                victim = next(victims, None)
+                if victim is None:
+                    break  # every fast frame is already a victim
+                victim_count, victim_frame = victim
                 if victim_count >= count:
                     break  # every remaining resident is at least as hot
                 frame = self._location.get(page, page)
@@ -168,14 +169,26 @@ class HmaManager(ComposedManager):
         address = store_page * self.geometry.page_bytes + (line * 64) % self.geometry.page_bytes
         self.memory.access(address, False, at_ps, kind=BOOKKEEPING)
 
-    def _victim_heap(self, counts: Dict[int, int]) -> List[Tuple[int, int, int]]:
-        """Min-heap of (resident count, tiebreak, frame) over fast frames."""
-        heap = []
-        for frame in range(self.geometry.fast_pages):
-            resident = self._resident.get(frame, frame)
-            heap.append((counts.get(resident, 0), frame, frame))
-        heapq.heapify(heap)
-        return heap
+    def _victim_order(self, counts: Dict[int, int]) -> Iterator[Tuple[int, int]]:
+        """Fast frames as ``(resident count, frame)``, coldest first.
+
+        The order a min-heap over every fast frame would pop, without
+        building one: first the frames whose resident has no count (or a
+        zero one), in ascending frame order, then the counted residents'
+        frames sorted by ``(count, frame)``.  Counted frames come from ``counts``
+        through the page table, so an epoch costs one pass over the
+        counted pages, and the uncounted frames are yielded lazily.
+        """
+        fast_pages = self.geometry.fast_pages
+        location = self._location
+        counted: Dict[int, int] = {}
+        for page, count in counts.items():
+            if count:
+                frame = location.get(page, page)
+                if frame < fast_pages:
+                    counted[frame] = count
+        cold = ((0, frame) for frame in range(fast_pages) if frame not in counted)
+        return chain(cold, sorted((count, frame) for frame, count in counted.items()))
 
     def finish(self, end_ps: int) -> int:
         """Drain the devices.

@@ -27,6 +27,7 @@ to flat physical pages on first touch, under one of three policies:
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import log
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,7 +59,9 @@ class PagePlacer:
         # against ``Random.randrange`` by ``tests/test_trace_golden.py``).
         self._getrandbits = rng.getrandbits
         self._total_bits = self._total.bit_length()
-        self._bindings: Dict[Tuple[int, int], int] = {}
+        # One ``vpage -> page`` dict per core, so a lookup hashes an int
+        # rather than building and hashing a ``(core, vpage)`` tuple.
+        self._bindings: Dict[int, Dict[int, int]] = defaultdict(dict)
         self._used: set = set()
         self._next_sequential = 0
         if policy == "slow_only":
@@ -67,8 +70,8 @@ class PagePlacer:
     def place(self, core: int, vpage: int) -> int:
         """Return the physical page for ``(core, vpage)``, binding it on
         first touch."""
-        key = (core, vpage)
-        page = self._bindings.get(key)
+        bindings = self._bindings[core]
+        page = bindings.get(vpage)
         if page is not None:
             return page
         used, total = self._used, self._total
@@ -91,7 +94,7 @@ class PagePlacer:
                 raise SimulationError("sequential allocator ran past physical memory")
             self._next_sequential = page + 1
         used.add(page)
-        self._bindings[key] = page
+        bindings[vpage] = page
         return page
 
     @property
@@ -203,7 +206,8 @@ def build_trace(
     # Each core keeps exactly one heap entry, so entries never tie and
     # heapreplace pops and pushes in the order heappop + heappush would.
     heapreplace = heapq.heapreplace
-    bound, place = placer._bindings.get, placer.place
+    bound = [placer._bindings[core].get for core in range(spec.cores)]
+    place = placer.place
     page_bytes = geometry.page_bytes
     # The records are written straight into four columns.
     columns: Tuple[List[int], ...] = ([], [], [], [])
@@ -212,7 +216,7 @@ def build_trace(
     for _ in range(length):
         at_ps, core = heap[0]
         vpage, line, is_write = streams[core]()
-        ppage = bound((core, vpage))
+        ppage = bound[core](vpage)
         if ppage is None:
             ppage = place(core, vpage)
         add_arrival(at_ps)

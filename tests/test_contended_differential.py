@@ -17,7 +17,10 @@ boundaries:
 * swap-shaped migration runs merged behind demand (the merged-drain
   shape),
 * CAMEO's line swaps: demand, a same-arrival swap read of the same
-  row, then the later write, and
+  row, then the later write,
+* twin prefixes with something else queued behind them (the prefix
+  drain's shape): a page-copy run followed by demand, by a write run
+  on the same row, or by a run on another bank, and
 * idle gaps that drain the window back to the fast path between
   stretches.
 
@@ -32,7 +35,7 @@ suite is pure Python — no numpy anywhere — so CI's no-numpy job runs
 it unchanged as the no-numpy leg.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -308,3 +311,169 @@ class TestAdversarialStretches:
         assert whole.flush() == split.flush()
         assert snapshot(split) == snapshot(whole)
         assert_conserved(split)
+
+
+# -- twin-prefix shapes ------------------------------------------------------
+#
+# The prefix drain serves a row-hit twin prefix at the buffer's head in
+# one step, whatever follows it.  Each shape below is a page-copy run
+# with something else queued behind it, driven through scalar
+# ``enqueue`` and through ``enqueue_batch`` with the run passed as a run.
+
+NO_REFRESH_TIMING = replace(DDR4_1600_TIMING, name="DDR4-no-refresh", trefi=0, trfc=0)
+
+
+def run_pair(timing, window, chunks):
+    """Replay ``chunks`` — ``(demand, runs)`` pairs, one ``enqueue_batch``
+    call each — on a scalar and a batched controller, asserting snapshot
+    equality after every call and after the final flush.
+
+    ``demand`` holds ``(bank, row, is_write, arrival, kind)`` requests and
+    ``runs`` ``(pos, bank, row, is_write, arrival, count, kind)`` page-copy
+    runs, queued right before ``demand[pos]``.
+    """
+    one = ChannelController(timing, BANKS, window=window)
+    many = ChannelController(timing, BANKS, window=window)
+    for demand, runs in chunks:
+        queued = list(runs)
+        for i in range(len(demand) + 1):
+            while queued and queued[0][0] == i:
+                _, bank, row, is_write, at, count, kind = queued.pop(0)
+                for _ in range(count):
+                    one.enqueue(bank, row, is_write, at, kind)
+            if i < len(demand):
+                one.enqueue(*demand[i])
+        cols = [list(col) for col in zip(*demand)] or [[]] * 5
+        enqueue_columns(
+            many, cols[0], cols[1], cols[2], cols[3], kinds=cols[4], runs=runs
+        )
+        assert snapshot(many) == snapshot(one)
+    assert one.flush() == many.flush()
+    assert snapshot(many) == snapshot(one)
+    assert_conserved(many)
+    return many
+
+
+def run_then_demand(seed):
+    """A twin run, then a demand column arriving right behind it: the
+    run's twins drain from the head while the demand waits."""
+    rng = DeterministicRng(seed)
+    chunks = []
+    at = 0
+    for _ in range(30):
+        bank, row = rng.randrange(4), rng.randrange(8)
+        run = (0, bank, row, int(rng.random() < 0.3), at, 8 + rng.randrange(33), MIGRATION)
+        gap = rng.choice((0, 500, 2_000, 10_000))
+        demand = []
+        for _ in range(1 + rng.randrange(12)):
+            at += gap
+            demand.append((rng.randrange(BANKS), rng.randrange(8),
+                           int(rng.random() < 0.3), at, DEMAND))
+        chunks.append((demand, [run]))
+        at += rng.choice((0, 5_000, 60_000, 400_000))
+    return chunks
+
+
+def read_then_write_runs(seed):
+    """A swap side: a read run, then a write run on the same bank and
+    row, at the same arrival or one copy phase later, then demand."""
+    rng = DeterministicRng(seed)
+    chunks = []
+    at = 0
+    for _ in range(30):
+        bank, row = rng.randrange(4), rng.randrange(8)
+        lines = 8 + rng.randrange(33)
+        write_at = at + rng.choice((0, 3_000, 200_000))
+        demand = [(rng.randrange(BANKS), rng.randrange(8), 0, at + 1_000 * j, DEMAND)
+                  for j in range(rng.randrange(4))]
+        runs = [(0, bank, row, 0, at, lines, MIGRATION),
+                (0, bank, row, 1, write_at, lines, MIGRATION)]
+        chunks.append((demand, runs))
+        at = write_at + rng.choice((0, 5_000, 400_000))
+    return chunks
+
+
+def run_then_other_bank_run(seed):
+    """A run, then a run on another bank: the second run's twins queue
+    behind the first run's prefix."""
+    rng = DeterministicRng(seed)
+    chunks = []
+    at = 0
+    for _ in range(30):
+        bank = rng.randrange(4)
+        other = (bank + 1 + rng.randrange(3)) % 4
+        w = int(rng.random() < 0.5)
+        runs = [(0, bank, rng.randrange(8), w, at, 8 + rng.randrange(33), MIGRATION),
+                (0, other, rng.randrange(8), w, at + rng.choice((0, 700, 4_000)),
+                 8 + rng.randrange(33), MIGRATION)]
+        demand = [(rng.randrange(BANKS), rng.randrange(8), 0, at + 5_000, DEMAND)]
+        chunks.append((demand, runs))
+        at += rng.choice((0, 5_000, 60_000, 400_000))
+    return chunks
+
+
+class TestTwinPrefixDrain:
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_run_then_demand_column(self, window, seed):
+        many = run_pair(DDR4_1600_TIMING, window, run_then_demand(seed))
+        if window == 8:
+            assert many.service_paths.closed_form_served > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_read_run_then_write_run_same_row(self, window, seed):
+        many = run_pair(DDR4_1600_TIMING, window, read_then_write_runs(seed))
+        if window == 8:
+            assert many.service_paths.closed_form_served > 0
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_run_then_run_on_another_bank(self, window, seed):
+        run_pair(HBM_TIMING, window, run_then_other_bank_run(seed))
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    def test_prefix_drain_without_refresh(self, window):
+        # No refresh: the batched path tests refresh against a sentinel,
+        # and must leave the controller's own cursor at 0.
+        assert NO_REFRESH_TIMING.trefi_ps == 0
+        many = run_pair(NO_REFRESH_TIMING, window, run_then_demand(61))
+        assert many._next_refresh_ps == 0
+        assert many.refreshes == 0
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    def test_block_until_then_a_call_that_serves_nothing(self, window):
+        # ``block_until`` pushes the bus cursor past the last completion;
+        # a call that only buffers must not move ``last_completion_ps``.
+        one = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        many = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        for ctrl in (one, many):
+            ctrl.enqueue(0, 3, False, 1_000)
+            ctrl.block_until(900_000)
+        last = many.last_completion_ps
+        assert 0 < last < many.bus_free_ps
+        one.enqueue(1, 5, False, 2_000)
+        enqueue_columns(many, [1], [5], [False], [2_000])
+        assert many.stats.served == 1  # the call only buffered its entry
+        assert many.last_completion_ps == last
+        assert snapshot(many) == snapshot(one)
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_lone_older_entry_after_overflow_served_the_incoming(self, window):
+        # The overflow serves the incoming row hit, the gated drain an
+        # older entry, and the lone entry left is older than the
+        # incoming arrival: it can still start before it, so the drain
+        # must test it rather than stop at one entry.
+        requests = [(2, 5, 0, 0, DEMAND)]  # opens bank 2's row 5
+        requests += [(b, 1, 0, 1_000, DEMAND) for b in (0, 1, 3)[:window]]
+        requests.append((2, 5, 0, 50_000, DEMAND))
+        one = ChannelController(HBM_TIMING, BANKS, window=window)
+        for bank, row, is_write, arrival, kind in requests:
+            one.enqueue(bank, row, is_write, arrival, kind)
+        assert one.pending_count == 0  # the lone older entry was served
+        many = ChannelController(HBM_TIMING, BANKS, window=window)
+        cols = [list(col) for col in zip(*requests)]
+        enqueue_columns(many, cols[0], cols[1], cols[2], cols[3], kinds=cols[4])
+        assert snapshot(many) == snapshot(one)
