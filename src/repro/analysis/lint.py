@@ -97,7 +97,6 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/managers/base.py::MemoryManager._issue_due_swaps",
     "repro/managers/base.py::MemoryManager._apply_swap",
     "repro/managers/base.py::MemoryManager._block_page",
-    "repro/managers/base.py::MemoryManager._prune_blocked",
     "repro/managers/base.py::MemoryManager._block_penalty_ps",
     "repro/managers/base.py::MemoryManager.finish",
     # the composed execution skeleton every mechanism now runs on

@@ -20,9 +20,8 @@ including exceptional exits, which is why the real restores live in
   that ``nonlocal``-assign it) must be unable to reach the function
   exit without passing a restore node.
 * **declared contracts** — attributes that are *set* and *restored*
-  rather than hoisted through a local (``engine.batch_swaps``) carry an
-  explicit ``# hoists: engine.batch_swaps, engine.swap_sink`` comment
-  inside the function.  Every write to a declared attribute outside a
+  rather than hoisted through a local (``engine.swap_sink``) carry an
+  explicit ``# hoists: engine.swap_sink`` comment inside the function.  Every write to a declared attribute outside a
   ``finally`` body must have all exit paths pass through another write
   (the terminal restore); ``finally``-resident writes are the terminal
   restores and are exempt.  A declared attribute with no writes at all

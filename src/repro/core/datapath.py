@@ -71,32 +71,22 @@ class MigrationEngine:
         self.memory = memory
         self.geometry = geometry
         self.stats = MigrationStats()
-        #: When set, :meth:`swap_pages` issues its transaction pattern
-        #: as page-copy runs (``ChannelController.enqueue_run``, a
-        #: one-run ``enqueue_batch`` call) or, on a shared controller,
-        #: one ``enqueue_batch`` entry list, instead of per-line ``enqueue``
-        #: calls.  Bit-identical (controllers share no state and
-        #: per-controller order is preserved), so the columnar replay
-        #: kernels flip it on for the duration of a run (restored in
-        #: their ``finally``); it carries the swaps their swap sink does
-        #: not capture — interval boundaries and ``finish``.  The
-        #: reference loop keeps the per-transaction path as the
-        #: semantic spec.
-        self.batch_swaps = False
         #: When set, :meth:`swap_pages` hands its transaction pattern to
         #: this callable instead of the controllers::
         #:
         #:     sink(ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b,
         #:          at_ps, write_ps, lines)
         #:
-        #: The columnar replay kernels install one that *merges* the
+        #: The per-record replay kernels install one for the whole
+        #: replay (restored in their ``finally``) that *merges* the
         #: swap's per-controller runs into their buffered demand entries
-        #: (see ``repro.kernel.replay._swap_merged_buffers``), so a due
-        #: swap no longer forces the buffered demand out of the batched
-        #: path.  The sink owner is responsible for replaying the
-        #: pattern in reference per-controller enqueue order; kernels
-        #: uninstall it around any code that services controllers
-        #: directly (interval boundaries, ``finish``).
+        #: (see ``repro.kernel.replay._swap_merged_buffers``), so every
+        #: swap they issue — inline, at an interval boundary or at the
+        #: end of the trace — reaches the controllers through the
+        #: batched path.  The sink owner replays the pattern in
+        #: reference per-controller enqueue order and flushes its
+        #: buffers before any code that services controllers directly.
+        #: Unset, the per-transaction loop below is the semantic spec.
         self.swap_sink = None
         lines = geometry.lines_per_page
         # Phase costs are sized for the migrating pair — tiers 0 and 1
@@ -156,31 +146,6 @@ class MigrationEngine:
                 ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b,
                 at_ps, write_ps, lines,
             )
-        elif self.batch_swaps:
-            if ctrl_a is ctrl_b:
-                # One shared controller sees the interleaved a/b pattern
-                # as a single entry list: 2*lines reads, then 2*lines
-                # writes.
-                ctrl_a.enqueue_batch(
-                    [
-                        (at_ps, at_ps, bank_a, row_a, False, MIGRATION),
-                        (at_ps, at_ps, bank_b, row_b, False, MIGRATION),
-                    ] * lines
-                    + [
-                        (write_ps, write_ps, bank_a, row_a, True, MIGRATION),
-                        (write_ps, write_ps, bank_b, row_b, True, MIGRATION),
-                    ] * lines
-                )
-            else:
-                # Distinct controllers share no state, so each side's
-                # per-controller subsequence (lines reads, lines writes)
-                # replays the interleaved loop exactly — and each
-                # subsequence is a run of identical transactions, which
-                # enqueue_batch serves as a twin column.
-                ctrl_a.enqueue_run(bank_a, row_a, False, at_ps, lines, MIGRATION)
-                ctrl_b.enqueue_run(bank_b, row_b, False, at_ps, lines, MIGRATION)
-                ctrl_a.enqueue_run(bank_a, row_a, True, write_ps, lines, MIGRATION)
-                ctrl_b.enqueue_run(bank_b, row_b, True, write_ps, lines, MIGRATION)
         else:
             enqueue_a = ctrl_a.enqueue
             enqueue_b = ctrl_b.enqueue

@@ -886,9 +886,12 @@ class ChannelController:
     ) -> None:
         """``count`` identical :meth:`enqueue` calls, bit for bit.
 
-        One page-copy run through :meth:`enqueue_batch` with no entries;
-        the replay kernels pass their runs inside the ``enqueue_batch``
-        call that carries the demand around them.
+        One page-copy run through :meth:`enqueue_batch` with no entries.
+        Nothing in the simulator calls it: the replay kernels pass their
+        runs inside the ``enqueue_batch`` call that carries the demand
+        around them.  It stays only because the benchmark's layer list
+        (``perfbench/layers.py``) wraps it by name, like
+        ``MemoryManager.blocked_columns``.
         """
         self.enqueue_batch(
             (), [(0, (arrival_ps, arrival_ps, bank, row, is_write, kind), count)]

@@ -42,12 +42,14 @@ Each mechanism has one kernel, chosen because it measured fastest:
   measured slower than these loops; hma checks its epoch ticks and due
   swaps inline, as mempod checks its interval boundaries, and defers
   its full-counter updates into one ``FullCountersTracker.record_batch``
-  call per epoch or window.  All four share one buffered datapath
+  call per epoch or window.  All four share one chunk loop
+  (:func:`_throttled_chunks`) and one buffered datapath
   (:func:`_swap_merged_buffers`): demand and swap traffic append to
   per-controller entry buffers that flush through one ``enqueue_batch`` call
   per controller per chunk — mempod's, thm's and hma's page swaps as
-  page-copy runs recorded through the engine's swap sink, cameo's line
-  swaps (one on nearly every slow access) appended inline.
+  page-copy runs recorded through the engine's swap sink, installed
+  for the whole replay, cameo's line swaps (one on nearly every slow
+  access) appended inline.
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -333,11 +335,13 @@ def _record_stream(packed, memory, page_shift):
 
 # -- replay loops ----------------------------------------------------------
 #
-# Shared chunk scaffolding, repeated per kernel so every name in the hot
-# loop is a local: process runs of THROTTLE_SAMPLE_PERIOD records, then
-# sample the CPU throttle exactly as the reference countdown would.  The
-# arrival offset only changes at sample points, so `arrivals[end-1] +
-# offset` equals the reference's per-record `last_ps` at chunk end.
+# Shared chunk scaffolding: runs of THROTTLE_SAMPLE_PERIOD records, then
+# a sample of the CPU throttle exactly as the reference countdown would
+# take it.  The arrival offset only changes at sample points, so
+# `arrivals[end-1] + offset` equals the reference's per-record `last_ps`
+# at chunk end.  The per-record kernels take their chunks from
+# _throttled_chunks and end through _finish_replay; _replay_direct keeps
+# its own loop because its chunks arrive pre-grouped by controller.
 
 
 def _replay_tlm(trace, packed, manager, throttle_cap_ps):
@@ -478,6 +482,49 @@ def _swap_merged_buffers(ctrls, batch):
     return bufs, flush_all, sink
 
 
+def _throttled_chunks(packed, records, throttle_cap_ps, peak_bus, flush_all):
+    """The per-record kernels' chunk loop: yields ``(chunk, offset)``.
+
+    ``chunk`` is an ``islice`` of the next ``THROTTLE_SAMPLE_PERIOD``
+    records of ``records`` — or of the whole trace in one run when the
+    throttle is off — and ``offset`` is the throttle's arrival offset
+    for every record in it.  Once the kernel has consumed a chunk, the
+    generator flushes its buffers through ``flush_all`` and, after a
+    full chunk, takes the reference's throttle sample.  The replay's
+    final ``last_ps`` is the last record's arrival plus the last offset
+    yielded (see :func:`_finish_replay`).  The cost is one generator
+    resume per chunk, never a call per record.
+    """
+    arrivals = packed.arrivals
+    total = packed.length
+    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
+    offset = 0
+    pos = 0
+    while pos < total:
+        end = min(pos + sample, total) if sample else total
+        yield islice(records, end - pos), offset
+        flush_all()
+        if end - pos == sample:
+            backlog = peak_bus() - (arrivals[end - 1] + offset)
+            if backlog > throttle_cap_ps:
+                offset += backlog - throttle_cap_ps
+        pos = end
+
+
+def _finish_replay(packed, manager, offset, flush_all):
+    """The per-record kernels' tail, run with the swap sink installed;
+    returns ``manager.finish``'s end time.
+
+    The swaps still queued issue through the sink and land with one
+    ``flush_all``, so ``finish`` — called at the reference's
+    ``last_ps`` — only drains the devices.
+    """
+    manager._issue_due_swaps(None)
+    flush_all()
+    last_ps = packed.arrivals[-1] + offset if packed.length else 0
+    return manager.finish(last_ps)
+
+
 def _replay_hma(trace, packed, manager, throttle_cap_ps):
     """HMA without a counter cache: epoch ticks, paced swaps, full-counter
     recording, page-table lookup, block penalties.
@@ -485,28 +532,28 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     Per record over :func:`_record_stream`, in the shape of
     :func:`_replay_mempod`: the epoch check and due swaps run inline,
     each record's decoded transaction appends to the per-controller
-    buffers of :func:`_swap_merged_buffers`, and a due swap's traffic
-    merges into those buffers through the engine's swap sink.  Buffers
-    flush through ``enqueue_batch`` at every chunk end and right before
-    an epoch, whose plans may touch any controller and may stall the
-    machine.  A remapped page decodes inline with the mappers' shifts
-    and masks; the page table only holds in-range frames, so the
+    buffers of :func:`_swap_merged_buffers`, and every swap's traffic
+    merges into those buffers through the engine's swap sink.  At an
+    epoch the previous epoch's due swaps issue through the sink and the
+    buffers flush before ``_run_boundary``, which may stall the machine
+    (``memory.block_until`` in stall mode); its own due-swap drain is
+    then a no-op.  A remapped page decodes inline with the mappers'
+    shifts and masks; the page table only holds in-range frames, so the
     routing is ``memory.access``'s.
 
     Full-counter updates are deferred and applied with one
     ``FullCountersTracker.record_batch`` call right before each epoch
-    runs and at the first chunk end after :func:`_stream_window`
+    runs and at the top of the first chunk after :func:`_stream_window`
     records — the tracker is only *read* at epochs and never touches
     the controllers, so deferral commutes, and the window keeps the
     deferred list (and the peak heap) independent of the trace length.
-    The ``finally`` restores the engine flags, writes the epoch cursor
-    back and applies the updates of every record already replayed, so
-    an exception mid-chunk cannot leave the manager with stale state.
+    The ``finally`` uninstalls the sink, writes the epoch cursor back
+    and applies the updates of every record already replayed, so an
+    exception mid-chunk cannot leave the manager with stale state.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
     record_batch = manager.tracker.record_batch
     location_get = manager._location.get
     block_penalty = manager._block_penalty_ps
@@ -535,40 +582,33 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     window = _stream_window(packed)
     deferred = []  # pages whose full-counter updates are pending
     defer = deferred.append
-    arrivals = packed.arrivals
     records = _record_stream(packed, memory, page_shift)
-    total = packed.length
-    last_ps = 0
+    chunks = _throttled_chunks(
+        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
+    )
     offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    engine.batch_swaps = True
+    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, _, page, ci, bank, row in islice(
-                records, end - pos
-            ):
+        for chunk, offset in chunks:
+            if len(deferred) >= window:
+                record_batch(deferred)
+                deferred.clear()
+            for arrival, is_write, address, _, page, ci, bank, row in chunk:
                 arrival += offset
                 if arrival >= next_boundary:
                     # The epoch reads the counters, so they catch up
-                    # first.  Its plans service controllers directly
-                    # (and may stall the machine), so deferred demand
-                    # lands first and the sink does not capture the
-                    # epoch's own swap traffic.
+                    # first; the due swaps and buffered demand land
+                    # before it, because a stall-mode epoch services
+                    # every controller directly.
                     record_batch(deferred)
                     deferred.clear()
-                    flush_all()
-                    engine.swap_sink = None
                     while arrival >= next_boundary:
+                        issue_swaps(next_boundary)
+                        flush_all()
                         run_boundary(next_boundary)
                         next_boundary += interval
-                    engine.swap_sink = swap_sink
                 if queue and queue[0][0] <= arrival:
                     # Due swaps merge into the buffers through the
                     # sink; every buffered demand arrival precedes
@@ -593,25 +633,10 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
                         bank = (translated >> s_row_sh) & s_bank_m
                         row = translated >> s_chan_sh
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
-            flush_all()
-            if len(deferred) >= window:
-                record_batch(deferred)
-                deferred.clear()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
         record_batch(deferred)
         deferred.clear()
-        # Buffers are empty here (every chunk ends in a flush), so
-        # finish() — which issues the still-queued swaps directly and
-        # drains the devices — runs against reference-order controllers.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
+        end_ps = _finish_replay(packed, manager, offset, flush_all)
     finally:
-        engine.batch_swaps = False
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
         if deferred:
@@ -627,18 +652,17 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     but the DRAM side batches: each record's decoded transaction is
     appended to the per-controller buffers of
     :func:`_swap_merged_buffers`, flushed through ``enqueue_batch`` at
-    every chunk end and — to preserve the reference's per-controller
-    enqueue order — right before an interval boundary.  A due swap does
-    not flush: its transaction pattern *merges* into the buffers
-    through the engine's swap sink.  Remapped frames decode inline with
-    the mappers' shifts and masks instead of ``memory.access``: remap
-    tables only ever hold in-range frames, so the routing is identical
-    and the bounds check is vacuous.
+    every chunk end.  Every swap — due at a record or at an interval
+    boundary — *merges* into the buffers through the engine's swap
+    sink, and boundary planning (``Pod.plan_interval``) never touches
+    memory, so a boundary needs no flush.  Remapped frames decode
+    inline with the mappers' shifts and masks instead of
+    ``memory.access``: remap tables only ever hold in-range frames, so
+    the routing is identical and the bounds check is vacuous.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
     observe = [pod.mea.record for pod in manager.pods]
     forward_get = [pod.remap._forward.get for pod in manager.pods]
     block_penalty = manager._block_penalty_ps
@@ -670,37 +694,21 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     fast_cpp = manager._fast_cpp
     slow_chan = manager._slow_chan
     slow_cpp = manager._slow_cpp
-    arrivals = packed.arrivals
     records = _record_stream(packed, memory, page_shift)
-    total = packed.length
-    last_ps = 0
+    chunks = _throttled_chunks(
+        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
+    )
     offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    engine.batch_swaps = True
+    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, _, page, ci, bank, row in islice(
-                records, end - pos
-            ):
+        for chunk, offset in chunks:
+            for arrival, is_write, address, _, page, ci, bank, row in chunk:
                 arrival += offset
-                if arrival >= next_boundary:
-                    # Boundaries service controllers directly (and may
-                    # issue their own swaps), so deferred demand must
-                    # reach the controllers first and the sink must not
-                    # capture the boundary's migration traffic.
-                    flush_all()
-                    engine.swap_sink = None
-                    while arrival >= next_boundary:
-                        run_boundary(next_boundary)
-                        next_boundary += interval
-                    engine.swap_sink = swap_sink
+                while arrival >= next_boundary:
+                    run_boundary(next_boundary)
+                    next_boundary += interval
                 if queue and queue[0][0] <= arrival:
                     # Due swaps merge into the buffers through the
                     # sink; per-controller enqueue order is the
@@ -730,22 +738,10 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                         bank = (translated >> s_row_sh) & s_bank_m
                         row = translated >> s_chan_sh
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
-            flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty here (every chunk ends in a flush), so
-        # finish() — which issues the still-queued swaps directly and
-        # flushes the memory — runs against reference-order controllers.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
+        end_ps = _finish_replay(packed, manager, offset, flush_all)
     finally:
         # State write-back must survive a mid-chunk exception: a stale
         # boundary cursor would double-run boundaries on the next replay.
-        engine.batch_swaps = False
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
     return collect_result(manager, trace, end_ps)
@@ -766,7 +762,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
     access_resident = manager.counters.access_resident
     access_challenger = manager.counters.access_challenger
     migrate = manager._migrate
@@ -790,25 +785,17 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
     push = [buf.append for buf in bufs]
 
-    arrivals = packed.arrivals
     records = _record_stream(packed, memory, page_shift)
-    total = packed.length
-    last_ps = 0
+    chunks = _throttled_chunks(
+        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
+    )
     offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    engine.batch_swaps = True
+    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, _, page, ci, bank, row in islice(
-                records, end - pos
-            ):
+        for chunk, offset in chunks:
+            for arrival, is_write, address, _, page, ci, bank, row in chunk:
                 arrival += offset
                 if blocked or expiry:
                     penalty = block_penalty(page, arrival)
@@ -842,18 +829,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         bank = (translated >> s_row_sh) & s_bank_m
                         row = translated >> s_chan_sh
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
-            flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty at chunk boundaries; finish() runs direct.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
+        end_ps = _finish_replay(packed, manager, offset, flush_all)
     finally:
-        engine.batch_swaps = False
         engine.swap_sink = None
     return collect_result(manager, trace, end_ps)
 
@@ -892,7 +869,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
     forward = manager._location
     resident = manager._resident
     location_get = forward.get
@@ -920,24 +896,17 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     bufs, flush_all, _ = _swap_merged_buffers(ctrls, batch)
     push = [buf.append for buf in bufs]
 
-    arrivals = packed.arrivals
     records = _record_stream(packed, memory, LINE_SHIFT)
-    total = packed.length
-    last_ps = 0
+    chunks = _throttled_chunks(
+        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
+    )
     offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     migrations = first_migrations = manager.total_migrations
     wasted = manager.wasted_migrations
     blocked_hits = manager.blocked_hits
     try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, _, _, line, ci, bank, row in islice(
-                records, end - pos
-            ):
+        for chunk, offset in chunks:
+            for arrival, is_write, _, _, line, ci, bank, row in chunk:
                 arrival += offset
                 # MemoryManager._block_penalty_ps: prune the blocks due
                 # by now, then charge what is left of this line's.
@@ -1023,13 +992,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
                     heappush(expiry, (completion, line_b))
                 untouched[line] = True
                 migrations += 1
-            flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
     finally:
         manager.total_migrations = migrations
         manager.wasted_migrations = wasted
@@ -1040,8 +1002,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
         stats = engine.stats
         stats.line_swaps += swaps
         stats.bytes_moved += swaps * swap_bytes
-    # Buffers are empty at chunk boundaries; finish() drains the devices.
-    end_ps = manager.finish(last_ps)
+    end_ps = _finish_replay(packed, manager, offset, flush_all)
     return collect_result(manager, trace, end_ps)
 
 

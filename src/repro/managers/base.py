@@ -163,21 +163,6 @@ class MemoryManager(ABC):
             self._blocked[page] = until_ps
             heapq.heappush(self._blocked_expiry, (until_ps, page))
 
-    def _prune_blocked(self, now_ps: int) -> None:
-        """Drop every block that expired by ``now_ps``.
-
-        Without this, a page blocked once and never demanded again
-        stays in the table forever (the demand-path prune only fires on
-        a repeat touch), so long traces grow the dict without bound.
-        Amortised O(1) per call: each heap entry is popped exactly once.
-        """
-        heap = self._blocked_expiry
-        blocked = self._blocked
-        while heap and heap[0][0] <= now_ps:
-            until_ps, page = heapq.heappop(heap)
-            if blocked.get(page) == until_ps:
-                del blocked[page]
-
     def _block_penalty_ps(self, page: int, arrival_ps: int) -> int:
         """Stall a demand to ``page`` suffers from an in-flight swap.
 
@@ -186,16 +171,24 @@ class MemoryManager(ABC):
         ``account_ps = arrival - penalty`` — the wait shows up in the
         AMMAT numerator without pushing a future timestamp into the
         controllers (which would convoy the channel for unrelated
-        traffic).  Expired entries are pruned wholesale as simulated
-        time passes, so the table size stays bounded by the number of
-        genuinely in-flight blocks.
+        traffic).  Every block that expired by ``arrival_ps`` is pruned
+        first, whichever page it covers: a page blocked once and never
+        demanded again would otherwise stay in the table forever, so
+        the table size stays bounded by the number of genuinely
+        in-flight blocks.  Amortised O(1) per call: each heap entry is
+        popped exactly once.
         """
-        self._prune_blocked(arrival_ps)
-        until = self._blocked.get(page)
+        heap = self._blocked_expiry
+        blocked = self._blocked
+        while heap and heap[0][0] <= arrival_ps:
+            until_ps, expired = heapq.heappop(heap)
+            if blocked.get(expired) == until_ps:
+                del blocked[expired]
+        until = blocked.get(page)
         if until is None:
             return 0
         if until <= arrival_ps:
-            del self._blocked[page]
+            del blocked[page]
             return 0
         self.blocked_hits += 1
         return until - arrival_ps

@@ -85,9 +85,11 @@ class TestLineSwap:
 
 
 class TestBatchedSwapEquivalence:
-    """``batch_swaps`` reroutes the 64-read/64-write pattern through
-    enqueue_run / enqueue_batch; every controller must end in exactly
-    the state the per-transaction loop leaves it in."""
+    """The replay kernels' swap sink (``_swap_merged_buffers``) turns
+    the 64-read/64-write pattern into page-copy runs, or one interleaved
+    entry list on a shared controller, handed to ``enqueue_batch`` by
+    ``flush_all``; every controller must end in exactly the state the
+    per-transaction loop leaves it in."""
 
     def _controller_snapshots(self, memory):
         from dataclasses import asdict
@@ -103,34 +105,47 @@ class TestBatchedSwapEquivalence:
                 ))
         return state
 
-    def _run(self, geometry, pairs, batched):
+    def _run(self, geometry, pairs, sunk):
+        from repro.kernel.replay import _swap_merged_buffers
+
         memory = HybridMemory(geometry)
         engine = MigrationEngine(memory, geometry)
-        engine.batch_swaps = batched
+        if sunk:
+            ctrls = list(memory._controllers)
+            _, flush_all, engine.swap_sink = _swap_merged_buffers(
+                ctrls, [ctrl.enqueue_batch for ctrl in ctrls]
+            )
         at = 0
         completions = []
         for frame_a, frame_b in pairs:
             completions.append(engine.swap_pages(frame_a, frame_b, at))
             at = completions[-1]
+        if sunk:
+            flush_all()
+        issued = self._controller_snapshots(memory)
         memory.flush()
-        return completions, self._controller_snapshots(memory)
+        return completions, engine.stats, issued, self._controller_snapshots(memory)
 
     def test_cross_device_swaps(self, geometry):
         pairs = [(i, geometry.fast_pages + 3 * i) for i in range(8)]
-        scalar = self._run(geometry, pairs, batched=False)
-        batched = self._run(geometry, pairs, batched=True)
-        assert batched == scalar
+        assert self._run(geometry, pairs, sunk=True) == self._run(
+            geometry, pairs, sunk=False
+        )
 
     def test_shared_controller_swap(self, geometry):
         # Two frames decoding to the same channel controller exercise
-        # the interleaved single entry-list branch.
+        # the sink's interleaved entry-list branch, which no shipped
+        # kernel reaches: their page swaps always pair a fast frame
+        # with a slow one.  The partner shares the bank but not the
+        # row, so every read conflicts and the a/b interleave shows.
         probe = MigrationEngine(HybridMemory(geometry), geometry)
         page_bytes = geometry.page_bytes
-        base_ctrl = probe._locate(0)[0]
+        base_ctrl, base_bank, base_row = probe._locate(0)
         partner = next(
             frame for frame in range(1, geometry.fast_pages)
-            if probe._locate(frame * page_bytes)[0] is base_ctrl
+            if probe._locate(frame * page_bytes)[:2] == (base_ctrl, base_bank)
+            and probe._locate(frame * page_bytes)[2] != base_row
         )
-        scalar = self._run(geometry, [(0, partner)], batched=False)
-        batched = self._run(geometry, [(0, partner)], batched=True)
-        assert batched == scalar
+        assert self._run(geometry, [(0, partner)], sunk=True) == self._run(
+            geometry, [(0, partner)], sunk=False
+        )

@@ -11,8 +11,11 @@ bug by definition (the reference loop is the semantic spec).
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernel.replay
+from repro.analysis.sanitize import sanitized_simulate
 from repro.common.errors import AddressError
 from repro.common.rng import DeterministicRng
 from repro.core.datapath import MigrationStats
@@ -23,7 +26,9 @@ from repro.geometry import scaled_geometry
 from repro.managers.base import ComposedManager, MemoryManager
 from repro.managers.cameo import CameoManager
 from repro.managers.hma import HmaManager
+from repro.mechanisms.registry import mechanism_names
 from repro.system.simulator import (
+    DEFAULT_THROTTLE_CAP_PS,
     MANAGER_KINDS,
     build_manager,
     reference_simulate,
@@ -49,13 +54,10 @@ def assert_kernels_agree(trace, geometry, kind, throttle_cap_ps=1_000_000, **par
     reference = reference_simulate(
         trace, build_manager(kind, geometry, **params), throttle_cap_ps=throttle_cap_ps
     )
-    fast = simulate(
-        trace,
-        build_manager(kind, geometry, **params),
-        throttle_cap_ps=throttle_cap_ps,
-        kernel="fast",
-    )
+    manager = build_manager(kind, geometry, **params)
+    fast = simulate(trace, manager, throttle_cap_ps=throttle_cap_ps, kernel="fast")
     assert asdict(fast) == asdict(reference)
+    return manager
 
 
 @pytest.fixture()
@@ -107,9 +109,15 @@ class TestFallbackConfigurations:
         )
 
     def test_hma_stall_penalty_mode(self, geometry):
-        assert_kernels_agree(
-            _trace(geometry, "xalanc"), geometry, "hma", penalty_mode="stall"
+        # A short epoch, so the stall-mode epochs (memory.block_until)
+        # run and migrate: the kernel must land its buffered demand and
+        # due swaps before each one.
+        manager = assert_kernels_agree(
+            _trace(geometry, "xalanc"), geometry, "hma", penalty_mode="stall",
+            interval_ps=5_000_000, sort_penalty_ps=500_000,
         )
+        assert manager.intervals > 0
+        assert manager.total_migrations > 0
 
     def test_hma_with_counter_cache(self, geometry):
         assert_kernels_agree(
@@ -240,14 +248,15 @@ class TestHmaChurn:
 
 class TestPageSwapChurn:
     """mempod, thm and hma on the migration-churn cell with the scalar
-    controller path refused.
+    controller path and ``enqueue_run`` refused.
 
     Every page swap reaches a controller as a read run and a write run
-    of identical transactions per side.  The kernels pass both runs
-    inside the ``enqueue_batch`` call that carries the demand around
-    them, and the swaps an interval boundary or ``finish`` issues go
-    through ``enqueue_run``, a one-run ``enqueue_batch`` call, so no
-    transaction may take ``ChannelController.enqueue``.
+    of identical transactions per side.  The kernels keep the engine's
+    swap sink installed for the whole replay, so every swap — inline,
+    at an interval boundary or at the end of the trace — passes both
+    runs inside the ``enqueue_batch`` call that carries the demand
+    around them: no transaction may take ``ChannelController.enqueue``
+    or ``enqueue_run``.
     """
 
     @pytest.fixture(scope="class")
@@ -273,9 +282,10 @@ class TestPageSwapChurn:
             ))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("scalar enqueue called")
+            raise AssertionError("enqueue or enqueue_run called")
 
         monkeypatch.setattr(ChannelController, "enqueue", refuse)
+        monkeypatch.setattr(ChannelController, "enqueue_run", refuse)
         trace = _churn_copy(churn, copy, tmp_path)
         result = asdict(simulate(
             trace, build_manager(mech, geometry, **self._params(mech)),
@@ -358,7 +368,6 @@ class TestCameoChurn:
 
         for owner, name in (
             (MemoryManager, "_block_penalty_ps"),
-            (MemoryManager, "_prune_blocked"),
             (MemoryManager, "_block_page"),
             (RemapTable, "swap_frames"),
             (MigrationStats, "note_swap"),
@@ -371,6 +380,72 @@ class TestCameoChurn:
         assert result == reference
         assert result["extras"]["blocked_hits"] > 0
         assert self._state(manager) == self._state(reference_manager)
+
+
+class TestFuzzedKernels:
+    """Reference, fast and sanitized replays agree on random cells.
+
+    One property over every registered mechanism — the fallbacks
+    included — with small random traces, controller windows from 1 to
+    32 and the throttle on or off.  Interval- and
+    epoch-triggered mechanisms get a short interval so boundaries, paced
+    swaps and (for hma) stall-mode epochs fall inside the trace.
+    """
+
+    @staticmethod
+    def _records(geometry, seed, length, hot_pages, gap_ps):
+        # A small hot set drawn from the whole flat space, so counters
+        # cross their thresholds within a few intervals.
+        rng = DeterministicRng(seed)
+        pages = geometry.fast_pages + geometry.slow_pages
+        hot = [rng.randrange(pages) for _ in range(hot_pages)]
+        records, at = [], 0
+        for _ in range(length):
+            page = hot[rng.randrange(hot_pages)]
+            address = (page * geometry.page_bytes
+                       + rng.randrange(geometry.lines_per_page) * 64)
+            records.append((at, address, rng.randrange(2), 0))
+            at += rng.randrange(gap_ps + 1)
+        return records
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        mech=st.sampled_from(mechanism_names()),
+        window=st.sampled_from([1, 2, 8, 32]),
+        throttle_cap_ps=st.sampled_from([0, DEFAULT_THROTTLE_CAP_PS]),
+        seed=st.integers(0, 2**16),
+        length=st.integers(0, 1_500),
+        hot_pages=st.integers(1, 24),
+        gap_ps=st.sampled_from([2_000, 30_000, 400_000]),
+        records_per_interval=st.sampled_from([8, 64, 256]),
+        stall=st.booleans(),
+    )
+    def test_replays_agree(
+        self, geometry, mech, window, throttle_cap_ps, seed, length, hot_pages,
+        gap_ps, records_per_interval, stall,
+    ):
+        trace = Trace.from_records(
+            "fuzz", self._records(geometry, seed, length, hot_pages, gap_ps),
+            geometry.page_bytes,
+        )
+        # Gaps average gap_ps / 2, so an interval spans about
+        # records_per_interval records.
+        interval_ps = gap_ps * records_per_interval // 2
+        params = {}
+        probe = build_manager(mech, geometry)
+        if getattr(probe, "interval_ps", None):
+            params["interval_ps"] = interval_ps
+        if hasattr(probe, "penalty_mode"):
+            params["sort_penalty_ps"] = interval_ps // 10
+            params["penalty_mode"] = "stall" if stall else "compute"
+
+        def replay(run, **kwargs):
+            manager = build_manager(mech, geometry, window=window, **params)
+            return asdict(run(trace, manager, throttle_cap_ps=throttle_cap_ps, **kwargs))
+
+        reference = replay(reference_simulate)
+        assert replay(simulate, kernel="fast") == reference
+        assert replay(sanitized_simulate) == reference
 
 
 class TestEdgeTraces:

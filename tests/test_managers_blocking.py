@@ -59,7 +59,8 @@ class TestBlockingTableBounded:
     def test_reblocked_page_survives_stale_heap_entry(self, manager):
         manager._block_page(5, 10_000)
         manager._block_page(5, 50_000)  # extended: old heap entry is stale
-        manager._prune_blocked(20_000)
+        manager._block_penalty_ps(6, 20_000)  # prunes through an unrelated page
+        assert manager._blocked_expiry == [(50_000, 5)]
         assert manager._block_penalty_ps(5, 30_000) == 20_000
 
     def test_bounded_after_multi_interval_run(self, geometry):
