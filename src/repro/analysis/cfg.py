@@ -88,13 +88,6 @@ class FunctionCFG:
     entry: int = 0
     exit: int = 0
 
-    def node_of(self, stmt: ast.stmt) -> Optional[int]:
-        """Node id of ``stmt`` (statements map 1:1 onto nodes)."""
-        for node in self.nodes.values():
-            if node.stmt is stmt:
-                return node.id
-        return None
-
     def stmt_nodes(self) -> Iterator[CFGNode]:
         for node in self.nodes.values():
             if node.kind == STMT:

@@ -95,7 +95,6 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # shared swap pacing / page blocking mechanics
     "repro/managers/base.py::MemoryManager._schedule_swaps",
     "repro/managers/base.py::MemoryManager._issue_due_swaps",
-    "repro/managers/base.py::MemoryManager._apply_swap",
     "repro/managers/base.py::MemoryManager._block_page",
     "repro/managers/base.py::MemoryManager._block_penalty_ps",
     "repro/managers/base.py::MemoryManager.finish",

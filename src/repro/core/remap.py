@@ -26,7 +26,7 @@ by :meth:`~repro.core.pod.Pod.storage_bits`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from ..common.errors import MigrationError
 
@@ -70,10 +70,6 @@ class RemapTable:
         else:
             self._forward[page] = frame
             self._resident[frame] = page
-
-    def moved_pages(self) -> Iterable[int]:
-        """Original pages currently living away from home."""
-        return self._forward.keys()
 
     def __len__(self) -> int:
         """Number of non-identity entries."""

@@ -6,9 +6,10 @@ Public surface:
 * :class:`AddressMapper` / :class:`DecodedAddress`,
 * :class:`Bank` with row-buffer outcomes,
 * :class:`ChannelController` (bounded FR-FCFS),
-* :class:`MemoryDevice` plus the ``hbm_device`` / ``ddr4_device`` /
-  overclocked factory functions,
-* :class:`MemoryRequest` and the request-kind constants.
+* :class:`MemoryDevice` plus the ``hbm_device`` / ``ddr4_device``
+  Table 2 factory functions,
+* the transaction-kind constants (``DEMAND``, ``MIGRATION``,
+  ``BOOKKEEPING``).
 """
 
 from .address import AddressMapper, DecodedAddress
@@ -22,11 +23,9 @@ from .devices import (
     ROW_BYTES,
     MemoryDevice,
     ddr4_device,
-    ddr4_only_device,
     hbm_device,
-    hbm_only_device,
 )
-from .request import BOOKKEEPING, DEMAND, KIND_NAMES, MIGRATION, MemoryRequest
+from .request import BOOKKEEPING, DEMAND, KIND_NAMES, MIGRATION
 from .timing import DramTiming
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "KIND_NAMES",
     "MIGRATION",
     "MemoryDevice",
-    "MemoryRequest",
     "OUTCOME_NAMES",
     "REQUEST_BYTES",
     "ROW_BYTES",
@@ -53,7 +51,5 @@ __all__ = [
     "ROW_CONFLICT",
     "ROW_HIT",
     "ddr4_device",
-    "ddr4_only_device",
     "hbm_device",
-    "hbm_only_device",
 ]

@@ -124,11 +124,6 @@ class ControllerStats:
         self.migration_count += other.migration_count
         self.bookkeeping_count += other.bookkeeping_count
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of served transactions that hit an open row."""
-        return self.row_hits / self.served if self.served else 0.0
-
 
 @dataclass
 class ServicePathStats:
@@ -923,11 +918,6 @@ class ChannelController:
         for bank in self.banks:
             if bank.busy_until_ps < ps:
                 bank.busy_until_ps = ps
-
-    @property
-    def pending_count(self) -> int:
-        """Number of buffered, not-yet-serviced transactions."""
-        return len(self._pending)
 
     def row_buffer_stats(self) -> "tuple[int, int]":
         """Return ``(row_hits, total_accesses)`` summed over banks."""

@@ -99,11 +99,6 @@ def get_timing(name: str) -> DramTiming:
         raise KeyError(f"unknown timing {name!r}; registered: {known}") from None
 
 
-def timing_names() -> "tuple[str, ...]":
-    """Registered timing names, sorted."""
-    return tuple(sorted(TIMINGS))
-
-
 ROW_BYTES = 8 * 1024
 
 
@@ -161,10 +156,6 @@ class MemoryDevice:
         """Drain every channel; return the latest completion time seen."""
         return max(ctrl.flush() for ctrl in self.controllers)
 
-    def flush_channel(self, channel: int) -> int:
-        """Drain one channel; return its last completion time."""
-        return self.controllers[channel].flush()
-
     def block_until(self, ps: int) -> None:
         """Stall the whole device until ``ps`` (see ChannelController)."""
         for ctrl in self.controllers:
@@ -214,38 +205,6 @@ def ddr4_device(window: int = 8, timing: DramTiming = DDR4_1600_TIMING) -> Memor
         name=timing.name,
         timing=timing,
         capacity_bytes=gib(8),
-        channels=4,
-        ranks=1,
-        banks=16,
-        window=window,
-    )
-
-
-def hbm_only_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice:
-    """The paper's 9 GB HBM-only upper-bound configuration.
-
-    Capacity is rounded up to 16 GB (the nearest power of two holding
-    the 9 GB footprint) so the bit-sliced address mapper applies; only
-    the first 9 GB is ever touched, and latency does not depend on
-    capacity in this model.
-    """
-    return MemoryDevice(
-        name=f"{timing.name}-only",
-        timing=timing,
-        capacity_bytes=gib(16),
-        channels=8,
-        ranks=1,
-        banks=16,
-        window=window,
-    )
-
-
-def ddr4_only_device(window: int = 8, timing: DramTiming = DDR4_2400_TIMING) -> MemoryDevice:
-    """The Section 6.3.4 9 GB DDR4-2400-only baseline (16 GB mapper)."""
-    return MemoryDevice(
-        name=f"{timing.name}-only",
-        timing=timing,
-        capacity_bytes=gib(16),
         channels=4,
         ranks=1,
         banks=16,

@@ -37,10 +37,6 @@ class Fig9Result:
     uncached: Dict[str, float] = field(default_factory=dict)
     miss_rates: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
-    def cache_impact(self, mechanism: str, size_kib: int) -> float:
-        """Relative slowdown of the cached run vs the cache-free run."""
-        return self.normalized[mechanism][size_kib] / self.uncached[mechanism] - 1.0
-
     def format_table(self) -> str:
         headers = ["mechanism", "no cache"] + [f"{s} kB" for s in self.sizes_kib]
         rows = []

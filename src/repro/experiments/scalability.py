@@ -41,11 +41,6 @@ class Fig10Result:
             row[mechanism] for row in self.normalized.values()
         )
 
-    def improvement_over_tlm(self, mechanism: str) -> float:
-        """Average AMMAT improvement relative to the future-tech TLM."""
-        tlm = self.average("tlm")
-        return 1.0 - self.average(mechanism) / tlm
-
     def format_table(self) -> str:
         headers = ["workload"] + list(self.mechanisms)
         rows = []

@@ -45,10 +45,9 @@ class MemoryGeometry:
     field names (the paper's two-level machine); tiers beyond the
     second are declared in ``extra_tiers`` as ``(bytes, channels,
     timing_name)`` rows.  The N-entry tier table —
-    :meth:`tier_bytes`/:meth:`tier_channels`/:meth:`tier_offset` over
-    ``tier_count`` tiers — is derived from all three, so two-level
-    geometries (``extra_tiers=()``) are bit-for-bit what they always
-    were.
+    :meth:`tier_bytes`/:meth:`tier_pages` over ``tier_count`` tiers —
+    is derived from all three, so two-level geometries
+    (``extra_tiers=()``) are bit-for-bit what they always were.
     """
 
     fast_bytes: int
@@ -163,26 +162,6 @@ class MemoryGeometry:
         except IndexError:
             raise AddressError(f"tier {tier} out of range") from None
 
-    def tier_channels(self, tier: int) -> int:
-        """Channel count of tier ``tier``."""
-        if tier == 0:
-            return self.fast_channels
-        if tier == 1:
-            return self.slow_channels
-        try:
-            return self.extra_tiers[tier - 2][1]
-        except IndexError:
-            raise AddressError(f"tier {tier} out of range") from None
-
-    def tier_offset(self, tier: int) -> int:
-        """First flat byte address of tier ``tier``."""
-        if not 0 <= tier < self.tier_count:
-            raise AddressError(f"tier {tier} out of range")
-        offset = 0
-        for index in range(tier):
-            offset += self.tier_bytes(index)
-        return offset
-
     def tier_pages(self, tier: int) -> int:
         """Page slots in tier ``tier``."""
         return self.tier_bytes(tier) // self.page_bytes
@@ -247,11 +226,6 @@ class MemoryGeometry:
     #   p <  fast_pages           -> fast device offset p * page_bytes
     #   p >= fast_pages           -> slow device offset (p - fast_pages) * page_bytes
 
-    def is_fast_page(self, page: int) -> bool:
-        """True when flat page ``page`` lives in the fast device."""
-        self._check_page(page)
-        return page < self.fast_pages
-
     def _check_page(self, page: int) -> None:
         if not 0 <= page < self.total_pages:
             raise AddressError(f"page {page} outside flat space of {self.total_pages}")
@@ -284,7 +258,7 @@ class MemoryGeometry:
     # Each pod needs a dense index over its own fast slots (the MemPod
     # eviction scan walks fast slots sequentially) and over all its slots
     # (remap tables are per-pod).  The stripe is periodic with period
-    # pages_per_row * channels, so both directions are O(1).
+    # pages_per_row * channels, so slot -> page is O(1).
 
     def pod_fast_slot_to_page(self, pod: int, slot: int) -> int:
         """The flat page number of a pod's ``slot``-th fast page."""
@@ -299,18 +273,6 @@ class MemoryGeometry:
         channel = pod * cpp + chan_in_pod
         return (row_group * self.fast_channels + channel) * ppr + page_in_row
 
-    def fast_page_to_pod_slot(self, page: int) -> "tuple[int, int]":
-        """Inverse of :meth:`pod_fast_slot_to_page`: ``(pod, slot)``."""
-        if not 0 <= page < self.fast_pages:
-            raise AddressError(f"page {page} is not a fast page")
-        ppr = self.pages_per_row
-        cpp = self.fast_channels_per_pod
-        row_stripe, page_in_row = divmod(page, ppr)
-        row_group, channel = divmod(row_stripe, self.fast_channels)
-        pod, chan_in_pod = divmod(channel, cpp)
-        slot = (row_group * cpp + chan_in_pod) * ppr + page_in_row
-        return pod, slot
-
     def pod_slow_slot_to_page(self, pod: int, slot: int) -> int:
         """The flat page number of a pod's ``slot``-th slow page."""
         if not 0 <= pod < self.pods:
@@ -323,18 +285,6 @@ class MemoryGeometry:
         chan_in_pod, page_in_row = divmod(rem, ppr)
         channel = pod * cpp + chan_in_pod
         return self.fast_pages + (row_group * self.slow_channels + channel) * ppr + page_in_row
-
-    def slow_page_to_pod_slot(self, page: int) -> "tuple[int, int]":
-        """Inverse of :meth:`pod_slow_slot_to_page`: ``(pod, slot)``."""
-        if not self.fast_pages <= page < self.total_pages:
-            raise AddressError(f"page {page} is not a slow page")
-        ppr = self.pages_per_row
-        cpp = self.slow_channels_per_pod
-        row_stripe, page_in_row = divmod(page - self.fast_pages, ppr)
-        row_group, channel = divmod(row_stripe, self.slow_channels)
-        pod, chan_in_pod = divmod(channel, cpp)
-        slot = (row_group * cpp + chan_in_pod) * ppr + page_in_row
-        return pod, slot
 
 
 def paper_geometry(pods: int = 4) -> MemoryGeometry:

@@ -61,8 +61,8 @@ not plausibility, so dispatch is deliberately conservative:
   shape, but then requires ``type(manager) is`` the canonical class the
   loop was written against — a subclass or a novel registered spec may
   override anything, so both fall back to the reference loop;
-* configurations with metadata caches or the CAMEO predictor fall back
-  (their per-record cache state makes hoisting a wash anyway);
+* configurations with metadata caches fall back (their per-record
+  cache state makes hoisting a wash anyway);
 * traces with any out-of-range address fall back, because the direct
   controller enqueues below bypass ``memory.access`` bounds checking
   and the reference loop's ``AddressError`` must surface at the same
@@ -338,10 +338,11 @@ def _record_stream(packed, memory, page_shift):
 # Shared chunk scaffolding: runs of THROTTLE_SAMPLE_PERIOD records, then
 # a sample of the CPU throttle exactly as the reference countdown would
 # take it.  The arrival offset only changes at sample points, so
-# `arrivals[end-1] + offset` equals the reference's per-record `last_ps`
-# at chunk end.  The per-record kernels take their chunks from
-# _throttled_chunks and end through _finish_replay; _replay_direct keeps
-# its own loop because its chunks arrive pre-grouped by controller.
+# `arrivals[end-1] + offset` equals the reference's shifted arrival at
+# chunk end, the time the sample compares the busiest bus with.  The
+# per-record kernels take their chunks from _throttled_chunks and end
+# through _finish_replay; _replay_direct keeps its own loop because its
+# chunks arrive pre-grouped by controller.
 
 
 def _replay_tlm(trace, packed, manager, throttle_cap_ps):
@@ -391,7 +392,6 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
     arrivals = packed.arrivals
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     demand = repeat(DEMAND)
-    last_ps = 0
     offset = 0
     pos = 0
     for count, at, banks, rows, is_writes, spans in chunks:
@@ -401,12 +401,11 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
         for ci, lo, hi in spans:
             batch[ci](entries[lo:hi])
         pos += count
-        last_ps = arrivals[pos - 1] + offset
         if count == sample:
-            backlog = peak_bus() - last_ps
+            backlog = peak_bus() - (arrivals[pos - 1] + offset)
             if backlog > throttle_cap_ps:
                 offset += backlog - throttle_cap_ps
-    end_ps = manager.finish(last_ps)
+    end_ps = manager.finish()
     return collect_result(manager, trace, end_ps)
 
 
@@ -490,10 +489,8 @@ def _throttled_chunks(packed, records, throttle_cap_ps, peak_bus, flush_all):
     throttle is off — and ``offset`` is the throttle's arrival offset
     for every record in it.  Once the kernel has consumed a chunk, the
     generator flushes its buffers through ``flush_all`` and, after a
-    full chunk, takes the reference's throttle sample.  The replay's
-    final ``last_ps`` is the last record's arrival plus the last offset
-    yielded (see :func:`_finish_replay`).  The cost is one generator
-    resume per chunk, never a call per record.
+    full chunk, takes the reference's throttle sample.  The cost is one
+    generator resume per chunk, never a call per record.
     """
     arrivals = packed.arrivals
     total = packed.length
@@ -511,18 +508,16 @@ def _throttled_chunks(packed, records, throttle_cap_ps, peak_bus, flush_all):
         pos = end
 
 
-def _finish_replay(packed, manager, offset, flush_all):
+def _finish_replay(manager, flush_all):
     """The per-record kernels' tail, run with the swap sink installed;
     returns ``manager.finish``'s end time.
 
     The swaps still queued issue through the sink and land with one
-    ``flush_all``, so ``finish`` — called at the reference's
-    ``last_ps`` — only drains the devices.
+    ``flush_all``, so ``finish`` only drains the devices.
     """
     manager._issue_due_swaps(None)
     flush_all()
-    last_ps = packed.arrivals[-1] + offset if packed.length else 0
-    return manager.finish(last_ps)
+    return manager.finish()
 
 
 def _replay_hma(trace, packed, manager, throttle_cap_ps):
@@ -586,7 +581,6 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     chunks = _throttled_chunks(
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
-    offset = 0
     engine = manager.engine
     # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
@@ -635,7 +629,7 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
         record_batch(deferred)
         deferred.clear()
-        end_ps = _finish_replay(packed, manager, offset, flush_all)
+        end_ps = _finish_replay(manager, flush_all)
     finally:
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
@@ -698,7 +692,6 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     chunks = _throttled_chunks(
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
-    offset = 0
     engine = manager.engine
     # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
@@ -738,7 +731,7 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                         bank = (translated >> s_row_sh) & s_bank_m
                         row = translated >> s_chan_sh
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
-        end_ps = _finish_replay(packed, manager, offset, flush_all)
+        end_ps = _finish_replay(manager, flush_all)
     finally:
         # State write-back must survive a mid-chunk exception: a stale
         # boundary cursor would double-run boundaries on the next replay.
@@ -789,7 +782,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     chunks = _throttled_chunks(
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
-    offset = 0
     engine = manager.engine
     # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
@@ -829,15 +821,15 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         bank = (translated >> s_row_sh) & s_bank_m
                         row = translated >> s_chan_sh
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
-        end_ps = _finish_replay(packed, manager, offset, flush_all)
+        end_ps = _finish_replay(manager, flush_all)
     finally:
         engine.swap_sink = None
     return collect_result(manager, trace, end_ps)
 
 
 def _replay_cameo(trace, packed, manager, throttle_cap_ps):
-    """CAMEO without the location predictor: ``handle`` and its
-    bookkeeping inlined, every transaction batched.
+    """CAMEO: ``handle`` and its bookkeeping inlined, every transaction
+    batched.
 
     Per record over :func:`_record_stream` (line numbers in the page
     slot), the loop replays ``CameoManager.handle`` step for step, with
@@ -900,7 +892,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     chunks = _throttled_chunks(
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
-    offset = 0
     migrations = first_migrations = manager.total_migrations
     wasted = manager.wasted_migrations
     blocked_hits = manager.blocked_hits
@@ -1002,7 +993,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
         stats = engine.stats
         stats.line_swaps += swaps
         stats.bytes_moved += swaps * swap_bytes
-    end_ps = _finish_replay(packed, manager, offset, flush_all)
+    end_ps = _finish_replay(manager, flush_all)
     return collect_result(manager, trace, end_ps)
 
 
@@ -1029,10 +1020,6 @@ def _gate_metadata_cache(manager):
     return "metadata-cache" if manager._cache is not None else None
 
 
-def _gate_cameo(manager):
-    return "predictor" if manager.predictor_entries else None
-
-
 def _gate_none(manager):
     return None
 
@@ -1056,7 +1043,7 @@ _SHAPE_KERNELS = {
     ("threshold", "segment"): (
         ThmManager, "_replay_thm", "thm", _gate_metadata_cache,
     ),
-    ("event", "group"): (CameoManager, "_replay_cameo", "cameo", _gate_cameo),
+    ("event", "group"): (CameoManager, "_replay_cameo", "cameo", _gate_none),
 }
 
 
@@ -1076,7 +1063,6 @@ def select_kernel(manager) -> "tuple":
       so N-tier systems replay on the reference loop;
     * ``fallback:metadata-cache`` — per-record cache state (MemPod/HMA/
       THM metadata caches) makes hoisting a wash and is not inlined;
-    * ``fallback:predictor`` — the CAMEO line-location predictor;
     * ``fallback:subclass:<Name>`` — a subclass of a canonical manager
       may override anything, so only the reference loop is trusted;
     * ``fallback:novel-spec:<Name>`` — a registered mechanism sharing a
@@ -1110,9 +1096,8 @@ def fast_simulate(trace, manager, throttle_cap_ps=DEFAULT_THROTTLE_CAP_PS):
     Drop-in equivalent of
     :func:`repro.system.simulator.reference_simulate`: same arguments,
     same result, same exceptions.  Unsupported configurations (manager
-    subclasses, metadata caches, the CAMEO predictor, out-of-range
-    traces) fall back to the reference loop — the decision is recorded
-    in :data:`last_dispatch`.  Once a specialised kernel starts, any
+    subclasses, metadata caches, out-of-range traces) fall back to the
+    reference loop — the decision is recorded in :data:`last_dispatch`.  Once a specialised kernel starts, any
     exception it raises propagates to the caller; failures are never
     swallowed into a silent reference-loop retry.
     """

@@ -74,7 +74,7 @@ class MemoryManager(ABC):
     def handle(self, address: int, is_write: bool, arrival_ps: int, core: int) -> None:
         """Process one demand request from the trace."""
 
-    def finish(self, end_ps: int) -> int:
+    def finish(self) -> int:
         """Complete outstanding work at the end of the trace.
 
         Issues any still-scheduled copies (their remap effects are
@@ -90,8 +90,8 @@ class MemoryManager(ABC):
     # but a real migration driver paces the copies so demand keeps
     # flowing; pages stay served from their *old* location until their
     # copy actually starts.  The queue holds (issue_ps, frame_a,
-    # frame_b, pod) in issue order; _apply_swap performs the
-    # manager-specific remap update, the data movement, and the
+    # frame_b, pod) in issue order; ComposedManager._apply_swap performs
+    # the manager-specific remap update, the data movement, and the
     # copy-window blocking at issue time.
 
     def _schedule_swaps(self, pairs, start_ps: int, spacing_ps: int) -> None:
@@ -115,12 +115,6 @@ class MemoryManager(ABC):
         while queue and (now_ps is None or queue[0][0] <= now_ps):
             issue_ps, _, frame_a, frame_b, pod = heapq.heappop(queue)
             self._apply_swap(frame_a, frame_b, pod, issue_ps)
-
-    def _apply_swap(self, frame_a: int, frame_b: int, pod: int, issue_ps: int) -> int:
-        """Move the data of one scheduled swap; managers override to also
-        update their remap state and block the in-flight pages."""
-        self._check_swap_tiers(frame_a, frame_b)
-        return self.engine.swap_pages(frame_a, frame_b, issue_ps, pod=pod)
 
     def _check_swap_tiers(self, frame_a: int, frame_b: int) -> "tuple[int, int]":
         """Enforce the spec's migration legality on one frame pair.

@@ -11,12 +11,10 @@ Modelled per the paper's Sections 2, 4 and Table 1:
   all), which is what makes CAMEO thrash at a 1:8 capacity ratio: nine
   lines compete for one fast slot and each slow hit forces a 4-transfer
   swap.
-* **Line Location Predictor** — CAMEO stores its bookkeeping in memory
-  and predicts a line's location to skip the lookup.  We model a
-  tag-hash predictor table; a misprediction costs one extra
-  ``BOOKKEEPING`` read (the wrong-location probe).  With
-  ``predictor_entries=0`` location is oracle (the paper's
-  caches-disabled configuration).
+* **Line location** — CAMEO stores its bookkeeping in memory and
+  predicts a line's location to skip the lookup.  We model the paper's
+  caches-disabled configuration: location is oracle, so no lookup
+  traffic is injected.
 * **Wasted migrations** — the paper observes lines evicted before ever
   being touched again; we count them.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 from typing import Dict
 
 from ..core.remap import DirectRemap
-from ..dram.request import BOOKKEEPING
 from ..geometry import MemoryGeometry
 from ..system.hybrid import HybridMemory
 from .base import ComposedManager
@@ -41,12 +38,7 @@ class CameoManager(ComposedManager):
     trigger = "event"
     flexibility = "group"
 
-    def __init__(
-        self,
-        memory: HybridMemory,
-        geometry: MemoryGeometry,
-        predictor_entries: int = 0,
-    ) -> None:
+    def __init__(self, memory: HybridMemory, geometry: MemoryGeometry) -> None:
         super().__init__(memory, geometry)
         self.fast_lines = geometry.fast_bytes // LINE_BYTES
         # Line-granularity remap, sparse identity (original -> current);
@@ -57,10 +49,6 @@ class CameoManager(ComposedManager):
         )
         self._location: Dict[int, int] = self.remap._forward
         self._resident: Dict[int, int] = self.remap._resident
-        self.predictor_entries = predictor_entries
-        self._predictor: Dict[int, int] = {}
-        self.predictor_hits = 0
-        self.predictor_misses = 0
         self.total_migrations = 0
         self.wasted_migrations = 0
         # Lines migrated into fast memory and not yet re-touched.
@@ -79,8 +67,6 @@ class CameoManager(ComposedManager):
     def handle(self, address: int, is_write: bool, arrival_ps: int, core: int) -> None:
         line = address // LINE_BYTES
         penalty_ps = self._block_penalty_ps(line, arrival_ps)
-        if self.predictor_entries:
-            penalty_ps += self._predict(line, arrival_ps)
 
         current = self._location.get(line, line)
         if line in self._untouched_in_fast:
@@ -113,30 +99,6 @@ class CameoManager(ComposedManager):
         self._block_page(line_b, completion)
         self._untouched_in_fast[line] = True
         self.total_migrations += 1
-
-    def _predict(self, line: int, at_ps: int) -> int:
-        """Line Location Predictor; returns the misprediction penalty.
-
-        The predictor is a direct-mapped table of last-seen locations,
-        indexed by a hash of the line; a miss (cold or aliased) models
-        the paper's fallback — read the in-memory bookkeeping — as one
-        ``BOOKKEEPING`` access whose fill time stalls the line.
-        """
-        slot = line % self.predictor_entries
-        actual = self._location.get(line, line)
-        if self._predictor.get(slot) == actual:
-            self.predictor_hits += 1
-            return 0
-        self.predictor_misses += 1
-        self._predictor[slot] = actual
-        store_page = (line // self.geometry.lines_per_page) % self.geometry.fast_pages
-        self.memory.access(
-            store_page * self.geometry.page_bytes, False, at_ps, kind=BOOKKEEPING
-        )
-        timing = self.memory.fast.timing
-        fill_cost = timing.trcd_ps + timing.tcas_ps + timing.burst_ps(64)
-        self._block_page(line, at_ps + fill_cost)
-        return fill_cost
 
     def storage_components(self):
         """One remap entry per fast line; no activity tracking at all."""

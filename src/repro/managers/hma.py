@@ -111,6 +111,11 @@ class HmaManager(ComposedManager):
             new_address, is_write, arrival_ps, account_ps=arrival_ps - penalty_ps
         )
 
+    # Only a crossed epoch boundary runs this: the final partial epoch
+    # performs no migrations (``finish`` just drains the devices).  With
+    # the trace over there is no future traffic for them to serve, and
+    # at scaled trace lengths a finish-time burst would be accounting
+    # noise (full-length runs make it negligible instead).
     def _run_boundary(self, at_ps: int) -> None:
         """Sort penalty, then migrate hot pages in, coldest pages out.
 
@@ -189,16 +194,6 @@ class HmaManager(ComposedManager):
                     counted[frame] = count
         cold = ((0, frame) for frame in range(fast_pages) if frame not in counted)
         return chain(cold, sorted((count, frame) for frame, count in counted.items()))
-
-    def finish(self, end_ps: int) -> int:
-        """Drain the devices.
-
-        The final partial epoch performs no migrations: with the trace
-        over there is no future traffic for them to serve, and at our
-        scaled trace lengths a finish-time migration burst would be pure
-        accounting noise (full-length runs make it negligible instead).
-        """
-        return super().finish(end_ps)
 
     def storage_components(self):
         """No remap hardware (OS page table); full counters over every page."""

@@ -48,7 +48,7 @@ class SingleLevelManager(MemoryManager):
     def handle(self, address: int, is_write: bool, arrival_ps: int, core: int) -> None:
         self.memory.access(address, is_write, arrival_ps)
 
-    def finish(self, end_ps: int) -> int:
+    def finish(self) -> int:
         return self.memory.flush()
 
     @property

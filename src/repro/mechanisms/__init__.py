@@ -20,7 +20,6 @@ from .spec import (
     MEMORY_KINDS,
     REMAP_POLICIES,
     TRIGGERS,
-    DatapathSpec,
     MechanismSpec,
     manager_shape,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "MEMORY_KINDS",
     "REMAP_POLICIES",
     "TRIGGERS",
-    "DatapathSpec",
     "MechanismSpec",
     "manager_shape",
 ]

@@ -35,7 +35,7 @@ from ..system.hybrid import HybridMemory
 from ..tracking.competing import CompetingCounterArray
 from ..tracking.mea import MeaTracker
 from .registry import register_mechanism
-from .spec import DatapathSpec, MechanismSpec
+from .spec import MechanismSpec
 
 DEFAULT_EPOCH_PS = us(500)
 DEFAULT_MEA_COUNTERS = 256  # one global unit, so larger than MemPod's per-pod 64
@@ -236,7 +236,6 @@ register_mechanism("hma-mea", MechanismSpec(
         "interval_ps", "mea_counters", "mea_counter_bits", "mea_min_count",
         "max_migrations_per_interval",
     ),
-    datapath=DatapathSpec(batched_swaps=True),
 ))
 
 register_mechanism("thm-pods", MechanismSpec(

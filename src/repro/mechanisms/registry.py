@@ -44,7 +44,7 @@ from ..system.hybrid import (
     TieredMemory,
     build_device,
 )
-from .spec import DatapathSpec, MechanismSpec, TierSpec
+from .spec import MechanismSpec
 
 #: The paper's five mechanisms plus the two single-technology bounds —
 #: the set every figure sweeps and the differential suite proves
@@ -242,7 +242,6 @@ register_mechanism("mempod", MechanismSpec(
         "interval_ps", "mea_counters", "mea_counter_bits", "mea_min_count",
         "cache_bytes",
     ),
-    datapath=DatapathSpec(batched_swaps=True, metadata_fills=True),
 ))
 
 register_mechanism("hma", MechanismSpec(
@@ -258,9 +257,6 @@ register_mechanism("hma", MechanismSpec(
         "max_migrations_per_interval", "counter_bits", "penalty_mode",
         "cache_bytes",
     ),
-    datapath=DatapathSpec(
-        batched_swaps=True, sort_penalty=True, metadata_fills=True
-    ),
     # The paper reduces HMA's fixed penalty 7 ms -> 4.2 ms to model the
     # faster future processor.
     future_tech_overrides=(("sort_penalty_ps", ms(4.2)),),
@@ -275,7 +271,6 @@ register_mechanism("thm", MechanismSpec(
     tracker="repro.tracking.competing:CompetingCounterArray",
     factory=ThmManager,
     valid_params=("threshold", "counter_bits", "cache_bytes"),
-    datapath=DatapathSpec(metadata_fills=True),
 ))
 
 register_mechanism("cameo", MechanismSpec(
@@ -286,8 +281,6 @@ register_mechanism("cameo", MechanismSpec(
     remap_policy="direct",
     tracker=None,
     factory=CameoManager,
-    valid_params=("predictor_entries",),
-    datapath=DatapathSpec(metadata_fills=True),
 ))
 
 register_mechanism("hbm-only", MechanismSpec(

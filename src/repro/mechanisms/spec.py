@@ -3,8 +3,10 @@
 A migration mechanism is a composition of five building blocks:
 migration flexibility, remap table, activity tracking, migration
 trigger, and migration datapath.  :class:`MechanismSpec` states a
-mechanism's choice for each block plus the factory that assembles the
-concrete :class:`~repro.managers.base.ComposedManager`; the registry in
+mechanism's choice for the first four (every migrating manager shares
+one datapath, :class:`~repro.core.datapath.MigrationEngine`) plus the
+factory that assembles the concrete
+:class:`~repro.managers.base.ComposedManager`; the registry in
 :mod:`repro.mechanisms.registry` resolves names to specs and the lint
 rule in :mod:`repro.analysis.lint` validates every registered spec
 before a sweep can trip over it.
@@ -121,22 +123,6 @@ def validate_tiers(
 
 
 @dataclass(frozen=True)
-class DatapathSpec:
-    """Migration-datapath options (paper Section 4.5).
-
-    ``batched_swaps`` — boundary plans are paced over the interval as a
-    batch of frame-disjoint copies (vs inline swap-at-trigger);
-    ``sort_penalty`` — the trigger charges a fixed boundary penalty
-    (HMA's counter sort); ``metadata_fills`` — remap/tracking metadata
-    can live behind a cache whose misses inject backing-store reads.
-    """
-
-    batched_swaps: bool = False
-    sort_penalty: bool = False
-    metadata_fills: bool = False
-
-
-@dataclass(frozen=True)
 class MechanismSpec:
     """One mechanism, stated as its Section-4 building blocks.
 
@@ -157,7 +143,6 @@ class MechanismSpec:
     factory: Callable[..., Any]
     valid_params: Tuple[str, ...] = ()
     memory_kind: Union[str, Tuple[TierSpec, ...]] = "hybrid"
-    datapath: DatapathSpec = DatapathSpec()
     #: parameter defaults applied (if not given) under ``future_tech``
     future_tech_overrides: Tuple[Tuple[str, Any], ...] = ()
     #: tier index pairs whose pages may swap; ``None`` derives the
@@ -335,7 +320,6 @@ class MechanismSpec:
 
     def fingerprint(self) -> Dict[str, Any]:
         """Deterministic JSON-able identity for the sweep cache."""
-        datapath = self.datapath
         if isinstance(self.memory_kind, tuple):
             memory_kind: Any = [
                 {
@@ -356,11 +340,6 @@ class MechanismSpec:
             "memory_kind": memory_kind,
             "swap_tiers": [list(pair) for pair in self.resolved_swap_tiers()],
             "param_ranges": sorted(list(row) for row in self.param_ranges),
-            "datapath": {
-                "batched_swaps": datapath.batched_swaps,
-                "sort_penalty": datapath.sort_penalty,
-                "metadata_fills": datapath.metadata_fills,
-            },
             "factory": f"{self.factory.__module__}:{self.factory.__qualname__}",
             "valid_params": sorted(self.valid_params),
             "future_tech_overrides": sorted(self.future_tech_overrides),

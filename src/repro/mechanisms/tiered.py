@@ -38,7 +38,7 @@ from ..core.mempod import MemPodManager
 from ..geometry import MemoryGeometry
 from ..system.hybrid import TieredMemory
 from .registry import register_mechanism
-from .spec import DatapathSpec, MechanismSpec, TierSpec
+from .spec import MechanismSpec, TierSpec
 
 DEFAULT_BYPASS_PROBABILITY = 0.25
 DEFAULT_BYPASS_SEED = 17
@@ -149,7 +149,6 @@ register_mechanism("mempod-3tier", MechanismSpec(
         TierSpec("PCM-800", source="slow", capacity_div=2),
     ),
     swap_tiers=((0, 1),),
-    datapath=DatapathSpec(batched_swaps=True, metadata_fills=True),
 ))
 
 register_mechanism("mempod-bypass", MechanismSpec(
@@ -165,5 +164,4 @@ register_mechanism("mempod-bypass", MechanismSpec(
         "cache_bytes", "bypass_probability", "rng_seed",
     ),
     param_ranges=(("bypass_probability", 0.0, 1.0),),
-    datapath=DatapathSpec(batched_swaps=True, metadata_fills=True),
 ))

@@ -25,6 +25,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from ..common.config import require_positive_int
 from .cache import ResultCache, code_version_token, fingerprint
 from .progress import ProgressTracker
 
@@ -208,13 +209,16 @@ def _env_jobs() -> int:
     """``REPRO_JOBS`` if set, else one worker per CPU."""
     from ..experiments.common import _env_int
 
-    return max(1, _env_int(JOBS_ENV_VAR, os.cpu_count() or 1))
+    jobs = _env_int(JOBS_ENV_VAR, os.cpu_count() or 1)
+    require_positive_int(JOBS_ENV_VAR, jobs)
+    return jobs
 
 
 class SweepRunner:
     """Cache-backed executor for sweep cells.
 
-    ``jobs=None`` resolves ``REPRO_JOBS`` (default: CPU count);
+    ``jobs=None`` resolves ``REPRO_JOBS`` (default: CPU count); a
+    worker count below one raises :class:`ConfigError`;
     ``cache=None`` disables the on-disk cache entirely.  One runner —
     and its tracker — may serve many :meth:`map` calls (``repro sweep``
     funnels every artefact through one runner to report a single
@@ -227,7 +231,11 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         tracker: Optional[ProgressTracker] = None,
     ) -> None:
-        self.jobs = max(1, int(jobs)) if jobs is not None else _env_jobs()
+        if jobs is None:
+            jobs = _env_jobs()
+        else:
+            require_positive_int("jobs", jobs)
+        self.jobs = jobs
         self.cache = cache
         self.tracker = tracker if tracker is not None else ProgressTracker()
 
@@ -271,10 +279,6 @@ class SweepRunner:
 
         tracker.finish()
         return results
-
-    def run(self, cell: Cell) -> Any:
-        """Convenience: one cell through the same cache/progress path."""
-        return self.map([cell])[0]
 
     def _run_pool(self, cells, pending, keys, results) -> None:
         workers = min(self.jobs, len(pending))

@@ -106,18 +106,3 @@ class MetadataCache:
         line = self._line_of(key)
         ways = self._ways.get(line & (self.sets - 1))
         return bool(ways) and line in ways
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero hit/miss counters without dropping cache contents."""
-        self.hits = 0
-        self.misses = 0

@@ -120,10 +120,6 @@ class TieredMemory:
         index = self.tier_of(address)
         return index, self.tiers[index], address - self.tier_offset(index)
 
-    def is_fast_address(self, address: int) -> bool:
-        """True when the flat address maps to tier 0."""
-        return address < self._tier_ends[0]
-
     # -- two-/one-tier aliases ------------------------------------------------
     # Properties, so `hasattr(memory, "fast")` is False on single-level
     # systems and `hasattr(memory, "device")` is False on multi-tier
@@ -179,16 +175,6 @@ class TieredMemory:
     def flush(self) -> int:
         """Drain every controller; return the latest completion seen."""
         return max(device.flush() for device in self.tiers)
-
-    def flush_page(self, page: int) -> int:
-        """Drain the one channel that serves flat ``page``.
-
-        Used by migration datapaths that need a page swap's completion
-        time without draining the whole machine.
-        """
-        _, device, offset = self.locate(page * self.geometry.page_bytes)
-        channel, _, _ = device.mapper.fast_decode(offset)
-        return device.flush_channel(channel)
 
     def block_until(self, ps: int) -> None:
         """Stall every device until ``ps`` (HMA's OS/sort penalty)."""

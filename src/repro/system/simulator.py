@@ -96,13 +96,11 @@ def reference_simulate(
     """
     handle = manager.handle
     memory = manager.memory
-    last_ps = 0
     offset_ps = 0
     countdown = THROTTLE_SAMPLE_PERIOD
     for arrival_ps, address, is_write, core in trace.records:
         arrival_ps += offset_ps
         handle(address, bool(is_write), arrival_ps, core)
-        last_ps = arrival_ps
         if observe is not None:
             observe(arrival_ps)
         if throttle_cap_ps:
@@ -112,7 +110,7 @@ def reference_simulate(
                 backlog = memory.peak_bus_free_ps() - arrival_ps
                 if backlog > throttle_cap_ps:
                     offset_ps += backlog - throttle_cap_ps
-    end_ps = manager.finish(last_ps)
+    end_ps = manager.finish()
     return collect_result(manager, trace, end_ps)
 
 

@@ -129,11 +129,6 @@ class WorkloadSpec:
         """Number of cores (one benchmark copy per core)."""
         return len(self.benchmark_names)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when every core runs the same benchmark."""
-        return len(set(self.benchmark_names)) == 1
-
     def profiles(self) -> List[BenchmarkProfile]:
         """Resolve the per-core benchmark profiles."""
         return [get_benchmark(name) for name in self.benchmark_names]

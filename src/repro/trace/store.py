@@ -234,9 +234,6 @@ class TraceStore:
         """Where entry ``key`` lives (two-level fan-out keeps dirs small)."""
         return self.root / key[:2] / f"{key[2:]}.mpt"
 
-    def has(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def save(self, key: str, trace: Trace) -> Path:
         """Persist ``trace`` under ``key`` atomically; returns the path."""
         path = self.path_for(key)

@@ -41,8 +41,3 @@ class ActivityTracker(ABC):
         Used by the Table 1 cost comparison; counts tags and counters,
         not control logic.
         """
-
-    def record_many(self, pages: "list[int]") -> None:
-        """Observe a batch of accesses (convenience for offline studies)."""
-        for page in pages:
-            self.record(page)

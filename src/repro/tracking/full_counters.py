@@ -72,17 +72,9 @@ class FullCountersTracker(ActivityTracker):
             for page, _ in sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
         ]
 
-    def top_pages(self, n: int) -> List[int]:
-        """The ``n`` most-accessed pages of the interval."""
-        return self.hot_pages()[:n]
-
     def counts(self) -> Dict[int, int]:
         """Snapshot of page -> exact count (copy; analysis support)."""
         return dict(self._counts)
-
-    def pages_touched(self) -> int:
-        """Distinct pages accessed this interval."""
-        return len(self._counts)
 
     def reset(self) -> None:
         """Zero every counter (interval boundary)."""

@@ -50,19 +50,6 @@ class OracleResult:
     fc_future_hits: List[float] = field(default_factory=lambda: [0.0] * TIER_COUNT)
     mea_predictions_avg: float = 0.0
 
-    def mea_advantage(self, tier: int) -> float:
-        """Relative future-hit advantage of MEA over FC for ``tier``.
-
-        Positive means MEA predicted more next-interval hot pages (the
-        paper reports +16 %/+81 %/+68 % averaged over workloads).
-        Returns ``inf`` when FC scored zero but MEA did not.
-        """
-        fc = self.fc_future_hits[tier]
-        mea = self.mea_future_hits[tier]
-        if fc <= 0.0:  # hit counts are non-negative; guards the division
-            return float("inf") if mea > 0.0 else 0.0
-        return (mea - fc) / fc
-
 
 def _tiers(ranked: Sequence[int]) -> List[List[int]]:
     """Cut a ranking into the paper's three 10-page tiers."""

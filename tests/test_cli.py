@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.common import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -195,6 +196,17 @@ class TestRunnerFlags:
             "--cache-dir", str(override), "fig2",
         )
         assert any(override.rglob("*.json"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="^jobs must be a positive integer"):
+            main([*SMALL, "--jobs", jobs, "table1"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_env_jobs_below_one_rejected(self, jobs, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        with pytest.raises(ConfigError, match="^REPRO_JOBS must be a positive integer"):
+            main([*SMALL, "table1"])
 
 
 class TestSweep:

@@ -472,7 +472,7 @@ class TestTwinPrefixDrain:
         one = ChannelController(HBM_TIMING, BANKS, window=window)
         for bank, row, is_write, arrival, kind in requests:
             one.enqueue(bank, row, is_write, arrival, kind)
-        assert one.pending_count == 0  # the lone older entry was served
+        assert not one._pending  # the lone older entry was served
         many = ChannelController(HBM_TIMING, BANKS, window=window)
         cols = [list(col) for col in zip(*requests)]
         enqueue_columns(many, cols[0], cols[1], cols[2], cols[3], kinds=cols[4])

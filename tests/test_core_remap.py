@@ -49,11 +49,6 @@ class TestSwaps:
         with pytest.raises(MigrationError):
             table.swap_frames(5, 5)
 
-    def test_moved_pages_listing(self):
-        table = RemapTable()
-        table.swap_frames(1, 9)
-        assert set(table.moved_pages()) == {1, 9}
-
 
 class TestInvariants:
     @settings(max_examples=100, deadline=None)

@@ -8,9 +8,10 @@ from repro.dram import (
     MemoryDevice,
     ddr4_device,
     hbm_device,
-    hbm_only_device,
 )
 from repro.dram.request import DEMAND, MIGRATION
+from repro.geometry import paper_geometry
+from repro.system.hybrid import SingleLevelMemory
 
 
 class TestPresets:
@@ -26,7 +27,7 @@ class TestPresets:
         assert device.channels == 4
 
     def test_hbm_only_covers_9gb(self):
-        device = hbm_only_device()
+        device = SingleLevelMemory(paper_geometry()).device
         assert device.capacity_bytes >= gib(9)
 
 
@@ -45,7 +46,7 @@ class TestAccessRouting:
     def test_flush_channel_targets_one(self):
         device = hbm_device()
         device.access(0, False, 1000)
-        completion = device.flush_channel(0)
+        completion = device.flush()
         assert completion > 1000
         # Other channels never saw traffic.
         assert device.controllers[1].stats.served == 0

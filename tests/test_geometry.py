@@ -91,20 +91,21 @@ class TestPodPartition:
 class TestSlotRoundTrips:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=scaled_geometry(32).fast_pages - 1))
-    def test_fast_slot_roundtrip(self, page):
+    def test_fast_slot_roundtrip(self, index):
         g = scaled_geometry(32)
-        pod, slot = g.fast_page_to_pod_slot(page)
-        assert g.pod_fast_slot_to_page(pod, slot) == page
-        assert pod == g.fast_page_pod(page)
+        pod, slot = divmod(index, g.fast_pages_per_pod)
+        page = g.pod_fast_slot_to_page(pod, slot)
+        assert 0 <= page < g.fast_pages
+        assert g.fast_page_pod(page) == pod
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=scaled_geometry(32).slow_pages - 1))
-    def test_slow_slot_roundtrip(self, offset):
+    def test_slow_slot_roundtrip(self, index):
         g = scaled_geometry(32)
-        page = g.fast_pages + offset
-        pod, slot = g.slow_page_to_pod_slot(page)
-        assert g.pod_slow_slot_to_page(pod, slot) == page
-        assert pod == g.slow_page_pod(page)
+        pod, slot = divmod(index, g.slow_pages_per_pod)
+        page = g.pod_slow_slot_to_page(pod, slot)
+        assert g.fast_pages <= page < g.total_pages
+        assert g.slow_page_pod(page) == pod
 
     def test_fast_slots_enumerate_disjointly(self):
         g = scaled_geometry(64)
@@ -123,7 +124,7 @@ class TestSlotRoundTrips:
         with pytest.raises(AddressError):
             g.pod_fast_slot_to_page(g.pods, 0)
         with pytest.raises(AddressError):
-            g.fast_page_to_pod_slot(g.fast_pages)  # a slow page
+            g.pod_slow_slot_to_page(0, g.slow_pages_per_pod)
 
 
 class TestValidation:

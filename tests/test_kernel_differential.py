@@ -100,7 +100,7 @@ class TestEveryMechanism:
 
 
 class TestFallbackConfigurations:
-    """Cache/predictor configs run through the reference fallback inside
+    """Metadata-cache configs run through the reference fallback inside
     fast_simulate; equality must still hold end to end."""
 
     def test_mempod_with_remap_cache(self, geometry):
@@ -127,11 +127,6 @@ class TestFallbackConfigurations:
     def test_thm_with_srt_cache(self, geometry):
         assert_kernels_agree(
             _trace(geometry, "mix8"), geometry, "thm", cache_bytes=4096
-        )
-
-    def test_cameo_with_predictor(self, geometry):
-        assert_kernels_agree(
-            _trace(geometry, "xalanc"), geometry, "cameo", predictor_entries=64
         )
 
     def test_manager_subclass_falls_back(self, geometry):
@@ -557,10 +552,6 @@ class TestDispatchReasons:
         assert (
             self._reason(geometry, "mempod", cache_bytes=4096)
             == "fallback:metadata-cache"
-        )
-        assert (
-            self._reason(geometry, "cameo", predictor_entries=64)
-            == "fallback:predictor"
         )
         kernel, reason = select_kernel(build_manager("hma", geometry, cache_bytes=4096))
         assert kernel is None and reason == "fallback:metadata-cache"

@@ -38,7 +38,7 @@ class TestNoMigration:
     def test_requests_pass_through(self, geometry):
         manager = NoMigrationManager(hybrid(geometry), geometry)
         hammer(manager, 5, 10)
-        manager.finish(100_000)
+        manager.finish()
         assert manager.memory.merged_stats().served == 10
         assert manager.migration_stats.page_swaps == 0
 
@@ -49,7 +49,7 @@ class TestSingleLevel:
         manager = SingleLevelManager(memory, geometry)
         last_page = geometry.total_pages - 1
         manager.handle(last_page * geometry.page_bytes, False, 0, 0)
-        manager.finish(0)
+        manager.finish()
         assert manager.memory.merged_stats().served == 1
 
 
@@ -60,7 +60,7 @@ class TestMemPod:
         # Hammer across two intervals so the boundary fires and the
         # scheduled copy is issued by later traffic.
         hammer(manager, hot, 30, gap_ps=us(5))
-        manager.finish(us(200))
+        manager.finish()
         pod = manager.pods[0]
         frame = pod.translate(hot)
         assert frame < geometry.fast_pages
@@ -70,7 +70,7 @@ class TestMemPod:
         manager = MemPodManager(hybrid(geometry), geometry, interval_ps=us(50))
         hot = geometry.pod_slow_slot_to_page(0, 0)
         hammer(manager, hot, 60, gap_ps=us(3))
-        manager.finish(us(400))
+        manager.finish()
         # Fast device must have served demand (the migrated page's hits).
         fast_stats = manager.memory.fast.merged_stats()
         assert fast_stats.count_by_kind[0] > 0  # DEMAND kind
@@ -79,7 +79,7 @@ class TestMemPod:
         manager = MemPodManager(hybrid(geometry), geometry, interval_ps=us(50))
         hot = geometry.pod_slow_slot_to_page(2, 0)  # pod 2's page
         hammer(manager, hot, 60, gap_ps=us(3))
-        manager.finish(us(400))
+        manager.finish()
         stats = manager.migration_stats
         assert stats.page_swaps >= 1
         assert set(stats.swaps_by_pod) == {2}
@@ -112,7 +112,7 @@ class TestHma:
         )
         hot = geometry.fast_pages + 17
         hammer(manager, hot, 40, gap_ps=us(5))
-        manager.finish(us(400))
+        manager.finish()
         assert manager.total_migrations >= 1
         assert manager._location.get(hot, hot) < geometry.fast_pages
 
@@ -122,7 +122,7 @@ class TestHma:
             interval_ps=us(100), sort_penalty_ps=0, hot_threshold=50,
         )
         hammer(manager, geometry.fast_pages + 17, 40, gap_ps=us(5))
-        manager.finish(us(400))
+        manager.finish()
         assert manager.total_migrations == 0
 
     def test_stall_mode_blocks_memory(self, geometry):
@@ -137,7 +137,7 @@ class TestHma:
         page = geometry.fast_pages + 3
         for manager in (stalled, free):
             hammer(manager, page, 30, gap_ps=us(4))
-            manager.finish(us(200))
+            manager.finish()
         lat_stalled = stalled.memory.merged_stats().total_latency_ps
         lat_free = free.memory.merged_stats().total_latency_ps
         assert lat_stalled > lat_free
@@ -159,7 +159,7 @@ class TestThm:
         manager = ThmManager(hybrid(geometry), geometry, threshold=4)
         hot = geometry.fast_pages + 9
         hammer(manager, hot, 10)
-        manager.finish(us(100))
+        manager.finish()
         # The 4th access crosses the threshold and swaps the page in;
         # subsequent accesses hit it as the resident (defending it).
         assert manager.total_migrations == 1
@@ -179,7 +179,7 @@ class TestThm:
         manager = ThmManager(hybrid(geometry), geometry, threshold=2)
         hot = geometry.fast_pages + 9
         hammer(manager, hot, 4)
-        manager.finish(us(100))
+        manager.finish()
         # The page must sit in its segment's one fast frame.
         assert manager._location[hot] == manager.segment_of(hot)
 

@@ -109,7 +109,7 @@ class TestSwapScheduling:
         issued = []
         manager._apply_swap = lambda fa, fb, pod, ps: issued.append(ps)
         manager._schedule_swaps([(0, geometry.fast_pages, 0)], 10**12, 1)
-        manager.finish(0)
+        manager.finish()
         assert len(issued) == 1
 
 
@@ -128,6 +128,6 @@ class TestMemPodBlockingIntegration:
         # for one pipelined swap time, a few hundred ns).
         manager.handle(hot * page_bytes, False, us(50) + 50_000, 0)
         manager.handle(hot * page_bytes, False, us(50) + 100_000, 0)
-        manager.finish(us(100))
+        manager.finish()
         assert manager.total_migrations >= 1
         assert manager.blocked_hits >= 1

@@ -25,7 +25,7 @@ def drive(manager, requests, gap_ps=40_000):
     for page, line, is_write in requests:
         manager.handle(page * page_bytes + line * 64, is_write, now, 0)
         now += gap_ps
-    manager.finish(now)
+    manager.finish()
     return manager
 
 
@@ -39,7 +39,7 @@ class TestMemPodProperties:
         drive(manager, requests)
         for pod in manager.pods:
             pod.remap.check_invariants()
-            for page in pod.remap.moved_pages():
+            for page in pod.remap._forward:
                 assert GEOMETRY.page_pod(page) == pod.pod_id
                 assert GEOMETRY.page_pod(pod.remap.location_of(page)) == pod.pod_id
 

@@ -26,7 +26,6 @@ from repro.kernel.replay import select_kernel
 from repro.managers.base import ComposedManager
 from repro.mechanisms import (
     MANAGER_KINDS,
-    DatapathSpec,
     MechanismSpec,
     build_manager,
     get_mechanism,
@@ -322,7 +321,7 @@ class TestSweepCacheFingerprint:
                     remap_policy="page-table",
                     tracker="repro.tracking.mea:MeaTracker",
                     factory=TrackedEpochManager,
-                    datapath=DatapathSpec(batched_swaps=True),
+                    valid_params=("interval_ps",),
                 ),
                 replace=True,
             )

@@ -1,7 +1,12 @@
 """Small public-API corners: descriptions, formatting edge cases."""
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import NoMigrationManager, scaled_geometry
 from repro.experiments.common import format_rows
 from repro.experiments.design_space import Fig6Result
@@ -51,17 +56,28 @@ class TestFig6Format:
         assert result.best_cell() == (50, 32)
 
 
+#: every ``repro`` subpackage or module that declares ``__all__``, found
+#: by source scan so a new export list is covered without editing this file
+EXPORTING_MODULES = sorted(
+    f"repro.{path.parent.name}.{path.stem}".removesuffix(".__init__")
+    for path in Path(repro.__file__).parent.glob("*/*.py")
+    if re.search(r"^__all__\b", path.read_text(encoding="utf-8"), re.M)
+)
+
+
 class TestPackageSurface:
     def test_version(self):
-        import repro
-
         assert repro.__version__
 
     def test_all_names_resolve(self):
-        import repro
-
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    @pytest.mark.parametrize("module_name", EXPORTING_MODULES)
+    def test_module_all_names_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, name
 
     def test_system_lazy_simulator_names(self):
         import repro.system as system

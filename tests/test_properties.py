@@ -56,7 +56,7 @@ class TestControllerInvariants:
     def test_conservation(self, transactions):
         ctrl, completions = replay(transactions)
         assert ctrl.stats.served == len(transactions)
-        assert ctrl.pending_count == 0
+        assert not ctrl._pending
         assert len(completions) == len(transactions)
 
     @settings(max_examples=80, deadline=None)

@@ -50,8 +50,8 @@ class TestEquivalence:
     def test_param_change_misses_the_cache(self, config, tmp_path):
         cache = ResultCache(tmp_path)
         runner = SweepRunner(jobs=1, cache=cache)
-        runner.run(sim_cell(config, "xalanc", "mempod"))
-        runner.run(sim_cell(config, "xalanc", "mempod", mea_counters=8))
+        runner.map([sim_cell(config, "xalanc", "mempod")])
+        runner.map([sim_cell(config, "xalanc", "mempod", mea_counters=8)])
         assert runner.tracker.misses == 2
 
     def test_disabled_cache_writes_nothing(self, config, tmp_path, monkeypatch):

@@ -42,8 +42,8 @@ class TestRouting:
             memory.access(geometry.total_bytes, False, 0)
 
     def test_is_fast_address(self, memory, geometry):
-        assert memory.is_fast_address(0)
-        assert not memory.is_fast_address(geometry.fast_bytes)
+        assert memory.tier_of(geometry.fast_bytes - 1) == 0
+        assert memory.tier_of(geometry.fast_bytes) == 1
 
     def test_fast_is_faster_than_slow(self, memory, geometry):
         memory.access(0, False, 0)
@@ -55,12 +55,6 @@ class TestRouting:
 
 
 class TestFlushing:
-    def test_flush_page_targets_one_channel(self, memory, geometry):
-        page = 0
-        memory.access(page * geometry.page_bytes, False, 0)
-        completion = memory.flush_page(page)
-        assert completion > 0
-
     def test_flush_returns_latest_completion(self, memory, geometry):
         memory.access(0, False, 0)
         memory.access(geometry.fast_bytes, False, 500_000)

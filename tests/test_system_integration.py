@@ -119,7 +119,7 @@ class TestRemapConsistency:
         manager = build_manager("mempod", geometry)
         simulate(trace, manager)
         for pod in manager.pods:
-            for page in pod.remap.moved_pages():
+            for page in pod.remap._forward:
                 frame = pod.remap.location_of(page)
                 assert geometry.page_pod(page) == pod.pod_id
                 assert geometry.page_pod(frame) == pod.pod_id

@@ -98,8 +98,8 @@ class TestTierRouting:
 
     def test_is_fast_address_matches_tier_zero(self, geometry):
         memory, tier_geometry = _three_tier(geometry)
-        assert memory.is_fast_address(tier_geometry.fast_bytes - 1)
-        assert not memory.is_fast_address(tier_geometry.fast_bytes)
+        assert memory.tier_of(tier_geometry.fast_bytes - 1) == 0
+        assert memory.tier_of(tier_geometry.fast_bytes) == 1
 
     def test_geometry_tier_table(self, geometry):
         _, tier_geometry = _three_tier(geometry)

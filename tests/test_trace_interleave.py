@@ -116,7 +116,7 @@ class TestWorkloadRegistry:
 
     def test_homogeneous_spec_is_homogeneous(self):
         spec = homogeneous_spec("lbm")
-        assert spec.is_homogeneous
+        assert set(spec.benchmark_names) == {"lbm"}
         assert spec.cores == 8
 
     def test_mixes_normalised_to_8_cores(self):

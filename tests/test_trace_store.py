@@ -314,7 +314,7 @@ class TestTraceStore:
         key = "ab" + "c" * 62
         path = store.save(key, sample_trace)
         assert path == tmp_path / "ab" / (("c" * 62) + ".mpt")
-        assert store.has(key)
+        assert path.is_file()
         loaded = store.open(key, name=sample_trace.name)
         assert _records(loaded) == _records(sample_trace)
         assert not list(tmp_path.glob("**/*.tmp"))  # no temp droppings

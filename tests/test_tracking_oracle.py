@@ -97,10 +97,3 @@ class TestAveraging:
         merged = average_results([], "avg")
         assert merged.intervals == 0
 
-    def test_mea_advantage(self):
-        result = OracleResult(workload="x", intervals=2)
-        result.mea_future_hits = [3.0, 1.0, 2.0]
-        result.fc_future_hits = [2.0, 0.0, 2.0]
-        assert result.mea_advantage(0) == pytest.approx(0.5)
-        assert result.mea_advantage(1) == float("inf")
-        assert result.mea_advantage(2) == pytest.approx(0.0)
