@@ -92,13 +92,15 @@ _MANIFEST_FILE = Path(__file__).resolve().parent / "kernel_manifest.json"
 KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # the replay loop itself (throttle sampling semantics)
     "repro/system/simulator.py::reference_simulate",
-    # shared swap pacing / page blocking mechanics
-    "repro/managers/base.py::MemoryManager._schedule_swaps",
-    "repro/managers/base.py::MemoryManager._issue_due_swaps",
+    # shared page blocking mechanics
     "repro/managers/base.py::MemoryManager._block_page",
     "repro/managers/base.py::MemoryManager._block_penalty_ps",
     "repro/managers/base.py::MemoryManager.finish",
-    # the composed execution skeleton every mechanism now runs on
+    # the composed execution skeleton every migrating mechanism runs
+    # on, with its swap pacing
+    "repro/managers/base.py::ComposedManager._schedule_swaps",
+    "repro/managers/base.py::ComposedManager._issue_due_swaps",
+    "repro/managers/base.py::ComposedManager.finish",
     "repro/managers/base.py::ComposedManager._tick",
     "repro/managers/base.py::ComposedManager._swap_remap",
     "repro/managers/base.py::ComposedManager._apply_swap",
@@ -115,7 +117,6 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/managers/cameo.py::CameoManager.handle",
     "repro/managers/cameo.py::CameoManager.group_of",
     "repro/managers/static.py::NoMigrationManager.handle",
-    "repro/managers/static.py::SingleLevelManager.handle",
     # memory routing and the throttle's saturation probe (TieredMemory
     # serves every tier count; HybridMemory/SingleLevelMemory are thin
     # constructors over it)
@@ -124,7 +125,7 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/system/hybrid.py::TieredMemory.locate",
     "repro/system/hybrid.py::TieredMemory.peak_bus_free_ps",
     # the spec-declared migration legality every swap passes through
-    "repro/managers/base.py::MemoryManager._check_swap_tiers",
+    "repro/managers/base.py::ComposedManager._check_swap_tiers",
     # controller access accounting the kernels enqueue into directly,
     # and the scheduling internals enqueue_batch inlines
     "repro/dram/controller.py::ChannelController.enqueue",
@@ -155,7 +156,6 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/trace/packed.py::PackedTrace.chunk_groups_streamed",
     "repro/trace/packed.py::_group_window",
     "repro/trace/packed.py::PackedTrace.from_planes",
-    "repro/kernel/replay.py::_single_decode_np",
     "repro/kernel/replay.py::_hybrid_decode_np",
     "repro/kernel/replay.py::_hybrid_decode",
     "repro/kernel/replay.py::_record_stream",

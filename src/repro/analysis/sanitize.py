@@ -105,13 +105,7 @@ class SimulationSanitizer:
     @staticmethod
     def _enumerate_channels(memory) -> List[Tuple[str, object, object]]:
         channels = []
-        tiers = getattr(memory, "tiers", None)
-        if tiers is not None:
-            devices = list(tiers)
-        elif hasattr(memory, "fast") and hasattr(memory, "slow"):
-            devices = [memory.fast, memory.slow]
-        else:
-            devices = [memory.device]
+        devices = memory.tiers
         # Shadow labels must be unique; two tiers of the same technology
         # would otherwise share one monotonicity snapshot.
         names = [device.name for device in devices]
@@ -168,18 +162,18 @@ class SimulationSanitizer:
                 "duplicated across a remap",
                 cycle_ps=end_ps,
             )
-        tiers = getattr(self.manager.memory, "tiers", None)
-        if tiers is not None:
-            per_tier = [tier.merged_stats().demand_count for tier in tiers]
-            if sum(per_tier) != merged.demand_count:
-                self._fail(
-                    "demand-conservation",
-                    f"per-tier demand counts {per_tier} sum to "
-                    f"{sum(per_tier)} but the system merged "
-                    f"{merged.demand_count}: a tier was skipped or "
-                    "double-counted in the merge",
-                    cycle_ps=end_ps,
-                )
+        per_tier = [
+            tier.merged_stats().demand_count for tier in self.manager.memory.tiers
+        ]
+        if sum(per_tier) != merged.demand_count:
+            self._fail(
+                "demand-conservation",
+                f"per-tier demand counts {per_tier} sum to "
+                f"{sum(per_tier)} but the system merged "
+                f"{merged.demand_count}: a tier was skipped or "
+                "double-counted in the merge",
+                cycle_ps=end_ps,
+            )
         expected_ammat = to_ns(merged.demand_latency_ps) / demand if demand else 0.0
         if not math.isclose(result.ammat_ns, expected_ammat, rel_tol=1e-12, abs_tol=1e-9):
             self._fail(

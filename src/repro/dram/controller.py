@@ -898,7 +898,7 @@ class ChannelController:
             self._dirty = True
             self._dirty_sink.add(self._dirty_key)
         while self._pending:
-            self._service_one()
+            self._service_at(self._choose())
         return self.last_completion_ps
 
     def block_until(self, ps: int) -> None:
@@ -959,9 +959,6 @@ class ChannelController:
             if same_direction < 0 and cand[4] == direction:
                 same_direction = idx
         return same_direction if same_direction >= 0 else 0
-
-    def _service_one(self) -> None:
-        self._service_at(self._choose())
 
     def _service_at(self, chosen_idx: int) -> None:
         arrival_ps, account_ps, bank_idx, row, is_write, kind = self._pending.pop(

@@ -30,7 +30,10 @@ mutations with the per-record overhead hoisted out:
 
 Each mechanism has one kernel, chosen because it measured fastest:
 
-* tlm / single-level replay every chunk pre-grouped by controller:
+* tlm and the single-level bounds (hbm-only, ddr-only) share one
+  direct kernel, :func:`_replay_tlm`: the memory's tier table decodes
+  a two-tier and a one-tier memory alike, into flat controller
+  indices.  It replays every chunk pre-grouped by controller:
   ``PackedTrace.chunk_groups_streamed`` decodes a window, sorts it once
   by (chunk, controller) and yields each chunk's columns in that order,
   with each controller's span;
@@ -72,7 +75,7 @@ The fallback *is* the reference loop, so ``fast_simulate`` is total:
 anything it cannot accelerate it still simulates correctly.
 
 **Streaming.** Every trace replays without trace-length derived
-columns: the direct kernels consume ``chunk_groups_streamed`` and the
+columns: the direct kernel consumes ``chunk_groups_streamed`` and the
 per-record loops read :func:`_record_stream` windows, whether the
 columns are memory-mapped planes of a columnar trace file, in-memory
 synthesised columns (``packed.mapped`` for both, see
@@ -114,7 +117,7 @@ LINE_SHIFT = LINE_BYTES.bit_length() - 1
 # A plane is a per-record column of precomputed address decode results,
 # cached on a PackedTrace under a key derived from the memory layout —
 # two managers over the same geometry share planes.  Only the numpy-free
-# legs of the direct kernels build planes; with numpy they decode one
+# leg of the direct kernel builds planes; with numpy it decodes one
 # window at a time inside chunk_groups_streamed.
 
 
@@ -128,16 +131,12 @@ def _mapper_key(mapper) -> tuple:
     )
 
 
-def _single_layout_key(device) -> tuple:
-    return ("single", _mapper_key(device.mapper))
-
-
 def _tier_table(memory):
     """Per-tier decode rows: ``(start, end, ctrl_base, mapper)``.
 
     One row per tier in address order, with flat controller indices
-    (tier 0's channels first) — the table the decoders index instead
-    of re-deriving the old single fast/slow threshold.
+    (tier 0's channels first) — the table both decoders walk, for one
+    tier or many.
     """
     table = []
     start = 0
@@ -149,44 +148,18 @@ def _tier_table(memory):
     return table
 
 
-def _hybrid_layout_key(memory) -> tuple:
-    return ("hybrid",) + tuple(
-        (end - start, base, _mapper_key(mapper))
-        for start, end, base, mapper in _tier_table(memory)
-    )
-
-
-def _single_plane(packed, device):
-    """(controller, bank, row) columns for a single-device memory,
-    decoded per record through the mapper (the numpy-free leg)."""
-    key = _single_layout_key(device)
-    plane = packed.planes.get(key)
-    if plane is None:
-        decode = device.mapper.fast_decode
-        ctrls, banks, rows = [], [], []
-        for address in packed.addresses:
-            channel, bank, row = decode(address)
-            ctrls.append(channel)
-            banks.append(bank)
-            rows.append(row)
-        plane = packed.planes[key] = (ctrls, banks, rows)
-    return plane
-
-
 def _hybrid_plane(packed, memory):
     """(controller, bank, row) columns for a tiered memory — the whole
     trace through :func:`_hybrid_decode`'s numpy-free leg, memoised per
     layout."""
-    key = _hybrid_layout_key(memory)
+    key = ("hybrid",) + tuple(
+        (end - start, base, _mapper_key(mapper))
+        for start, end, base, mapper in _tier_table(memory)
+    )
     plane = packed.planes.get(key)
     if plane is None:
         plane = packed.planes[key] = _hybrid_decode(memory)(packed.addresses)
     return plane
-
-
-def _hybrid_controllers(memory):
-    """Flat controller list matching :func:`_hybrid_decode` indices."""
-    return list(memory._controllers)
 
 
 # -- windowed decode -------------------------------------------------------
@@ -196,30 +169,11 @@ def _hybrid_controllers(memory):
 # _record_stream the list form of either leg.
 
 
-def _single_decode_np(device):
-    """Windowed (ctrl, bank, row) decoder for a single-device memory."""
-    mapper = device.mapper
-    row_shift = mapper._row_shift
-    bank_shift = mapper._bank_shift
-    chan_shift = mapper._chan_shift
-    bank_mask = mapper._bank_mask
-    chan_mask = mapper._chan_mask
-
-    def decode(addresses):
-        return (
-            (addresses >> bank_shift) & chan_mask,
-            (addresses >> row_shift) & bank_mask,
-            addresses >> chan_shift,
-        )
-
-    return decode
-
-
 def _hybrid_decode_np(memory):
     """Windowed (ctrl, bank, row) array decoder for a tiered memory.
 
     Controller indices are flat across every tier — tier 0's channels
-    first — matching :func:`_hybrid_controllers`.  The table is walked
+    first — matching ``TieredMemory._controllers``.  The table is walked
     last tier first: the final tier is the unconditional branch and
     earlier tiers overlay it under their ``address < end`` condition,
     so on two-tier systems the chained ``where`` is exactly the
@@ -341,44 +295,18 @@ def _record_stream(packed, memory, page_shift):
 # `arrivals[end-1] + offset` equals the reference's shifted arrival at
 # chunk end, the time the sample compares the busiest bus with.  The
 # per-record kernels take their chunks from _throttled_chunks and end
-# through _finish_replay; _replay_direct keeps its own loop because its
+# through _finish_replay; _replay_tlm keeps its own loop because its
 # chunks arrive pre-grouped by controller.
 
 
 def _replay_tlm(trace, packed, manager, throttle_cap_ps):
-    """TLM baseline: every record is one DEMAND enqueue, no remapping."""
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if _np is None:
-        chunks = packed.chunk_groups(*_hybrid_plane(packed, memory), sample)
-    else:
-        chunks = packed.chunk_groups_streamed(
-            _hybrid_decode_np(memory), sample, _stream_window(packed)
-        )
-    return _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks)
-
-
-def _replay_single(trace, packed, manager, throttle_cap_ps):
-    """HBM-only / DDR-only: one device, no remapping."""
-    device = manager.memory.device
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if _np is None:
-        chunks = packed.chunk_groups(*_single_plane(packed, device), sample)
-    else:
-        chunks = packed.chunk_groups_streamed(
-            _single_decode_np(device), sample, _stream_window(packed)
-        )
-    return _replay_direct(
-        trace, packed, manager, throttle_cap_ps, device.controllers, chunks
-    )
-
-
-def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
-    """Shared loop for managers whose handle() is a bare memory access.
+    """The direct kernel, for managers whose ``handle`` is a bare
+    ``memory.access``: TLM over the fast/slow pair, and the HBM-only and
+    DDR-only bounds over a one-tier memory (the tier table decodes
+    either shape).
 
     Fully batched: every throttle chunk arrives already regrouped by
-    controller index — from the windowed ``chunk_groups_streamed``
+    flat controller index — from the windowed ``chunk_groups_streamed``
     generator (O(window) memory), or the eager ``chunk_groups`` on
     numpy-free installs (identical chunks) — so the replay zips the
     chunk's ``DEMAND`` pending entries once and makes one
@@ -387,10 +315,17 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
     time: a window's worth of live tuples would wake the cyclic garbage
     collector over and over, a chunk's never does.
     """
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = manager.memory.peak_bus_free_ps
-    arrivals = packed.arrivals
+    memory = manager.memory
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
+    if _np is None:
+        chunks = packed.chunk_groups(*_hybrid_plane(packed, memory), sample)
+    else:
+        chunks = packed.chunk_groups_streamed(
+            _hybrid_decode_np(memory), sample, _stream_window(packed)
+        )
+    batch = [ctrl.enqueue_batch for ctrl in memory._controllers]
+    peak_bus = memory.peak_bus_free_ps
+    arrivals = packed.arrivals
     demand = repeat(DEMAND)
     offset = 0
     pos = 0
@@ -409,10 +344,11 @@ def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
     return collect_result(manager, trace, end_ps)
 
 
-def _swap_merged_buffers(ctrls, batch):
+def _swap_merged_buffers(memory):
     """Per-controller entry buffers with the swap datapath merged in.
 
-    Shared by every migrating kernel.  Returns ``(bufs, flush_all,
+    Shared by every migrating kernel; indexed by flat controller, as
+    ``memory._controllers`` lists them.  Returns ``(bufs, flush_all,
     sink)``.  ``bufs[c]`` accumulates controller ``c``'s deferred
     transactions as pending-entry tuples ``(arrival, account, bank, row,
     is_write, kind)`` — the kernels append their demand, cameo its line
@@ -440,6 +376,8 @@ def _swap_merged_buffers(ctrls, batch):
     it creates lands in the controller's closed-form episode engine.
     """
     migration = MIGRATION
+    ctrls = memory._controllers
+    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     nctrl = len(ctrls)
     bufs = [[] for _ in range(nctrl)]
     runs = [[] for _ in range(nctrl)]
@@ -547,8 +485,6 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     exception mid-chunk cannot leave the manager with stale state.
     """
     memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     record_batch = manager.tracker.record_batch
     location_get = manager._location.get
     block_penalty = manager._block_penalty_ps
@@ -571,7 +507,7 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
         memory.slow.mapper
     )
     demand = DEMAND
-    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    bufs, flush_all, swap_sink = _swap_merged_buffers(memory)
     push = [buf.append for buf in bufs]
 
     window = _stream_window(packed)
@@ -655,8 +591,6 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     the routing is identical and the bounds check is vacuous.
     """
     memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     observe = [pod.mea.record for pod in manager.pods]
     forward_get = [pod.remap._forward.get for pod in manager.pods]
     block_penalty = manager._block_penalty_ps
@@ -679,7 +613,7 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
         memory.slow.mapper
     )
     demand = DEMAND
-    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    bufs, flush_all, swap_sink = _swap_merged_buffers(memory)
     push = [buf.append for buf in bufs]
 
     fast_pages = manager._fast_pages
@@ -753,8 +687,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     per-controller enqueue order).
     """
     memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     access_resident = manager.counters.access_resident
     access_challenger = manager.counters.access_challenger
     migrate = manager._migrate
@@ -775,7 +707,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
         memory.slow.mapper
     )
     demand = DEMAND
-    bufs, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
+    bufs, flush_all, swap_sink = _swap_merged_buffers(memory)
     push = [buf.append for buf in bufs]
 
     records = _record_stream(packed, memory, page_shift)
@@ -859,8 +791,6 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     vacuous.
     """
     memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
     forward = manager._location
     resident = manager._resident
     location_get = forward.get
@@ -885,7 +815,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     swap_bytes = 2 * LINE_BYTES
     demand = DEMAND
     migration = MIGRATION
-    bufs, flush_all, _ = _swap_merged_buffers(ctrls, batch)
+    bufs, flush_all, _ = _swap_merged_buffers(memory)
     push = [buf.append for buf in bufs]
 
     records = _record_stream(packed, memory, LINE_SHIFT)
@@ -1034,7 +964,7 @@ def _gate_none(manager):
 _SHAPE_KERNELS = {
     ("none", "none"): (NoMigrationManager, "_replay_tlm", "tlm", _gate_none),
     ("none", "single"): (
-        SingleLevelManager, "_replay_single", "single-level", _gate_none,
+        SingleLevelManager, "_replay_tlm", "single-level", _gate_none,
     ),
     ("interval", "pod"): (MemPodManager, "_replay_mempod", "mempod", _gate_mempod),
     ("epoch", "global"): (
@@ -1070,8 +1000,7 @@ def select_kernel(manager) -> "tuple":
     * ``fallback:novel-shape:<trigger>x<flexibility>`` — a shape no
       specialised loop exists for.
     """
-    tiers = getattr(manager.memory, "tiers", None)
-    if tiers is not None and len(tiers) > 2:
+    if len(manager.memory.tiers) > 2:
         return None, "fallback:multi-tier"
     manager_type = type(manager)
     trigger = getattr(manager, "trigger", "none")

@@ -5,7 +5,7 @@ devices: it observes every demand request, translates addresses through
 whatever remapping it maintains, injects migration and bookkeeping
 traffic, and enforces blocking for pages with in-flight swaps.
 
-The shared base implements the two mechanics every mechanism needs:
+The shared base implements the two mechanics every manager needs:
 
 * **page blocking** — a demand to a page whose swap (or metadata fill)
   is in flight is delayed to the swap's completion but *accounted* from
@@ -13,6 +13,11 @@ The shared base implements the two mechanics every mechanism needs:
   AMMAT (paper Section 4.3);
 * **storage reporting** — each manager reports its remap-table and
   activity-tracking hardware cost for the Table 1 comparison.
+
+Everything that moves data — the migration datapath and the paced
+swap queue — lives on :class:`ComposedManager`, the skeleton every
+migrating mechanism runs on; the non-migrating baselines never build
+either.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ class MemoryManager(ABC):
     def __init__(self, memory: "HybridMemory", geometry: MemoryGeometry) -> None:
         self.memory = memory
         self.geometry = geometry
-        self.engine = MigrationEngine(memory, geometry)
         self._blocked: Dict[int, int] = {}
         # Expiry min-heap of (until_ps, page) mirroring _blocked, so
         # expired entries for pages never demanded again are still
@@ -61,12 +65,6 @@ class MemoryManager(ABC):
         # re-blocked later no longer match the dict and are skipped).
         self._blocked_expiry: List[Tuple[int, int]] = []
         self.blocked_hits = 0
-        # Scheduled page copies: a min-heap of (issue_ps, seq, frame_a,
-        # frame_b, pod), drained as simulated time passes each issue
-        # time.  A heap (not FIFO) because pods schedule their interval
-        # plans independently, so issue times interleave across pods.
-        self._swap_queue: List[Tuple[int, int, int, int, int]] = []
-        self._swap_seq = 0
 
     # -- request path -----------------------------------------------------
 
@@ -75,68 +73,9 @@ class MemoryManager(ABC):
         """Process one demand request from the trace."""
 
     def finish(self) -> int:
-        """Complete outstanding work at the end of the trace.
-
-        Issues any still-scheduled copies (their remap effects are
-        already visible, so the traffic must exist), then drains the
-        devices.
-        """
-        self._issue_due_swaps(None)
+        """Drain the devices at the end of the trace; returns the latest
+        completion."""
         return self.memory.flush()
-
-    # -- paced swap issuance -------------------------------------------------
-    #
-    # Interval-triggered managers decide a batch of swaps at a boundary
-    # but a real migration driver paces the copies so demand keeps
-    # flowing; pages stay served from their *old* location until their
-    # copy actually starts.  The queue holds (issue_ps, frame_a,
-    # frame_b, pod) in issue order; ComposedManager._apply_swap performs
-    # the manager-specific remap update, the data movement, and the
-    # copy-window blocking at issue time.
-
-    def _schedule_swaps(self, pairs, start_ps: int, spacing_ps: int) -> None:
-        """Queue frame-pair copies at ``start_ps + k * spacing_ps``.
-
-        ``pairs`` is an iterable of ``(frame_a, frame_b, pod)``; pairs
-        within one batch must be frame-disjoint so deferred application
-        commutes with planning.
-        """
-        issue_ps = start_ps
-        for frame_a, frame_b, pod in pairs:
-            heapq.heappush(
-                self._swap_queue, (issue_ps, self._swap_seq, frame_a, frame_b, pod)
-            )
-            self._swap_seq += 1
-            issue_ps += spacing_ps
-
-    def _issue_due_swaps(self, now_ps) -> None:
-        """Apply every scheduled copy due by ``now_ps`` (all, if None)."""
-        queue = self._swap_queue
-        while queue and (now_ps is None or queue[0][0] <= now_ps):
-            issue_ps, _, frame_a, frame_b, pod = heapq.heappop(queue)
-            self._apply_swap(frame_a, frame_b, pod, issue_ps)
-
-    def _check_swap_tiers(self, frame_a: int, frame_b: int) -> "tuple[int, int]":
-        """Enforce the spec's migration legality on one frame pair.
-
-        Returns the ``(source, destination)`` tier indices of the two
-        frames; a cross-tier pair outside :attr:`swap_tiers` raises
-        :class:`~repro.common.errors.MigrationError` (the sanitizer
-        additionally proves the remap tables stay closed over the legal
-        pairs).
-        """
-        geometry = self.geometry
-        tier_a = geometry.page_tier(frame_a)
-        tier_b = geometry.page_tier(frame_b)
-        if tier_a != tier_b:
-            pair = (tier_a, tier_b) if tier_a < tier_b else (tier_b, tier_a)
-            if pair not in self.swap_tiers:
-                raise MigrationError(
-                    f"{self.name}: frames {frame_a} (tier {tier_a}) and "
-                    f"{frame_b} (tier {tier_b}) form an illegal swap pair; "
-                    f"legal cross-tier pairs: {self.swap_tiers}"
-                )
-        return tier_a, tier_b
 
     # -- blocking ----------------------------------------------------------
 
@@ -191,8 +130,9 @@ class MemoryManager(ABC):
 
     @property
     def migration_stats(self) -> MigrationStats:
-        """Traffic moved by this manager's datapath."""
-        return self.engine.stats
+        """Traffic moved by this manager's datapath: none, unless a
+        :class:`ComposedManager` migrates."""
+        return MigrationStats()
 
     def storage_report(self) -> Dict[str, int]:
         """Hardware state in bits: ``{"remap_bits": ..., "tracking_bits": ...}``.
@@ -234,9 +174,13 @@ class ComposedManager(MemoryManager):
     * **remap table** — a :class:`~repro.core.remap.RemapTable` policy
       in ``self.remap``; :meth:`_swap_remap` is the override point for
       mechanisms whose table is sharded (MemPod keeps one per pod).
-    * **datapath** — the shared :meth:`_apply_swap` applies one
-      scheduled copy in the canonical order: flip the remap entries,
-      move the data, block both in-flight pages for the copy window.
+    * **datapath** — ``self.engine``, a
+      :class:`~repro.core.datapath.MigrationEngine`, plus the paced swap
+      queue (:meth:`_schedule_swaps`, :meth:`_issue_due_swaps`, drained
+      by :meth:`finish`); the shared :meth:`_apply_swap` applies one
+      scheduled copy in the canonical order: check the tier pair, flip
+      the remap entries, move the data, block both in-flight pages for
+      the copy window.
     * **storage reporting** — :meth:`storage_report` sums the
       dict-valued ``storage_bits()`` of every component yielded by
       :meth:`storage_components`, so Table 1 costs follow the actual
@@ -250,6 +194,13 @@ class ComposedManager(MemoryManager):
         interval_ps: Optional[int] = None,
     ) -> None:
         super().__init__(memory, geometry)
+        self.engine = MigrationEngine(memory, geometry)
+        # Scheduled page copies: a min-heap of (issue_ps, seq, frame_a,
+        # frame_b, pod), drained as simulated time passes each issue
+        # time.  A heap (not FIFO) because pods schedule their interval
+        # plans independently, so issue times interleave across pods.
+        self._swap_queue: List[Tuple[int, int, int, int, int]] = []
+        self._swap_seq = 0
         self.interval_ps = interval_ps
         self._next_boundary_ps = interval_ps
         self._page_shift = (geometry.page_bytes - 1).bit_length()
@@ -271,6 +222,70 @@ class ComposedManager(MemoryManager):
             f"{type(self).__name__} has trigger={self.trigger!r} but no "
             "_run_boundary; boundary-triggered managers must implement it"
         )
+
+    def finish(self) -> int:
+        """Complete outstanding work at the end of the trace.
+
+        Issues any still-scheduled copies (their remap effects are
+        already visible, so the traffic must exist), then drains the
+        devices.
+        """
+        self._issue_due_swaps(None)
+        return super().finish()
+
+    # -- paced swap issuance -------------------------------------------------
+    #
+    # Interval-triggered managers decide a batch of swaps at a boundary
+    # but a real migration driver paces the copies so demand keeps
+    # flowing; pages stay served from their *old* location until their
+    # copy actually starts.  The queue holds (issue_ps, seq, frame_a,
+    # frame_b, pod) in issue order; _apply_swap performs the
+    # manager-specific remap update, the data movement, and the
+    # copy-window blocking at issue time.
+
+    def _schedule_swaps(self, pairs, start_ps: int, spacing_ps: int) -> None:
+        """Queue frame-pair copies at ``start_ps + k * spacing_ps``.
+
+        ``pairs`` is an iterable of ``(frame_a, frame_b, pod)``; pairs
+        within one batch must be frame-disjoint so deferred application
+        commutes with planning.
+        """
+        issue_ps = start_ps
+        for frame_a, frame_b, pod in pairs:
+            heapq.heappush(
+                self._swap_queue, (issue_ps, self._swap_seq, frame_a, frame_b, pod)
+            )
+            self._swap_seq += 1
+            issue_ps += spacing_ps
+
+    def _issue_due_swaps(self, now_ps) -> None:
+        """Apply every scheduled copy due by ``now_ps`` (all, if None)."""
+        queue = self._swap_queue
+        while queue and (now_ps is None or queue[0][0] <= now_ps):
+            issue_ps, _, frame_a, frame_b, pod = heapq.heappop(queue)
+            self._apply_swap(frame_a, frame_b, pod, issue_ps)
+
+    def _check_swap_tiers(self, frame_a: int, frame_b: int) -> "tuple[int, int]":
+        """Enforce the spec's migration legality on one frame pair.
+
+        Returns the ``(source, destination)`` tier indices of the two
+        frames; a cross-tier pair outside :attr:`swap_tiers` raises
+        :class:`~repro.common.errors.MigrationError` (the sanitizer
+        additionally proves the remap tables stay closed over the legal
+        pairs).
+        """
+        geometry = self.geometry
+        tier_a = geometry.page_tier(frame_a)
+        tier_b = geometry.page_tier(frame_b)
+        if tier_a != tier_b:
+            pair = (tier_a, tier_b) if tier_a < tier_b else (tier_b, tier_a)
+            if pair not in self.swap_tiers:
+                raise MigrationError(
+                    f"{self.name}: frames {frame_a} (tier {tier_a}) and "
+                    f"{frame_b} (tier {tier_b}) form an illegal swap pair; "
+                    f"legal cross-tier pairs: {self.swap_tiers}"
+                )
+        return tier_a, tier_b
 
     # -- datapath ----------------------------------------------------------
 
@@ -300,7 +315,11 @@ class ComposedManager(MemoryManager):
         self._block_page(page_b, completion)
         return completion
 
-    # -- storage reporting -------------------------------------------------
+    # -- reporting ----------------------------------------------------------
+
+    @property
+    def migration_stats(self) -> MigrationStats:
+        return self.engine.stats
 
     def storage_components(self) -> Iterable:
         """Components with dict-valued ``storage_bits()`` to price."""

@@ -72,20 +72,17 @@ class CameoManager(ComposedManager):
         if line in self._untouched_in_fast:
             del self._untouched_in_fast[line]
 
-        if current < self.fast_lines:
-            self.memory.access(
-                current * LINE_BYTES, is_write, arrival_ps,
-                account_ps=arrival_ps - penalty_ps,
-            )
-            return
-
-        # Slow hit: serve the demand from the slow location, then swap the
-        # line into its group's fast slot (existing writeback/fill queues
-        # in the paper's datapath; plain MIGRATION traffic here).
         self.memory.access(
             current * LINE_BYTES, is_write, arrival_ps,
             account_ps=arrival_ps - penalty_ps,
         )
+        if current < self.fast_lines:
+            return
+
+        # Slow hit: the demand was served from the slow location; now
+        # swap the line into its group's fast slot (existing
+        # writeback/fill queues in the paper's datapath; plain MIGRATION
+        # traffic here).
         fast_slot = self.group_of(line)
         evicted = self._resident.get(fast_slot, fast_slot)
         if evicted in self._untouched_in_fast:

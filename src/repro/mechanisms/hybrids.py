@@ -10,10 +10,11 @@ already use, which is exactly what the spec registry is for:
   and already ordered, so the mechanism drops HMA's counter-sort
   penalty and almost all of its tracking storage; the cost is MEA's
   bounded view of the access stream.
-* ``thm-pods`` (:class:`PodThmManager`) — THM's competing-counter
-  threshold trigger, but segments are drawn *within a pod*, so every
-  swap stays pod-local and is credited with MemPod's cheap pod-local
-  interconnect hop instead of a global traversal.
+* ``thm-pods`` (:class:`PodThmManager`) — a :class:`ThmManager`
+  subclass: THM's competing-counter threshold trigger, but segments are
+  drawn *within a pod*, so every swap stays pod-local and is credited
+  with MemPod's cheap pod-local interconnect hop instead of a global
+  traversal.
 
 Both shapes are novel to the fast-kernel dispatcher: ``hma-mea``
 shares HMA's (epoch, global) shape but is not the canonical class, and
@@ -28,11 +29,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.config import require_positive_int
 from ..common.units import us
-from ..core.remap import DirectRemap, PageTableRemap
+from ..core.remap import PageTableRemap
 from ..geometry import MemoryGeometry
 from ..managers.base import ComposedManager, TrackerStorage
+from ..managers.thm import ThmManager
 from ..system.hybrid import HybridMemory
-from ..tracking.competing import CompetingCounterArray
 from ..tracking.mea import MeaTracker
 from .registry import register_mechanism
 from .spec import MechanismSpec
@@ -134,46 +135,19 @@ class TrackedEpochManager(ComposedManager):
         return (self.remap, TrackerStorage(self.tracker))
 
 
-class PodThmManager(ComposedManager):
+class PodThmManager(ThmManager):
     """Competing-counter migration with pod-local segments (``thm-pods``).
 
-    Segments are THM-shaped — one fast frame plus the slow pages that
-    map to it — but drawn within a pod: a slow page's segment anchor is
-    a fast frame *of its own pod*, so every swap moves data across the
+    THM itself — one competing counter and one direct-remap entry per
+    fast frame, the same threshold trigger and inline swap — with two
+    overrides: a slow page's segment is anchored at a fast frame *of its
+    own pod* (:meth:`segment_of`), so every swap moves data across the
     pod-local hop only and is accounted as such (``pod=`` on the
-    datapath, as MemPod's swaps are).
+    datapath in :meth:`_migrate`, as MemPod's swaps are).
     """
 
     name = "THM-pods"
-    trigger = "threshold"
     flexibility = "pod"
-
-    def __init__(
-        self,
-        memory: HybridMemory,
-        geometry: MemoryGeometry,
-        threshold: int = 16,
-        counter_bits: int = 8,
-    ) -> None:
-        require_positive_int("threshold", threshold)
-        super().__init__(memory, geometry)
-        # One competing counter per fast frame, as in THM; only the
-        # segment membership (which pages compete for which frame)
-        # differs.
-        self.counters = CompetingCounterArray(
-            segments=geometry.fast_pages,
-            threshold=threshold,
-            counter_bits=counter_bits,
-        )
-        self.remap = DirectRemap(
-            geometry.fast_pages,
-            max(1, geometry.slow_pages // geometry.fast_pages),
-        )
-        self._location: Dict[int, int] = self.remap._forward
-        self._resident: Dict[int, int] = self.remap._resident
-        self.total_migrations = 0
-
-    # -- segment topology ---------------------------------------------------
 
     def segment_of(self, page: int) -> int:
         """The pod-local fast frame ``page``'s segment is anchored at."""
@@ -183,27 +157,6 @@ class PodThmManager(ComposedManager):
         pod = geometry.slow_page_pod(page)
         slot = (page - geometry.fast_pages) % geometry.fast_pages_per_pod
         return geometry.pod_fast_slot_to_page(pod, slot)
-
-    # -- request path -------------------------------------------------------
-
-    def handle(self, address: int, is_write: bool, arrival_ps: int, core: int) -> None:
-        page = address >> self._page_shift
-        segment = self.segment_of(page)
-        penalty_ps = self._block_penalty_ps(page, arrival_ps)
-
-        frame = self._location.get(page, page)
-        if frame < self.geometry.fast_pages:
-            self.counters.access_resident(segment)
-        else:
-            challenger = self.counters.access_challenger(segment, page)
-            if challenger is not None:
-                penalty_ps += self._migrate(segment, challenger, arrival_ps)
-                frame = self._location.get(page, page)
-
-        new_address = (frame << self._page_shift) | (address & self._page_mask)
-        self.memory.access(
-            new_address, is_write, arrival_ps, account_ps=arrival_ps - penalty_ps
-        )
 
     def _migrate(self, segment: int, challenger: int, at_ps: int) -> int:
         """Swap the challenger into its segment's fast frame (pod-local)."""
@@ -218,10 +171,6 @@ class PodThmManager(ComposedManager):
         self._block_page(page_b, completion)
         self.total_migrations += 1
         return completion - at_ps
-
-    def storage_components(self):
-        """Per-fast-page remap entry + the competing-counter array."""
-        return (self.remap, TrackerStorage(self.counters))
 
 
 register_mechanism("hma-mea", MechanismSpec(

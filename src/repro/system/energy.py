@@ -136,8 +136,8 @@ def report_for(manager, params: EnergyParams = EnergyParams()) -> EnergyReport:
 
     model = EnergyModel(manager.geometry, params)
     memory = manager.memory
-    tiers = getattr(memory, "tiers", None)
-    if tiers is not None and len(tiers) >= 2:
+    tiers = memory.tiers
+    if len(tiers) >= 2:
         # Tier 0 carries the fast constant; every deeper tier is
         # off-package commodity/PCM-class and charged the slow constant.
         fast_served = tiers[0].merged_stats().count_by_kind.get(DEMAND, 0)
@@ -145,9 +145,6 @@ def report_for(manager, params: EnergyParams = EnergyParams()) -> EnergyReport:
             tier.merged_stats().count_by_kind.get(DEMAND, 0)
             for tier in tiers[1:]
         )
-    elif hasattr(memory, "fast"):
-        fast_served = memory.fast.merged_stats().count_by_kind[DEMAND]
-        slow_served = memory.slow.merged_stats().count_by_kind[DEMAND]
     else:
         fast_served = memory.merged_stats().count_by_kind[DEMAND]
         slow_served = 0

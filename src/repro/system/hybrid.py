@@ -121,10 +121,11 @@ class TieredMemory:
         return index, self.tiers[index], address - self.tier_offset(index)
 
     # -- two-/one-tier aliases ------------------------------------------------
-    # Properties, so `hasattr(memory, "fast")` is False on single-level
-    # systems and `hasattr(memory, "device")` is False on multi-tier
-    # ones — exactly the discrimination the stats/energy/sanitizer
-    # layers relied on when these were plain attributes.
+    # Named views for code written against one shape: the two-tier
+    # kernels and managers read `fast`/`slow`, the single-level manager
+    # names itself after `device`.  Asking for the wrong shape raises
+    # AttributeError; shape-generic code (stats, energy, the sanitizer,
+    # the kernels' decoders) reads `tiers` instead.
 
     @property
     def fast(self) -> MemoryDevice:

@@ -85,9 +85,8 @@ def collect_result(manager, trace, end_ps: int) -> SimulationResult:
         },
     )
 
-    memory = manager.memory
-    tiers = getattr(memory, "tiers", None)
-    if tiers is not None and len(tiers) >= 2:
+    tiers = manager.memory.tiers
+    if len(tiers) >= 2:
         # Tier 0 is the fast column and tier 1 the slow column, so the
         # two-tier fields stay bit-identical; systems with more tiers
         # additionally report a per-tier breakdown in ``extras``.
@@ -105,16 +104,8 @@ def collect_result(manager, trace, end_ps: int) -> SimulationResult:
                     result.extras[f"tier{index}_service_fraction"] = (
                         tier.merged_stats().served / merged.served
                     )
-    elif tiers is not None:
-        result.row_hit_rate_fast = tiers[0].row_buffer_hit_rate()
-    elif hasattr(memory, "fast") and hasattr(memory, "slow"):
-        result.row_hit_rate_fast = memory.fast.row_buffer_hit_rate()
-        result.row_hit_rate_slow = memory.slow.row_buffer_hit_rate()
-        fast_served = memory.fast.merged_stats().served
-        if merged.served:
-            result.fast_service_fraction = fast_served / merged.served
     else:
-        result.row_hit_rate_fast = memory.device.row_buffer_hit_rate()
+        result.row_hit_rate_fast = tiers[0].row_buffer_hit_rate()
 
     # Manager-specific extras useful to the experiment harness.
     for attr in ("total_migrations", "wasted_migrations", "blocked_hits"):

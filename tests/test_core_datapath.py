@@ -111,10 +111,7 @@ class TestBatchedSwapEquivalence:
         memory = HybridMemory(geometry)
         engine = MigrationEngine(memory, geometry)
         if sunk:
-            ctrls = list(memory._controllers)
-            _, flush_all, engine.swap_sink = _swap_merged_buffers(
-                ctrls, [ctrl.enqueue_batch for ctrl in ctrls]
-            )
+            _, flush_all, engine.swap_sink = _swap_merged_buffers(memory)
         at = 0
         completions = []
         for frame_a, frame_b in pairs:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.mempod import MemPodManager
 from repro.common.units import us
 from repro.geometry import scaled_geometry
+from repro.managers.base import ComposedManager
 from repro.managers.static import NoMigrationManager
 from repro.system.hybrid import HybridMemory
 from repro.system.simulator import simulate
@@ -78,9 +79,17 @@ class TestBlockingTableBounded:
         assert len(manager._blocked_expiry) < manager.total_migrations
 
 
+class _Swapper(ComposedManager):
+    """The swap queue's owner with no mechanism around it: tests stub
+    ``_apply_swap`` to record each issued copy."""
+
+    def handle(self, address, is_write, arrival_ps, core):
+        raise AssertionError("the swap-queue tests never replay a trace")
+
+
 class TestSwapScheduling:
     def test_swaps_issue_in_time_order_across_batches(self, geometry):
-        manager = NoMigrationManager(HybridMemory(geometry), geometry)
+        manager = _Swapper(HybridMemory(geometry), geometry)
         issued = []
         manager._apply_swap = lambda fa, fb, pod, ps: issued.append((ps, fa, fb))
 
@@ -95,7 +104,7 @@ class TestSwapScheduling:
         assert times == [1000, 2000, 6000]
 
     def test_only_due_swaps_issue(self, geometry):
-        manager = NoMigrationManager(HybridMemory(geometry), geometry)
+        manager = _Swapper(HybridMemory(geometry), geometry)
         issued = []
         manager._apply_swap = lambda fa, fb, pod, ps: issued.append(ps)
         manager._schedule_swaps([(0, geometry.fast_pages, 0)], 50_000, 1)
@@ -105,7 +114,7 @@ class TestSwapScheduling:
         assert issued == [50_000]
 
     def test_finish_drains_remaining_swaps(self, geometry):
-        manager = NoMigrationManager(HybridMemory(geometry), geometry)
+        manager = _Swapper(HybridMemory(geometry), geometry)
         issued = []
         manager._apply_swap = lambda fa, fb, pod, ps: issued.append(ps)
         manager._schedule_swaps([(0, geometry.fast_pages, 0)], 10**12, 1)
