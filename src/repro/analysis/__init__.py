@@ -6,12 +6,6 @@ These layers keep the "refactor freely, run fast" loop safe:
   wall-clock isolation, mutable defaults, broad excepts, float equality,
   unused imports), plus the runtime annotation check that used to live
   only in the test suite.  Run via ``repro lint``.
-* the **kernel-drift detector** (also in :mod:`~repro.analysis.lint`) —
-  a checked-in manifest of normalized-source fingerprints for the
-  reference hot-loop functions that :mod:`repro.kernel.replay`
-  specializes.  Editing one of those functions fails lint until the
-  change is re-proven bit-identical and re-acknowledged with
-  ``repro lint --update-manifest``.
 * :mod:`repro.analysis.sanitize` — a runtime checker that observes the
   reference replay loop (``simulate(sanitize=True)`` / ``--sanitize`` /
   ``REPRO_SANITIZE``) validating remap bijectivity, intra-pod closure,

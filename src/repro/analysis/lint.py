@@ -18,17 +18,8 @@ encodes them as small AST rules over every module under ``src/``:
   timing code must use integer picoseconds or ``math.isclose``).
 * ``unused-import`` — imported names never referenced (pyflakes' F401,
   available even where ruff is not installed).
-* ``kernel-drift`` — the reference hot-loop functions specialised by
-  :mod:`repro.kernel.replay` are fingerprinted in
-  ``kernel_manifest.json``; editing one fails lint until the change is
-  re-proven bit-identical (``tests/test_kernel_differential.py``) and
-  re-acknowledged with ``repro lint --update-manifest``.
 * ``annotations`` — every public annotation must resolve at runtime
   (the authority behind ``tests/test_annotations.py``).
-* ``mechanism-registry`` — every spec registered in
-  :mod:`repro.mechanisms.registry` still validates: legal
-  trigger/flexibility, factory shape agreement, importable tracker
-  path, unique and consistent names, canonical kinds present.
 
 ``repro lint --deep`` adds two CFG checkers (they import and analyse
 the whole tree, so they are opt-in for speed):
@@ -43,28 +34,25 @@ the whole tree, so they are opt-in for speed):
   fingerprint.
 
 Exemptions live in ``allowlist.json`` next to this module: each entry
-is either a bare path (legacy) or ``{"path": ..., "reason": ...}``;
-deep-rule paths may carry a ``::qualname`` suffix to exempt one
-function.  ``# noqa`` on a line suppresses findings on that line.
+is a ``{"path": ..., "reason": ...}`` object; deep-rule paths may carry
+a ``::qualname`` suffix to exempt one function.  ``# noqa`` on a line
+suppresses findings on that line.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import importlib
 import inspect
-import io
 import json
 import pkgutil
 import re
-import tokenize
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: rule id -> one-line description (shown by ``repro lint --rules``).
+#: rule id -> one-line description; ``repro lint``'s summary line names the ids.
 RULES: Dict[str, str] = {
     "determinism": "randomness must flow through repro.common.rng",
     "wall-clock": "no wall-clock reads inside simulation paths",
@@ -72,9 +60,7 @@ RULES: Dict[str, str] = {
     "bare-except": "no bare/broad except clauses",
     "float-eq": "no equality comparisons against float literals",
     "unused-import": "no imports that are never used",
-    "kernel-drift": "reference hot-loop functions match the kernel manifest",
     "annotations": "every annotation resolves at runtime",
-    "mechanism-registry": "every registered mechanism spec resolves",
 }
 
 #: rule id -> description for the ``--deep`` CFG checkers.
@@ -84,84 +70,6 @@ DEEP_RULES: Dict[str, str] = {
 }
 
 _ALLOWLIST_FILE = Path(__file__).resolve().parent / "allowlist.json"
-_MANIFEST_FILE = Path(__file__).resolve().parent / "kernel_manifest.json"
-
-#: Reference hot-loop functions the fast kernel specialises; each is
-#: fingerprinted so silent drift from the bit-identical contract is
-#: impossible.  Keys are ``<path relative to src/>::<qualname>``.
-KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
-    # the replay loop itself (throttle sampling semantics)
-    "repro/system/simulator.py::reference_simulate",
-    # shared page blocking mechanics
-    "repro/managers/base.py::MemoryManager._block_page",
-    "repro/managers/base.py::MemoryManager._block_penalty_ps",
-    "repro/managers/base.py::MemoryManager.finish",
-    # the composed execution skeleton every migrating mechanism runs
-    # on, with its swap pacing
-    "repro/managers/base.py::ComposedManager._schedule_swaps",
-    "repro/managers/base.py::ComposedManager._issue_due_swaps",
-    "repro/managers/base.py::ComposedManager.finish",
-    "repro/managers/base.py::ComposedManager._tick",
-    "repro/managers/base.py::ComposedManager._swap_remap",
-    "repro/managers/base.py::ComposedManager._apply_swap",
-    "repro/core/remap.py::RemapTable.swap_frames",
-    "repro/core/remap.py::RemapTable._set",
-    # per-mechanism handle paths the kernels inline
-    "repro/core/mempod.py::MemPodManager.handle",
-    "repro/core/mempod.py::MemPodManager._run_boundary",
-    "repro/core/mempod.py::MemPodManager._swap_remap",
-    "repro/managers/hma.py::HmaManager.handle",
-    "repro/managers/hma.py::HmaManager._run_boundary",
-    "repro/managers/thm.py::ThmManager.handle",
-    "repro/managers/thm.py::ThmManager._migrate",
-    "repro/managers/cameo.py::CameoManager.handle",
-    "repro/managers/cameo.py::CameoManager.group_of",
-    "repro/managers/static.py::NoMigrationManager.handle",
-    # memory routing and the throttle's saturation probe (TieredMemory
-    # serves every tier count; HybridMemory/SingleLevelMemory are thin
-    # constructors over it)
-    "repro/system/hybrid.py::TieredMemory.access",
-    "repro/system/hybrid.py::TieredMemory.tier_of",
-    "repro/system/hybrid.py::TieredMemory.locate",
-    "repro/system/hybrid.py::TieredMemory.peak_bus_free_ps",
-    # the spec-declared migration legality every swap passes through
-    "repro/managers/base.py::ComposedManager._check_swap_tiers",
-    # controller access accounting the kernels enqueue into directly,
-    # and the scheduling internals enqueue_batch inlines
-    "repro/dram/controller.py::ChannelController.enqueue",
-    "repro/dram/controller.py::ChannelController.enqueue_batch",
-    "repro/dram/controller.py::ChannelController._choose",
-    "repro/dram/controller.py::ChannelController._service_at",
-    "repro/dram/bank.py::Bank.access",
-    # the address mapping the kernels inline at their remapped-decode
-    # sites (shifts and masks hoisted into locals)
-    "repro/dram/address.py::AddressMapper.fast_decode",
-    # the migration datapath's batched transaction pattern (CAMEO's
-    # kernel issues the line-swap pattern and its swap count inline),
-    # and the kernels' swap sink that merges it into buffered demand
-    # columns
-    "repro/core/datapath.py::MigrationEngine.swap_pages",
-    "repro/core/datapath.py::MigrationEngine.swap_lines",
-    "repro/core/datapath.py::MigrationStats.note_swap",
-    "repro/kernel/replay.py::_swap_merged_buffers",
-    # the tracker updates the kernels drive: MEA per record, hma's
-    # deferred full-counter batch once per epoch or window
-    "repro/tracking/mea.py::MeaTracker.record",
-    "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
-    # the streamed trace path: the windowed grouping and its one-sort
-    # window helper, the windowed record source of the per-record loops,
-    # and the decode helpers must keep matching the eager plane builders
-    # bit for bit (windowed-vs-eager differential suites)
-    "repro/trace/packed.py::PackedTrace.chunk_groups",
-    "repro/trace/packed.py::PackedTrace.chunk_groups_streamed",
-    "repro/trace/packed.py::_group_window",
-    "repro/trace/packed.py::PackedTrace.from_planes",
-    "repro/kernel/replay.py::_hybrid_decode_np",
-    "repro/kernel/replay.py::_hybrid_decode",
-    "repro/kernel/replay.py::_record_stream",
-    "repro/kernel/replay.py::_stream_window",
-)
-
 _WALL_CLOCK_ATTRS = frozenset({
     "time", "time_ns",
     "perf_counter", "perf_counter_ns",
@@ -197,26 +105,19 @@ def package_root() -> Path:
 def load_allowlist(path: Optional[Path] = None) -> Dict[str, Dict[str, str]]:
     """Rule -> {exempt key: justification}.
 
-    Entries are bare path strings (legacy, empty justification) or
-    ``{"path": ..., "reason": ...}`` objects.  Keys are file paths
-    relative to ``src/``, optionally with a ``::qualname`` suffix for
-    the deep rules.
+    Entries are ``{"path": ..., "reason": ...}`` objects.  Keys are
+    file paths relative to ``src/``, optionally with a ``::qualname``
+    suffix for the deep rules.
     """
     allow_path = path if path is not None else _ALLOWLIST_FILE
     if not allow_path.exists():
         return {}
     with open(allow_path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    out: Dict[str, Dict[str, str]] = {}
-    for rule, entries in data.items():
-        normalized: Dict[str, str] = {}
-        for entry in entries:
-            if isinstance(entry, str):
-                normalized[entry] = ""
-            else:
-                normalized[entry["path"]] = entry.get("reason", "")
-        out[rule] = normalized
-    return out
+    return {
+        rule: {entry["path"]: entry["reason"] for entry in entries}
+        for rule, entries in data.items()
+    }
 
 
 def _allowed(allowlist: Dict[str, Dict[str, str]], rule: str, path: str) -> bool:
@@ -436,222 +337,6 @@ def lint_tree(
     return findings
 
 
-# -- kernel-drift detection -------------------------------------------------
-
-
-def _function_node(tree: ast.Module, qualname: str):
-    """Locate a (possibly nested/method) function definition by qualname."""
-    node: ast.AST = tree
-    for part in qualname.split("."):
-        children = getattr(node, "body", [])
-        node = None  # type: ignore[assignment]
-        for child in children:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if child.name == part:
-                    node = child
-                    break
-        if node is None:
-            return None
-    return node if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-
-
-_FINGERPRINT_SKIP_TOKENS = frozenset({
-    tokenize.COMMENT,
-    tokenize.NL,
-    tokenize.NEWLINE,
-    tokenize.INDENT,
-    tokenize.DEDENT,
-    tokenize.ENDMARKER,
-})
-
-
-def _normalized_fingerprint(source: str, node) -> str:
-    """SHA-256 over the function's token stream, comments/docstring/layout
-    stripped — stable across pure formatting changes and Python versions."""
-    segment = ast.get_source_segment(source, node) or ""
-    doc_lines: range = range(0)
-    body = node.body
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        start = body[0].lineno - node.lineno + 1
-        end = (body[0].end_lineno or body[0].lineno) - node.lineno + 1
-        doc_lines = range(start, end + 1)
-    parts: List[str] = []
-    for tok in tokenize.generate_tokens(io.StringIO(segment).readline):
-        if tok.type in _FINGERPRINT_SKIP_TOKENS:
-            continue
-        if tok.type == tokenize.STRING and tok.start[0] in doc_lines:
-            continue
-        parts.append(f"{tok.type}:{tok.string}")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
-def kernel_fingerprints(root: Optional[Path] = None) -> Dict[str, str]:
-    """Current normalized fingerprints of every tracked hot-loop function.
-
-    A function that cannot be found maps to ``"<missing>"`` so drift and
-    deletion both surface in the manifest comparison.
-    """
-    tree_root = root if root is not None else package_root()
-    base = tree_root.parent if tree_root.name == "repro" else tree_root
-    fingerprints: Dict[str, str] = {}
-    sources: Dict[str, Tuple[str, ast.Module]] = {}
-    for key in KERNEL_FINGERPRINT_FUNCTIONS:
-        rel_path, qualname = key.split("::", 1)
-        if rel_path not in sources:
-            file = base / rel_path
-            text = file.read_text(encoding="utf-8") if file.exists() else ""
-            sources[rel_path] = (text, ast.parse(text, filename=rel_path))
-        text, module_tree = sources[rel_path]
-        node = _function_node(module_tree, qualname)
-        fingerprints[key] = (
-            _normalized_fingerprint(text, node) if node is not None else "<missing>"
-        )
-    return fingerprints
-
-
-def load_kernel_manifest(manifest_path: Optional[Path] = None) -> Dict[str, str]:
-    """The acknowledged fingerprints (empty when no manifest exists)."""
-    path = manifest_path if manifest_path is not None else _MANIFEST_FILE
-    if not path.exists():
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return dict(data.get("functions", {}))
-
-
-def write_kernel_manifest(
-    manifest_path: Optional[Path] = None, root: Optional[Path] = None
-) -> Dict[str, str]:
-    """Re-acknowledge the current reference-loop state; returns it."""
-    path = manifest_path if manifest_path is not None else _MANIFEST_FILE
-    fingerprints = kernel_fingerprints(root)
-    payload = {
-        "comment": (
-            "Normalized-source fingerprints of the reference hot-loop "
-            "functions that repro.kernel.replay specialises.  A mismatch "
-            "means the bit-identical contract must be re-proven: run "
-            "tests/test_kernel_differential.py, then `repro lint "
-            "--update-manifest` to acknowledge the change."
-        ),
-        "functions": fingerprints,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return fingerprints
-
-
-def check_kernel_manifest(
-    manifest_path: Optional[Path] = None, root: Optional[Path] = None
-) -> List[Finding]:
-    """Compare the tree against the acknowledged manifest."""
-    path = manifest_path if manifest_path is not None else _MANIFEST_FILE
-    manifest = load_kernel_manifest(path)
-    display = path.name
-    if not manifest:
-        return [
-            Finding(
-                "kernel-drift", display, 0,
-                "kernel manifest missing or empty: run `repro lint "
-                "--update-manifest` to create it",
-            )
-        ]
-    current = kernel_fingerprints(root)
-    findings: List[Finding] = []
-    for key in KERNEL_FINGERPRINT_FUNCTIONS:
-        acknowledged = manifest.get(key)
-        actual = current[key]
-        if acknowledged is None:
-            findings.append(
-                Finding(
-                    "kernel-drift", key.split("::", 1)[0], 0,
-                    f"{key} is fingerprinted but absent from the manifest: "
-                    "run `repro lint --update-manifest`",
-                )
-            )
-        elif actual == "<missing>":
-            findings.append(
-                Finding(
-                    "kernel-drift", key.split("::", 1)[0], 0,
-                    f"{key} no longer exists; the fast kernel in "
-                    "repro/kernel/replay.py specialises it — restore it or "
-                    "update the kernel and KERNEL_FINGERPRINT_FUNCTIONS together",
-                )
-            )
-        elif actual != acknowledged:
-            findings.append(
-                Finding(
-                    "kernel-drift", key.split("::", 1)[0], 0,
-                    f"{key} changed since the manifest was acknowledged. "
-                    "The fast kernel replays this function's exact semantics: "
-                    "re-prove bit-identity (pytest tests/test_kernel_differential.py), "
-                    "then `repro lint --update-manifest` to acknowledge",
-                )
-            )
-    for key in manifest:
-        if key not in current:
-            findings.append(
-                Finding(
-                    "kernel-drift", display, 0,
-                    f"manifest entry {key} is no longer tracked: "
-                    "run `repro lint --update-manifest`",
-                )
-            )
-    return findings
-
-
-# -- mechanism registry check ------------------------------------------------
-
-
-def check_mechanism_registry() -> List[Finding]:
-    """Validate every registered :class:`~repro.mechanisms.spec.MechanismSpec`.
-
-    Registration already validates, but specs can rot after the fact
-    (a tracker module renamed, a factory's declared shape edited), and
-    a sweep is a bad place to discover that.  Re-runs ``validate()`` on
-    the live registry — trigger/flexibility legality, factory shape
-    agreement, tracker importability — and checks the canonical kinds
-    and name bindings are intact.
-    """
-    from ..common.errors import ConfigError
-    from ..mechanisms.registry import MANAGER_KINDS, _REGISTRY
-
-    display = "repro/mechanisms/registry.py"
-    findings: List[Finding] = []
-    for kind in MANAGER_KINDS:
-        if kind not in _REGISTRY:
-            findings.append(
-                Finding(
-                    "mechanism-registry", display, 0,
-                    f"canonical mechanism {kind!r} is not registered",
-                )
-            )
-    for name, spec in _REGISTRY.items():
-        if name != spec.name:
-            findings.append(
-                Finding(
-                    "mechanism-registry", display, 0,
-                    f"registry name {name!r} is bound to spec named "
-                    f"{spec.name!r}: names must be unique and consistent",
-                )
-            )
-        try:
-            spec.validate()
-        except ConfigError as error:
-            findings.append(
-                Finding(
-                    "mechanism-registry", display, 0,
-                    f"registered spec {name!r} does not validate: {error}",
-                )
-            )
-    return findings
-
-
 # -- runtime annotation check ----------------------------------------------
 
 
@@ -821,8 +506,6 @@ def run_external_tools(stream) -> bool:
 
 def run_lint(
     root: Optional[Path] = None,
-    manifest_path: Optional[Path] = None,
-    update_manifest: bool = False,
     external: bool = False,
     skip_annotations: bool = False,
     deep: bool = False,
@@ -839,16 +522,7 @@ def run_lint(
     import sys
 
     out = stream if stream is not None else sys.stdout
-    if update_manifest:
-        fingerprints = write_kernel_manifest(manifest_path, root)
-        print(
-            f"kernel manifest updated: {len(fingerprints)} functions acknowledged",
-            file=out,
-        )
-
     findings = lint_tree(root)
-    findings.extend(check_kernel_manifest(manifest_path, root))
-    findings.extend(check_mechanism_registry())
     if not skip_annotations:
         findings.extend(check_annotations())
     if deep:

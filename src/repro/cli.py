@@ -18,7 +18,7 @@ Exposes the library's main entry points without writing Python:
                                         tracehm TSV / v1 / text traces,
                                         export, inspect headers)
 * ``repro lint``                      — project-invariant static
-                                        analysis + kernel-drift check
+                                        analysis
 
 Sizing flags (``--scale/--length/--seed/--workloads``) mirror the
 ``REPRO_*`` environment variables used by the benchmark harness, and the
@@ -229,14 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="project-invariant static analysis, kernel-drift detection, "
-             "and the runtime-annotation check",
+        help="project-invariant static analysis and the "
+             "runtime-annotation check",
         parents=[shared],
-    )
-    lint.add_argument(
-        "--update-manifest", action="store_true", default=False,
-        help="re-acknowledge the kernel manifest after an intentional "
-             "reference-loop change (run the differential suite first)",
     )
     lint.add_argument(
         "--external", action="store_true", default=False,
@@ -589,7 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .analysis.lint import run_lint
 
         return run_lint(
-            update_manifest=args.update_manifest,
             external=args.external,
             deep=args.deep,
             as_json=args.as_json,

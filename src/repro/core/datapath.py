@@ -50,7 +50,6 @@ class MigrationStats:
     line_swaps: int = 0
     bytes_moved: int = 0
     swaps_by_pod: Dict[int, int] = field(default_factory=dict)
-    bytes_by_pod: Dict[int, int] = field(default_factory=dict)
 
     def note_swap(self, bytes_moved: int, pod: int = -1, is_line: bool = False) -> None:
         """Record one completed swap."""
@@ -61,7 +60,6 @@ class MigrationStats:
         self.bytes_moved += bytes_moved
         if pod >= 0:
             self.swaps_by_pod[pod] = self.swaps_by_pod.get(pod, 0) + 1
-            self.bytes_by_pod[pod] = self.bytes_by_pod.get(pod, 0) + bytes_moved
 
 
 class MigrationEngine:

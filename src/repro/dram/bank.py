@@ -13,10 +13,9 @@ The bank never consults wall-clock state outside what the controller
 passes in, which keeps it unit-testable in isolation.
 
 :meth:`Bank.access` is inlined by the controller's columnar datapath
-(``ChannelController.enqueue_batch``), so it is fingerprinted in the
-kernel manifest: edits here fail ``repro lint`` until the batch path is
-re-proven bit-identical and the change acknowledged with ``repro lint
---update-manifest``.
+(``ChannelController.enqueue_batch``), so an edit here must be mirrored
+there: ``tests/test_dram_controller_batch.py`` and the kernel
+differential suites hold the two paths bit-identical.
 """
 
 from __future__ import annotations
@@ -90,12 +89,3 @@ class Bank:
     def total_accesses(self) -> int:
         """Number of column accesses this bank has served."""
         return self.hits + self.misses + self.conflicts
-
-    def reset(self) -> None:
-        """Return the bank to the precharged state and clear statistics."""
-        self.open_row = -1
-        self.busy_until_ps = 0
-        self.activated_ps = 0
-        self.hits = 0
-        self.misses = 0
-        self.conflicts = 0

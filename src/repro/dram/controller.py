@@ -36,10 +36,9 @@ Two service datapaths share the same semantics:
   idle-channel drain fast path for the uncontended common case, and
   run-length row-hit streaming.  It must stay bit-for-bit equal to
   calling ``enqueue`` per element — ``tests/test_dram_controller_batch.py``
-  and the kernel differential suite enforce it, and the scheduling
-  functions it inlines (``enqueue``, ``_choose``, ``_service_at``,
-  ``Bank.access``) are fingerprinted in the kernel manifest so edits
-  there fail ``repro lint`` until re-proven.
+  and the kernel differential suite enforce it, so an edit to a
+  scheduling function it inlines (``enqueue``, ``_choose``,
+  ``_service_at``, ``Bank.access``) must be mirrored there.
 
 Controllers also report *dirty-channel* hints: every entry point that
 may advance the data bus adds the controller's key to a sink set shared

@@ -48,13 +48,6 @@ class MemoryManager(ABC):
     trigger: ClassVar[str] = "none"
     flexibility: ClassVar[str] = "none"
 
-    #: Tier index pairs whose pages this mechanism may swap, as ordered
-    #: (low, high) pairs.  Same-tier exchanges are always legal — a
-    #: composed remap routinely exchanges two frames of one tier when
-    #: evicting.  ``build_manager`` overwrites this with the spec's
-    #: declared legality; the default is the classic fast<->slow pair.
-    swap_tiers: Tuple[Tuple[int, int], ...] = ((0, 1),)
-
     def __init__(self, memory: "HybridMemory", geometry: MemoryGeometry) -> None:
         self.memory = memory
         self.geometry = geometry
@@ -141,11 +134,6 @@ class MemoryManager(ABC):
         """
         return {"remap_bits": 0, "tracking_bits": 0}
 
-    def describe(self) -> Tuple[str, str]:
-        """``(name, one-line summary)`` for experiment tables."""
-        doc = (self.__doc__ or "").strip().splitlines()
-        return self.name, doc[0] if doc else ""
-
 
 class TrackerStorage:
     """Adapter pricing an :class:`~repro.tracking.base.ActivityTracker`
@@ -186,6 +174,13 @@ class ComposedManager(MemoryManager):
       :meth:`storage_components`, so Table 1 costs follow the actual
       composition instead of a hand-maintained formula.
     """
+
+    #: Tier index pairs whose pages this mechanism may swap, as ordered
+    #: (low, high) pairs.  Same-tier exchanges are always legal — a
+    #: composed remap routinely exchanges two frames of one tier when
+    #: evicting.  ``build_manager`` overwrites this with the spec's
+    #: declared legality; the default is the classic fast<->slow pair.
+    swap_tiers: Tuple[Tuple[int, int], ...] = ((0, 1),)
 
     def __init__(
         self,

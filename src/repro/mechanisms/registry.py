@@ -38,6 +38,7 @@ from ..managers import (
     SingleLevelManager,
     ThmManager,
 )
+from ..managers.base import ComposedManager
 from ..system.hybrid import (
     HybridMemory,
     SingleLevelMemory,
@@ -211,7 +212,8 @@ def build_manager(
             window=window,
         )
     manager = spec.factory(memory, manager_geometry, **params)
-    manager.swap_tiers = spec.resolved_swap_tiers()
+    if isinstance(manager, ComposedManager):
+        manager.swap_tiers = spec.resolved_swap_tiers()
     return manager
 
 

@@ -159,9 +159,9 @@ class MechanismSpec:
     def validate(self) -> None:
         """Check the spec is internally legal; raises ``ConfigError``.
 
-        Run at registration time and again by the ``mechanism-registry``
-        lint rule, so a bad spec fails ``repro lint`` before it fails a
-        sweep.
+        Run by :func:`~repro.mechanisms.registry.register_mechanism`,
+        so a bad spec fails at import time, before it can reach a
+        sweep; specs are frozen, so a registered spec stays valid.
         """
         if not self.name or self.name != self.name.strip():
             raise ConfigError(f"mechanism name {self.name!r} is empty or padded")

@@ -57,11 +57,12 @@ class TestPageSwap:
         _, engine = setup
         engine.swap_pages(0, geometry.fast_pages, at_ps=0, pod=2)
         engine.swap_pages(4, geometry.fast_pages + 4, at_ps=0, pod=2)
+        engine.swap_pages(8, geometry.fast_pages + 8, at_ps=0, pod=0)
         stats = engine.stats
-        assert stats.page_swaps == 2
-        assert stats.bytes_moved == 2 * 2 * geometry.page_bytes
-        assert stats.swaps_by_pod == {2: 2}
-        assert stats.bytes_by_pod[2] == stats.bytes_moved
+        assert stats.page_swaps == 3
+        assert stats.bytes_moved == 3 * 2 * geometry.page_bytes
+        # Pod 0 is a real pod; only the pod-less default (-1) goes untallied.
+        assert stats.swaps_by_pod == {2: 2, 0: 1}
 
 
 class TestLineSwap:

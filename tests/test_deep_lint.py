@@ -9,6 +9,8 @@ finding.
 import io
 import json
 
+import pytest
+
 from repro.analysis import cachekey as cachekey_mod
 from repro.analysis.cachekey import check_cache_keys
 from repro.analysis.lint import (
@@ -205,13 +207,13 @@ class TestDeepLintIntegration:
             for path, reason in entries.items():
                 assert reason, f"allowlist entry {rule}:{path} lacks a reason"
 
-    def test_legacy_string_entries_normalize(self, tmp_path):
+    def test_entries_map_path_to_reason(self, tmp_path):
         allow_file = tmp_path / "allow.json"
         allow_file.write_text(
             json.dumps(
                 {
                     "wall-clock": [
-                        "repro/old.py",
+                        {"path": "repro/old.py", "reason": "since"},
                         {"path": "repro/new.py", "reason": "because"},
                     ]
                 }
@@ -219,7 +221,7 @@ class TestDeepLintIntegration:
         )
         allow = load_allowlist(allow_file)
         assert allow == {
-            "wall-clock": {"repro/old.py": "", "repro/new.py": "because"}
+            "wall-clock": {"repro/old.py": "since", "repro/new.py": "because"}
         }
 
     def test_run_lint_deep_clean(self):
@@ -231,29 +233,6 @@ class TestDeepLintIntegration:
         for rule in ("hoist-writeback", "cache-key"):
             assert rule in out
         assert "twin-parity" not in out
-
-    def test_update_manifest_writes_only_the_given_path(self, tmp_path):
-        # The package's own manifests stay untouched when a path is given.
-        analysis = package_root() / "analysis"
-
-        def snapshot():
-            return {
-                p.name: (p.read_bytes(), p.stat().st_mtime_ns)
-                for p in analysis.glob("*.json")
-            }
-
-        before = snapshot()
-        manifest = tmp_path / "manifest.json"
-        buf = io.StringIO()
-        run_lint(
-            manifest_path=manifest,
-            update_manifest=True,
-            skip_annotations=True,
-            stream=buf,
-        )
-        assert json.loads(manifest.read_text(encoding="utf-8"))
-        assert snapshot() == before
-        assert "twin" not in buf.getvalue()
 
     def test_run_lint_json_emits_json_lines(self, monkeypatch):
         # Seed a deep finding (un-account an env var) and demand pure
@@ -282,3 +261,5 @@ class TestDeepLintIntegration:
         assert args.deep and args.as_json
         args = _build_parser().parse_args(["lint"])
         assert not args.deep and not args.as_json
+        with pytest.raises(SystemExit):  # the kernel manifest is gone
+            _build_parser().parse_args(["lint", "--update-manifest"])

@@ -93,11 +93,3 @@ class TestStats:
         bank.access(2, 0, HBM_TIMING, BURST)
         assert (bank.misses, bank.hits, bank.conflicts) == (1, 1, 1)
         assert bank.total_accesses == 3
-
-    def test_reset(self):
-        bank = make_bank()
-        bank.access(1, 0, HBM_TIMING, BURST)
-        bank.reset()
-        assert bank.open_row == -1
-        assert bank.total_accesses == 0
-        assert bank.busy_until_ps == 0

@@ -448,18 +448,23 @@ class TestAgePromotion:
     """FR-FCFS starvation bound: an old conflicting request interrupts a
     row-hit stream once it has aged past STARVATION_PS."""
 
-    def _starving_stream(self):
+    def _starving_stream(self, first_hit_ps=200):
         # Open bank 0 row 1, park a conflicting row-2 request, then
         # stream row-1 hits arriving slightly faster than the DDR4 bus
         # drains them: the bank never catches up (so the conflict is
         # never drained eagerly) and the hits' arrivals cross the 500 ns
         # starvation bound mid-stream, forcing age promotion.
         requests = [(0, 1, 0, 0), (0, 2, 0, 100)]
-        requests += [(0, 1, 0, 200 + i * 4_000) for i in range(1, 200)]
+        requests += [(0, 1, 0, first_hit_ps + i * 4_000) for i in range(1, 200)]
         return requests
 
     def test_promotion_scenario_matches(self):
         run_pair(self._starving_stream(), timing=DDR4_1600_TIMING, window=8)
+        # 100 ps earlier, hit 125 arrives exactly STARVATION_PS after the
+        # parked conflict: on the bound, not past it, so it still wins.
+        at_bound = self._starving_stream(first_hit_ps=100)
+        assert (0, 1, 0, 100 + ChannelController.STARVATION_PS) in at_bound
+        run_pair(at_bound, timing=DDR4_1600_TIMING, window=8)
 
     def test_scenario_actually_promotes(self):
         # Prove the stream crosses the bound: with an effectively

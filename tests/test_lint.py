@@ -1,8 +1,7 @@
 """Tests for the project lint (``repro lint``).
 
 Each rule class must fire on a seeded violation and stay silent on the
-shipped tree; the kernel-drift detector must catch semantic edits to
-fingerprinted functions while ignoring pure formatting changes.
+shipped tree.
 """
 
 import io
@@ -14,16 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
-    KERNEL_FINGERPRINT_FUNCTIONS,
     Finding,
-    check_kernel_manifest,
-    kernel_fingerprints,
     lint_source,
     lint_tree,
-    load_kernel_manifest,
     package_root,
     run_lint,
-    write_kernel_manifest,
 )
 
 
@@ -205,10 +199,6 @@ class TestShippedTree:
         findings = lint_tree()
         assert findings == [], "\n".join(f.format() for f in findings)
 
-    def test_kernel_manifest_matches(self):
-        findings = check_kernel_manifest()
-        assert findings == [], "\n".join(f.format() for f in findings)
-
     def test_run_lint_exits_zero(self):
         out = io.StringIO()
         assert run_lint(stream=out) == 0
@@ -218,9 +208,8 @@ class TestShippedTree:
 class TestSeededTreeExitCodes:
     """``repro lint`` must exit non-zero for each seeded rule class.
 
-    Violations are seeded into a copy of the real package so the
-    kernel-drift layer starts clean and only the seeded defect decides
-    the exit code.
+    Violations are seeded into a copy of the real package so the tree
+    starts clean and only the seeded defect decides the exit code.
     """
 
     def _tree(self, tmp_path, source):
@@ -255,112 +244,6 @@ class TestSeededTreeExitCodes:
         )
         assert code == 1
         assert "[mutable-default]" in output
-
-    def test_kernel_drift_violation(self, tmp_path):
-        root = self._tree(tmp_path, "x = 1\n")
-        target = root / "system" / "simulator.py"
-        source = target.read_text(encoding="utf-8")
-        target.write_text(
-            source.replace(
-                "countdown = THROTTLE_SAMPLE_PERIOD",
-                "countdown = THROTTLE_SAMPLE_PERIOD + 1",
-                1,
-            ),
-            encoding="utf-8",
-        )
-        out = io.StringIO()
-        code = run_lint(root=root, skip_annotations=True, stream=out)
-        assert code == 1
-        assert "[kernel-drift]" in out.getvalue()
-
-
-class TestKernelDrift:
-    """The drift detector over the *real* tree."""
-
-    def test_every_tracked_function_exists(self):
-        fingerprints = kernel_fingerprints()
-        missing = [k for k, v in fingerprints.items() if v == "<missing>"]
-        assert missing == []
-        assert set(fingerprints) == set(KERNEL_FINGERPRINT_FUNCTIONS)
-
-    def test_manifest_covers_every_tracked_function(self):
-        manifest = load_kernel_manifest()
-        assert set(manifest) == set(KERNEL_FINGERPRINT_FUNCTIONS)
-
-    def test_missing_manifest_reported(self, tmp_path):
-        findings = check_kernel_manifest(manifest_path=tmp_path / "absent.json")
-        assert rules_of(findings) == {"kernel-drift"}
-        assert "--update-manifest" in findings[0].message
-
-    @pytest.fixture()
-    def tree_copy(self, tmp_path):
-        copy = tmp_path / "repro"
-        shutil.copytree(package_root(), copy)
-        return copy
-
-    def test_copy_matches_manifest(self, tree_copy):
-        assert check_kernel_manifest(root=tree_copy) == []
-
-    def test_semantic_edit_is_drift(self, tree_copy):
-        # Change reference_simulate's initial countdown: a one-token
-        # semantic change the fast kernel would no longer replicate.
-        target = tree_copy / "system" / "simulator.py"
-        source = target.read_text(encoding="utf-8")
-        assert "countdown = THROTTLE_SAMPLE_PERIOD" in source
-        target.write_text(
-            source.replace(
-                "countdown = THROTTLE_SAMPLE_PERIOD",
-                "countdown = THROTTLE_SAMPLE_PERIOD + 1",
-                1,
-            ),
-            encoding="utf-8",
-        )
-        findings = check_kernel_manifest(root=tree_copy)
-        assert len(findings) == 1
-        assert findings[0].rule == "kernel-drift"
-        assert "reference_simulate" in findings[0].message
-        assert "test_kernel_differential" in findings[0].message
-
-    def test_formatting_edit_is_not_drift(self, tree_copy):
-        # Comments and blank lines inside a fingerprinted function are
-        # normalized away: formatting churn must not demand a re-proof.
-        target = tree_copy / "system" / "simulator.py"
-        source = target.read_text(encoding="utf-8")
-        marker = "    handle = manager.handle\n"
-        assert source.count(marker) >= 1
-        target.write_text(
-            source.replace(
-                marker, "    # hoisted binding\n\n    handle = manager.handle\n", 1
-            ),
-            encoding="utf-8",
-        )
-        assert check_kernel_manifest(root=tree_copy) == []
-
-    def test_deleted_function_reported(self, tree_copy):
-        target = tree_copy / "managers" / "static.py"
-        source = target.read_text(encoding="utf-8")
-        target.write_text(
-            source.replace("def handle(", "def handle_renamed(", 1),
-            encoding="utf-8",
-        )
-        findings = check_kernel_manifest(root=tree_copy)
-        assert findings and all(f.rule == "kernel-drift" for f in findings)
-        assert any("no longer exists" in f.message for f in findings)
-
-    def test_update_manifest_reacknowledges(self, tree_copy, tmp_path):
-        target = tree_copy / "system" / "simulator.py"
-        source = target.read_text(encoding="utf-8")
-        target.write_text(
-            source.replace(
-                "countdown = THROTTLE_SAMPLE_PERIOD",
-                "countdown = THROTTLE_SAMPLE_PERIOD + 1",
-                1,
-            ),
-            encoding="utf-8",
-        )
-        manifest = tmp_path / "manifest.json"
-        write_kernel_manifest(manifest_path=manifest, root=tree_copy)
-        assert check_kernel_manifest(manifest_path=manifest, root=tree_copy) == []
 
 
 class TestCli:

@@ -1,4 +1,4 @@
-"""Small public-API corners: descriptions, formatting edge cases."""
+"""Small public-API corners: formatting edge cases."""
 
 import importlib
 import re
@@ -7,19 +7,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import NoMigrationManager, scaled_geometry
 from repro.experiments.common import format_rows
 from repro.experiments.design_space import Fig6Result
-from repro.system.hybrid import HybridMemory
-
-
-class TestDescribe:
-    def test_manager_describe(self):
-        geometry = scaled_geometry(128)
-        manager = NoMigrationManager(HybridMemory(geometry), geometry)
-        name, summary = manager.describe()
-        assert name == "TLM"
-        assert summary  # first docstring line
 
 
 class TestFormatRows:
