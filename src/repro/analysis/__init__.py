@@ -10,15 +10,15 @@ These layers keep the "refactor freely, run fast" loop safe:
   reference replay loop (``simulate(sanitize=True)`` / ``--sanitize`` /
   ``REPRO_SANITIZE``) validating remap bijectivity, intra-pod closure,
   MEA counter bounds, timeline monotonicity, and stats conservation.
-* the **deep lint** (``repro lint --deep``) — per-function CFGs
-  (:mod:`~repro.analysis.cfg`) powering two checkers: hoisted-state
-  write-back proofs (:mod:`~repro.analysis.writeback`, whose must-pass
-  query is :func:`~repro.analysis.writeback.reaches_exit_avoiding`) and
-  cache-key soundness from ``simulate()``
-  (:mod:`~repro.analysis.cachekey`).
+* the **deep lint** (``repro lint --deep``) — cache-key soundness
+  from ``simulate()`` (:mod:`~repro.analysis.cachekey`).
+
+The kernels' ``finally`` write-backs are checked by tests: the state
+differential ``TestManagerState`` in
+``tests/test_kernel_differential.py`` faults every kernel mid-replay
+and compares the manager state it leaves with the reference loop's.
 """
 
-from .cfg import build_cfg, iter_function_scopes
 from .lint import Finding, deep_findings, lint_tree, run_lint
 from .sanitize import (
     SANITIZE_ENV_VAR,
@@ -27,15 +27,11 @@ from .sanitize import (
     resolve_sanitize,
     sanitized_simulate,
 )
-from .writeback import reaches_exit_avoiding
 
 __all__ = [
     "Finding",
-    "build_cfg",
     "deep_findings",
-    "iter_function_scopes",
     "lint_tree",
-    "reaches_exit_avoiding",
     "run_lint",
     "SANITIZE_ENV_VAR",
     "SanitizerError",

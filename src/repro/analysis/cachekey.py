@@ -33,9 +33,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
-
-from .cfg import FunctionDefNode, iter_function_scopes
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 #: Entry point of the cached unit of work.
 ENTRY_POINT = "repro/system/simulator.py::simulate"
@@ -117,6 +115,23 @@ _WALL_CLOCK_NAMES = {
 }
 
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque"}
+
+
+FunctionDefNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def iter_function_scopes(
+    tree: ast.AST, prefix: str = ""
+) -> Iterator[Tuple[str, FunctionDefNode]]:
+    """Yield ``(qualname, node)`` for every function in ``tree``,
+    methods and nested functions included."""
+    for child in getattr(tree, "body", []):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qual = f"{prefix}{child.name}"
+            yield qual, child
+            yield from iter_function_scopes(child, prefix=f"{qual}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from iter_function_scopes(child, prefix=f"{prefix}{child.name}.")
 
 
 def _is_mutable_initialiser(value: ast.AST) -> bool:

@@ -21,17 +21,16 @@ encodes them as small AST rules over every module under ``src/``:
 * ``annotations`` — every public annotation must resolve at runtime
   (the authority behind ``tests/test_annotations.py``).
 
-``repro lint --deep`` adds two CFG checkers (they import and analyse
-the whole tree, so they are opt-in for speed):
-
-* ``hoist-writeback`` — :mod:`repro.analysis.writeback` proves that
-  every controller/manager attribute hoisted into a local is written
-  back on *all* exits, including exceptional ones, and that declared
-  ``# hoists:`` contracts hold.
-* ``cache-key`` — :mod:`repro.analysis.cachekey` walks everything
-  reachable from ``simulate()`` and flags environment, wall-clock, or
-  mutable-global reads that are not folded into the SimCell
-  fingerprint.
+``repro lint --deep`` adds the ``cache-key`` checker
+(:mod:`repro.analysis.cachekey`; it parses the whole tree, so it is
+opt-in for speed): it walks everything reachable from ``simulate()``
+and flags environment, wall-clock, or mutable-global reads that are not
+folded into the SimCell fingerprint.  The kernels' ``finally``
+write-backs are held by tests instead: ``TestManagerState`` in
+``tests/test_kernel_differential.py`` faults every kernel mid-replay
+and compares the manager state it leaves with the reference loop's, and
+``TestFaultMidBatch`` in ``tests/test_dram_controller_batch.py`` does
+the same for ``ChannelController.enqueue_batch``.
 
 Exemptions live in ``allowlist.json`` next to this module: each entry
 is a ``{"path": ..., "reason": ...}`` object; deep-rule paths may carry
@@ -52,22 +51,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: rule id -> one-line description; ``repro lint``'s summary line names the ids.
-RULES: Dict[str, str] = {
-    "determinism": "randomness must flow through repro.common.rng",
-    "wall-clock": "no wall-clock reads inside simulation paths",
-    "mutable-default": "no mutable default arguments",
-    "bare-except": "no bare/broad except clauses",
-    "float-eq": "no equality comparisons against float literals",
-    "unused-import": "no imports that are never used",
-    "annotations": "every annotation resolves at runtime",
-}
+#: Rule ids; ``repro lint``'s summary line names them.
+RULES = (
+    "determinism",
+    "wall-clock",
+    "mutable-default",
+    "bare-except",
+    "float-eq",
+    "unused-import",
+    "annotations",
+)
 
-#: rule id -> description for the ``--deep`` CFG checkers.
-DEEP_RULES: Dict[str, str] = {
-    "hoist-writeback": "hoisted state is written back on every exit path",
-    "cache-key": "no unfingerprinted inputs reachable from simulate()",
-}
+#: Rule ids of the ``--deep`` checkers.
+DEEP_RULES = ("cache-key",)
 
 _ALLOWLIST_FILE = Path(__file__).resolve().parent / "allowlist.json"
 _WALL_CLOCK_ATTRS = frozenset({
@@ -418,46 +414,25 @@ def deep_findings(
     root: Optional[Path] = None,
     allowlist: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[Finding]:
-    """Run the ``--deep`` CFG checkers over the tree.
+    """Run the ``--deep`` checkers over the tree.
 
     Applies ``# noqa`` line suppression and the allowlist (a deep
     finding is exempt if either its file path or ``path::qualname`` is
     listed under the rule).
     """
     from .cachekey import check_cache_keys
-    from .writeback import check_writeback_source
 
     allow = allowlist if allowlist is not None else load_allowlist()
     base = root if root is not None else package_root()
-
-    sources: Dict[str, str] = {}
-
-    def source_of(path: str) -> str:
-        if path not in sources:
-            file = base.parent / path
-            sources[path] = (
-                file.read_text(encoding="utf-8") if file.exists() else ""
-            )
-        return sources[path]
-
-    raw: List[Tuple[str, str, int, str, str]] = []
-    for file, display in _python_files(base):
-        source = file.read_text(encoding="utf-8")
-        sources[display] = source
-        for path, line, site, message in check_writeback_source(
-            source, display
-        ):
-            raw.append(("hoist-writeback", path, line, site, message))
-    for path, line, site, message in check_cache_keys(base):
-        raw.append(("cache-key", path, line, site, message))
-
     findings: List[Finding] = []
-    for rule, path, line, site, message in raw:
+    rule = "cache-key"
+    for path, line, site, message in check_cache_keys(base):
         if _allowed(allow, rule, path) or _allowed(
             allow, rule, f"{path}::{site}"
         ):
             continue
-        lines = source_of(path).splitlines()
+        file = base.parent / path
+        lines = file.read_text(encoding="utf-8").splitlines() if file.exists() else []
         if 1 <= line <= len(lines) and "# noqa" in lines[line - 1]:
             continue
         findings.append(Finding(rule, path, line, message))
@@ -514,7 +489,7 @@ def run_lint(
 ) -> int:
     """Run every lint layer; print findings; return a process exit code.
 
-    ``deep`` adds the CFG checkers (hoist-writeback, cache-key).
+    ``deep`` adds the cache-key checker.
     ``as_json`` emits one JSON object per finding (keys
     ``rule``/``path``/``line``/``message``) and no summary line, for
     machine consumption in CI.
@@ -549,7 +524,7 @@ def run_lint(
 
     if as_json:
         return 1 if findings or not external_ok else 0
-    checked = ", ".join(sorted({**RULES, **DEEP_RULES} if deep else RULES))
+    checked = ", ".join(sorted(RULES + DEEP_RULES if deep else RULES))
     if findings:
         print(f"repro lint: {len(findings)} finding(s) [{checked}]", file=out)
         return 1

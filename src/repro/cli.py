@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--deep", action="store_true", default=False,
-        help="also run the CFG checkers: hoist-writeback, cache-key",
+        help="also run the cache-key checker over everything simulate() reaches",
     )
     lint.add_argument(
         "--json", action="store_true", default=False, dest="as_json",

@@ -518,7 +518,6 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
     engine = manager.engine
-    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
@@ -627,7 +626,6 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
     engine = manager.engine
-    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
@@ -667,8 +665,8 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                 push[ci]((arrival, arrival - penalty, bank, row, is_write, demand))
         end_ps = _finish_replay(manager, flush_all)
     finally:
-        # State write-back must survive a mid-chunk exception: a stale
-        # boundary cursor would double-run boundaries on the next replay.
+        # Written back on every exit, so that a replay that raises
+        # leaves the boundary cursor where the reference loop leaves it.
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
     return collect_result(manager, trace, end_ps)
@@ -715,7 +713,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
         packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
     )
     engine = manager.engine
-    # hoists: engine.swap_sink
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
@@ -1024,11 +1021,15 @@ def fast_simulate(trace, manager, throttle_cap_ps=DEFAULT_THROTTLE_CAP_PS):
 
     Drop-in equivalent of
     :func:`repro.system.simulator.reference_simulate`: same arguments,
-    same result, same exceptions.  Unsupported configurations (manager
-    subclasses, metadata caches, out-of-range traces) fall back to the
-    reference loop — the decision is recorded in :data:`last_dispatch`.  Once a specialised kernel starts, any
-    exception it raises propagates to the caller; failures are never
-    swallowed into a silent reference-loop retry.
+    same result, same exceptions, and the same manager state afterwards,
+    also when the replay raises (``TestManagerState`` in
+    ``tests/test_kernel_differential.py`` faults each kernel mid-replay
+    to check it).  Unsupported configurations (manager subclasses,
+    metadata caches, out-of-range traces) fall back to the reference
+    loop — the decision is recorded in :data:`last_dispatch`.  Once a
+    specialised kernel starts, any exception it raises propagates to the
+    caller; failures are never swallowed into a silent reference-loop
+    retry.
     """
     global last_dispatch
     kernel, reason = select_kernel(manager)

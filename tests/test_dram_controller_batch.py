@@ -24,7 +24,7 @@ import pytest
 from repro.common.rng import DeterministicRng
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
-from repro.dram.request import DEMAND, MIGRATION
+from repro.dram.request import BOOKKEEPING, DEMAND, MIGRATION
 from tests.batching import assert_conserved, enqueue_columns
 
 BANKS = 16
@@ -481,6 +481,42 @@ class TestAgePromotion:
             controller_cls=NoPromotion,
         )
         assert snapshot(promoted) != snapshot(starved)
+
+
+class TestFaultMidBatch:
+    """``enqueue_batch`` keeps the controller's cursors and stats in
+    locals and writes them back in a ``finally``: an exception mid-batch
+    must still leave the stats in step with the bank accesses already
+    made, and the cursors in step with each other."""
+
+    @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("window", [2, 8, 16])
+    def test_writebacks_survive_a_bad_bank(self, timing, window):
+        for seed in range(1, 21):
+            ctrl = ChannelController(timing, BANKS, window=window)
+            # The 50 requests before the bad one are writes, so the last
+            # one served before the fault is a write.
+            requests = [
+                (bank, row, 1 if 150 <= i < 200 else is_write, at)
+                for i, (bank, row, is_write, at) in enumerate(random_requests(seed, 400))
+            ]
+            _, row, is_write, at = requests[200]
+            requests[200] = (len(ctrl.banks), row, is_write, at)
+            kinds = [(DEMAND, MIGRATION, BOOKKEEPING)[i % 3] for i in range(400)]
+            with pytest.raises(IndexError):
+                enqueue_columns(ctrl, *map(list, zip(*requests)), kinds=kinds)
+            assert ctrl._last_was_write
+            banks = ctrl.banks
+            assert ctrl.stats.row_hits == sum(b.hits for b in banks)
+            assert ctrl.stats.served == sum(
+                b.hits + b.misses + b.conflicts for b in banks
+            )
+            assert_conserved(ctrl)
+            # The bus cursor is the last completion, and a refresh falls
+            # due every tREFI, so the refresh cursor is one past the count.
+            assert ctrl.bus_free_ps == ctrl.last_completion_ps > 0
+            assert ctrl._next_refresh_ps == (ctrl.refreshes + 1) * ctrl._trefi_ps
 
 
 class TestWriteBatching:

@@ -9,6 +9,7 @@ bug by definition (the reference loop is the semantic spec).
 """
 
 from dataclasses import asdict
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,103 @@ class TestFallbackConfigurations:
         assert len(calls) == len(trace)  # went through handle, not the kernel
         reference = reference_simulate(trace, build_manager("tlm", geometry))
         assert asdict(result) == asdict(reference)
+
+
+def manager_state(manager):
+    """Every leaf of the state reachable through ``vars()`` from
+    ``manager``, keyed by its attribute path.
+
+    That covers the memory and its tiers, the controllers with their
+    banks and pending buffers, the engine, the tracker, the remap
+    tables, the block tables and the swap queue.  Tuples flatten like
+    lists, so a pending entry compares field by field, where ``False ==
+    0`` (a bool compares as an int).  Only the ``service_paths`` sidecar
+    is skipped: it tallies which controller engine served a
+    transaction, which differs between the paths by design.  An object
+    met twice (a controller is listed by the memory and by its device)
+    is walked once, at its first path.
+    """
+    leaves = {}
+    seen = set()
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            items = obj.items()
+        elif isinstance(obj, (list, tuple)):
+            items = enumerate(obj)
+        elif hasattr(obj, "__dict__") or hasattr(obj, "__slots__"):
+            leaves[path] = type(obj).__qualname__
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if hasattr(obj, "__dict__"):
+                items = vars(obj).items()
+            else:
+                items = ((name, getattr(obj, name)) for name in obj.__slots__)
+        else:
+            leaves[path] = obj
+            return
+        for key, value in items:
+            if key != "service_paths":
+                walk(value, f"{path}.{key}")
+
+    walk(manager, "manager")
+    return leaves
+
+
+class _SampleFault(Exception):
+    pass
+
+
+def _fault_at_sample(memory, k):
+    """Make the ``k``-th throttle sample of ``memory`` raise."""
+    probe = memory.peak_bus_free_ps
+    calls = count(1)
+
+    def peak_bus_free_ps():
+        if next(calls) == k:
+            raise _SampleFault(k)
+        return probe()
+
+    memory.peak_bus_free_ps = peak_bus_free_ps
+
+
+class TestManagerState:
+    """Each kernel leaves the manager in the reference loop's state, at
+    a normal exit and when a throttle sample raises mid-replay.
+
+    The kernels keep manager and controller state in locals and write
+    it back in ``finally`` blocks.  A result comparison cannot see a
+    write-back that only an exception exit skips, yet the skipped one
+    leaves the manager wrong for anything that reads it afterwards.
+    Both paths take the same samples, and a kernel flushes its buffers
+    before each one, so both must raise at the ``fault_at``-th sample
+    and leave equal state.
+    """
+
+    @pytest.mark.parametrize("fault_at", [None, 7, 20, 40])
+    @pytest.mark.parametrize("kind", ["tlm", "mempod", "thm", "hma", "cameo"])
+    @pytest.mark.parametrize("workload", ["mix8", "xalanc"])
+    def test_matches_reference(self, geometry, workload, kind, fault_at):
+        trace = _trace(geometry, workload)
+        # A 20 us interval, so that mempod boundaries and hma epochs run
+        # before the 20th sample: mempod's default 50 us first falls due
+        # after the 40th, hma's 100 ms never within the trace.
+        params = {"interval_ps": 20_000_000} if kind in ("mempod", "hma") else {}
+        states = []
+        for replay in (reference_simulate, repro.kernel.replay.fast_simulate):
+            manager = build_manager(kind, geometry, **params)
+            if fault_at is None:
+                replay(trace, manager)
+            else:
+                _fault_at_sample(manager.memory, fault_at)
+                with pytest.raises(_SampleFault):
+                    replay(trace, manager)
+                del manager.memory.peak_bus_free_ps
+            states.append(manager_state(manager))
+        assert repro.kernel.replay.last_dispatch == f"specialised:{kind}"
+        reference, fast = states
+        assert fast == reference
 
 
 class TestPurePythonTwins:

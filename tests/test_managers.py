@@ -116,6 +116,13 @@ class TestHma:
         assert manager.total_migrations >= 1
         assert manager._location.get(hot, hot) < geometry.fast_pages
 
+    def test_applied_swap_blocks_both_pages(self, geometry):
+        manager = HmaManager(hybrid(geometry), geometry)
+        slow = geometry.fast_pages
+        completion = manager._apply_swap(0, slow, 0, 1_000)
+        assert completion > 1_000
+        assert manager._blocked == {0: completion, slow: completion}
+
     def test_below_threshold_pages_stay(self, geometry):
         manager = HmaManager(
             hybrid(geometry), geometry,
@@ -164,6 +171,15 @@ class TestThm:
         # subsequent accesses hit it as the resident (defending it).
         assert manager.total_migrations == 1
         assert manager._location.get(hot, hot) < geometry.fast_pages
+
+    def test_migration_stalls_the_trigger(self, geometry):
+        # The triggering access waits for its own swap: the stall is
+        # the time until the swap completes and both pages unblock.
+        manager = ThmManager(hybrid(geometry), geometry)
+        hot = geometry.fast_pages + 9
+        stall = manager._migrate(manager.segment_of(hot), hot, 1_000)
+        assert stall > 0
+        assert manager._blocked == {9: 1_000 + stall, hot: 1_000 + stall}
 
     def test_resident_hits_defend(self, geometry):
         manager = ThmManager(hybrid(geometry), geometry, threshold=4)

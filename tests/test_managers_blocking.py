@@ -98,6 +98,8 @@ class TestSwapScheduling:
         # Two interleaved batches, as two pods would schedule them.
         manager._schedule_swaps([(fast, slow, 0), (fast + 4, slow + 4, 0)], 1000, 5000)
         manager._schedule_swaps([(fast + 8, slow + 8, 1)], 2000, 5000)
+        manager._issue_due_swaps(2000)  # a swap due exactly now issues
+        assert [t for t, _, _ in issued] == [1000, 2000]
         manager._issue_due_swaps(None)
         times = [t for t, _, _ in issued]
         assert times == sorted(times)
