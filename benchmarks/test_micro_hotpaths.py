@@ -79,7 +79,7 @@ def test_controller_service_throughput(benchmark):
     ]
 
     def replay():
-        ctrl = ChannelController(HBM_TIMING, 16, window=8)
+        ctrl = ChannelController(HBM_TIMING, 16)
         for bank, row, is_write, at in requests:
             ctrl.enqueue(bank, row, is_write, at)
         ctrl.flush()

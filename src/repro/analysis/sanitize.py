@@ -329,11 +329,11 @@ class SimulationSanitizer:
         for pod in pods:
             mea = pod.mea
             table = mea._table
-            if len(table) > mea._insert_limit:
+            if len(table) > mea.capacity:
                 self._fail(
                     "mea-capacity",
                     f"{len(table)} counters live but the MEA unit has only "
-                    f"{mea._insert_limit} (K={mea.capacity})",
+                    f"K={mea.capacity}",
                     pod=pod.pod_id, cycle_ps=cycle_ps,
                 )
             for page, count in table.items():
@@ -531,11 +531,7 @@ class SimulationSanitizer:
             # corresponds to one really-served transaction, and no
             # engine can report a negative count.
             paths = ctrl.service_paths
-            if (
-                paths.closed_form_served < 0
-                or paths.scan_served < 0
-                or paths.scalar_fallback_served < 0
-            ):
+            if paths.closed_form_served < 0 or paths.scan_served < 0:
                 self._fail(
                     "stats-conservation",
                     f"channel {label} has a negative service-path counter "
@@ -551,7 +547,7 @@ class SimulationSanitizer:
                 )
 
 
-def sanitized_simulate(trace, manager, throttle_cap_ps: Optional[int] = None):
+def sanitized_simulate(trace, manager):
     """The reference replay loop with invariant checks layered on.
 
     Runs :func:`~repro.system.simulator.reference_simulate` itself, so
@@ -561,16 +557,10 @@ def sanitized_simulate(trace, manager, throttle_cap_ps: Optional[int] = None):
     boundaries and every :data:`CHECK_PERIOD` records, and
     :meth:`SimulationSanitizer.check_final` after finishing.
     """
-    from ..system.simulator import (  # lazy: simulator imports us lazily too
-        DEFAULT_THROTTLE_CAP_PS,
-        reference_simulate,
-    )
+    # lazy: simulator imports us lazily too
+    from ..system.simulator import reference_simulate
 
-    if throttle_cap_ps is None:
-        throttle_cap_ps = DEFAULT_THROTTLE_CAP_PS
     sanitizer = SimulationSanitizer(manager)
-    result = reference_simulate(
-        trace, manager, throttle_cap_ps, observe=sanitizer.observe
-    )
+    result = reference_simulate(trace, manager, observe=sanitizer.observe)
     sanitizer.check_final(trace, result, result.duration_ps)
     return result

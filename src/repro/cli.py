@@ -349,8 +349,7 @@ def _cmd_profile_replay(
             lines.append(
                 f"             batched services: "
                 f"closed-form {paths.closed_form_served:,}, "
-                f"scan {paths.scan_served:,}, "
-                f"scalar-fallback {paths.scalar_fallback_served:,}"
+                f"scan {paths.scan_served:,}"
             )
             if profiled is None:
                 profiled = (trace, build)

@@ -1,12 +1,12 @@
 """Per-channel memory controller with bounded FR-FCFS scheduling.
 
 The controller is event-driven: the simulator presents transactions in
-global arrival order, the controller buffers up to ``window`` of them,
+global arrival order, the controller buffers up to ``WINDOW`` of them,
 and whenever the buffer overflows (or :meth:`flush` is called) it
 services one transaction, preferring **row hits** among the buffered
 candidates and falling back to the **oldest** — a bounded-window
 approximation of FR-FCFS that preserves the row-locality effects the
-paper's results depend on while keeping per-request cost ``O(window)``.
+paper's results depend on while keeping per-request cost ``O(WINDOW)``.
 
 Timing accounted per transaction:
 
@@ -141,14 +141,13 @@ class ServicePathStats:
       arithmetic-series timing, no per-element scheduling),
       on a demand column or on a page-copy run's twin column;
     * ``scan_served`` — serviced per element by the direct-scan
-      FR-FCFS engine inside a contended stretch (any ``window >= 2``);
-    * ``scalar_fallback_served`` — serviced by the reference
-      ``enqueue`` on behalf of ``enqueue_batch`` (FCFS controllers,
-      ``window == 1``).
+      FR-FCFS engine inside a contended stretch;
+    * ``scalar_fallback_served`` — always 0: no batched call serves
+      through the reference ``enqueue``.  The field stays because the
+      benchmark's layer report reads it.
 
     Idle-channel fast-path services are the remainder: a controller's
-    ``stats.served`` minus these three minus any other reference-path
-    services.
+    ``stats.served`` minus these two minus any reference-path services.
     """
 
     closed_form_served: int = 0
@@ -164,11 +163,7 @@ class ServicePathStats:
     @property
     def batched_served(self) -> int:
         """Transactions serviced by any counted batched regime."""
-        return (
-            self.closed_form_served
-            + self.scan_served
-            + self.scalar_fallback_served
-        )
+        return self.closed_form_served + self.scan_served
 
 
 class ChannelController:
@@ -180,16 +175,13 @@ class ChannelController:
         The DRAM technology parameters for this channel.
     banks:
         Flat bank count (ranks x banks per channel).
-    window:
-        FR-FCFS reorder window.  ``1`` degenerates to FCFS; larger
-        windows trade scheduling fidelity for a little CPU time.
+
+    The reorder window is the fixed :attr:`WINDOW`.
     """
 
-    def __init__(self, timing: DramTiming, banks: int, window: int = 8) -> None:
+    def __init__(self, timing: DramTiming, banks: int) -> None:
         require_positive_int("banks", banks)
-        require_positive_int("window", window)
         self.timing = timing
-        self.window = window
         self.banks: List[Bank] = [Bank() for _ in range(banks)]
         self.bus_free_ps = 0
         self.stats = ControllerStats()
@@ -256,7 +248,7 @@ class ChannelController:
         banks = self.banks
         choose = self._choose
         service_at = self._service_at
-        while len(pending) > self.window:
+        while len(pending) > self.WINDOW:
             service_at(choose())
         while pending:
             idx = choose()
@@ -344,11 +336,6 @@ class ChannelController:
         and completions strictly increase, so a call that served
         anything leaves its last completion in the bus cursor.
 
-        ``window == 1`` defeats both the fast path (an uncontended pair
-        forced through ``_choose`` may reorder) and the closed forms'
-        preconditions, so an FCFS controller takes the reference
-        :meth:`enqueue` for every element and run element instead.
-
         Which regime serviced how many transactions is tallied in the
         :class:`ServicePathStats` sidecar (``self.service_paths``) —
         observability only, never part of a simulation result.
@@ -381,25 +368,12 @@ class ChannelController:
         else:
             segments = ()
             twin = False
-        if self.window == 1:
-            # Counted by the served delta, not by the element count:
-            # elements still buffered on return were not serviced yet.
-            stats = self.stats
-            before = stats.served
-            enqueue = self.enqueue
-            if not runs:
-                segments = [(entries, 0, stop, False)]
-            for entries, i, stop, _ in reversed(segments):
-                for arrival, account, bank, row, is_write, kind in entries[i:stop]:
-                    enqueue(bank, row, is_write, arrival, kind, account)
-            self.service_paths.scalar_fallback_served += stats.served - before
-            return
         if not self._dirty:
             self._dirty = True
             self._dirty_sink.add(self._dirty_key)
         pending = self._pending
         bank_list = self.banks
-        window = self.window
+        window = self.WINDOW
         timing = self.timing
         burst = self._burst_ps
         turnaround = self._turnaround_ps
@@ -925,6 +899,13 @@ class ChannelController:
         return hits, total
 
     # -- internals -------------------------------------------------------
+
+    #: FR-FCFS reorder window, in buffered transactions: a fixed part of
+    #: the modelled machine.  ``enqueue_batch``'s idle fast path and
+    #: closed forms are exact for any window of 2 or more (the
+    #: contended suites shadow it per instance to stress 2, 16 and 32);
+    #: a window of 1 (FCFS) would break their preconditions.
+    WINDOW = 8
 
     #: FR-FCFS fairness bound: once the oldest pending transaction has
     #: waited this long past a younger candidate, it is serviced first

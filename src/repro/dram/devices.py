@@ -114,7 +114,6 @@ class MemoryDevice:
         ranks: int,
         banks: int,
         row_bytes: int = ROW_BYTES,
-        window: int = 8,
     ) -> None:
         require_positive_int("channels", channels)
         self.name = name
@@ -128,7 +127,7 @@ class MemoryDevice:
             row_bytes=row_bytes,
         )
         self.controllers: List[ChannelController] = [
-            ChannelController(timing, self.mapper.banks_per_channel, window=window)
+            ChannelController(timing, self.mapper.banks_per_channel)
             for _ in range(channels)
         ]
 
@@ -186,7 +185,7 @@ class MemoryDevice:
         return hits / total if total else 0.0
 
 
-def hbm_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice:
+def hbm_device(timing: DramTiming = HBM_TIMING) -> MemoryDevice:
     """Table 2 die-stacked HBM: 1 GB, 8 channels, 16 banks, 8 KB rows."""
     return MemoryDevice(
         name=timing.name,
@@ -195,11 +194,10 @@ def hbm_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice
         channels=8,
         ranks=1,
         banks=16,
-        window=window,
     )
 
 
-def ddr4_device(window: int = 8, timing: DramTiming = DDR4_1600_TIMING) -> MemoryDevice:
+def ddr4_device(timing: DramTiming = DDR4_1600_TIMING) -> MemoryDevice:
     """Table 2 off-chip DDR4: 8 GB, 4 channels, 16 banks, 8 KB rows."""
     return MemoryDevice(
         name=timing.name,
@@ -208,5 +206,4 @@ def ddr4_device(window: int = 8, timing: DramTiming = DDR4_1600_TIMING) -> Memor
         channels=4,
         ranks=1,
         banks=16,
-        window=window,
     )

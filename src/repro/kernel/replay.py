@@ -98,7 +98,7 @@ from ..managers.hma import HmaManager
 from ..managers.static import NoMigrationManager, SingleLevelManager
 from ..managers.thm import ThmManager
 from ..system.simulator import (
-    DEFAULT_THROTTLE_CAP_PS,
+    THROTTLE_CAP_PS,
     THROTTLE_SAMPLE_PERIOD,
     reference_simulate,
 )
@@ -299,7 +299,7 @@ def _record_stream(packed, memory, page_shift):
 # chunks arrive pre-grouped by controller.
 
 
-def _replay_tlm(trace, packed, manager, throttle_cap_ps):
+def _replay_tlm(trace, packed, manager):
     """The direct kernel, for managers whose ``handle`` is a bare
     ``memory.access``: TLM over the fast/slow pair, and the HBM-only and
     DDR-only bounds over a one-tier memory (the tier table decodes
@@ -316,12 +316,11 @@ def _replay_tlm(trace, packed, manager, throttle_cap_ps):
     collector over and over, a chunk's never does.
     """
     memory = manager.memory
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     if _np is None:
-        chunks = packed.chunk_groups(*_hybrid_plane(packed, memory), sample)
+        chunks = packed.chunk_groups(*_hybrid_plane(packed, memory))
     else:
         chunks = packed.chunk_groups_streamed(
-            _hybrid_decode_np(memory), sample, _stream_window(packed)
+            _hybrid_decode_np(memory), _stream_window(packed)
         )
     batch = [ctrl.enqueue_batch for ctrl in memory._controllers]
     peak_bus = memory.peak_bus_free_ps
@@ -336,10 +335,10 @@ def _replay_tlm(trace, packed, manager, throttle_cap_ps):
         for ci, lo, hi in spans:
             batch[ci](entries[lo:hi])
         pos += count
-        if count == sample:
+        if count == THROTTLE_SAMPLE_PERIOD:
             backlog = peak_bus() - (arrivals[pos - 1] + offset)
-            if backlog > throttle_cap_ps:
-                offset += backlog - throttle_cap_ps
+            if backlog > THROTTLE_CAP_PS:
+                offset += backlog - THROTTLE_CAP_PS
     end_ps = manager.finish()
     return collect_result(manager, trace, end_ps)
 
@@ -419,30 +418,29 @@ def _swap_merged_buffers(memory):
     return bufs, flush_all, sink
 
 
-def _throttled_chunks(packed, records, throttle_cap_ps, peak_bus, flush_all):
+def _throttled_chunks(packed, records, peak_bus, flush_all):
     """The per-record kernels' chunk loop: yields ``(chunk, offset)``.
 
     ``chunk`` is an ``islice`` of the next ``THROTTLE_SAMPLE_PERIOD``
-    records of ``records`` — or of the whole trace in one run when the
-    throttle is off — and ``offset`` is the throttle's arrival offset
-    for every record in it.  Once the kernel has consumed a chunk, the
-    generator flushes its buffers through ``flush_all`` and, after a
-    full chunk, takes the reference's throttle sample.  The cost is one
-    generator resume per chunk, never a call per record.
+    records of ``records``, and ``offset`` is the throttle's arrival
+    offset for every record in it.  Once the kernel has consumed a
+    chunk, the generator flushes its buffers through ``flush_all`` and,
+    after a full chunk, takes the reference's throttle sample.  The cost
+    is one generator resume per chunk, never a call per record.
     """
     arrivals = packed.arrivals
     total = packed.length
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
+    sample = THROTTLE_SAMPLE_PERIOD
     offset = 0
     pos = 0
     while pos < total:
-        end = min(pos + sample, total) if sample else total
+        end = min(pos + sample, total)
         yield islice(records, end - pos), offset
         flush_all()
         if end - pos == sample:
             backlog = peak_bus() - (arrivals[end - 1] + offset)
-            if backlog > throttle_cap_ps:
-                offset += backlog - throttle_cap_ps
+            if backlog > THROTTLE_CAP_PS:
+                offset += backlog - THROTTLE_CAP_PS
         pos = end
 
 
@@ -458,7 +456,7 @@ def _finish_replay(manager, flush_all):
     return manager.finish()
 
 
-def _replay_hma(trace, packed, manager, throttle_cap_ps):
+def _replay_hma(trace, packed, manager):
     """HMA without a counter cache: epoch ticks, paced swaps, full-counter
     recording, page-table lookup, block penalties.
 
@@ -514,9 +512,7 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     deferred = []  # pages whose full-counter updates are pending
     defer = deferred.append
     records = _record_stream(packed, memory, page_shift)
-    chunks = _throttled_chunks(
-        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
-    )
+    chunks = _throttled_chunks(packed, records, memory.peak_bus_free_ps, flush_all)
     engine = manager.engine
     engine.swap_sink = swap_sink
     try:
@@ -573,7 +569,7 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     return collect_result(manager, trace, end_ps)
 
 
-def _replay_mempod(trace, packed, manager, throttle_cap_ps):
+def _replay_mempod(trace, packed, manager):
     """MemPod without a metadata cache: boundary ticks, paced swaps,
     per-pod MEA recording and remap lookup, block penalties.
 
@@ -622,9 +618,7 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     slow_chan = manager._slow_chan
     slow_cpp = manager._slow_cpp
     records = _record_stream(packed, memory, page_shift)
-    chunks = _throttled_chunks(
-        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
-    )
+    chunks = _throttled_chunks(packed, records, memory.peak_bus_free_ps, flush_all)
     engine = manager.engine
     engine.swap_sink = swap_sink
     try:
@@ -672,7 +666,7 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     return collect_result(manager, trace, end_ps)
 
 
-def _replay_thm(trace, packed, manager, throttle_cap_ps):
+def _replay_thm(trace, packed, manager):
     """THM without an SRT cache: competing counters, inline migration,
     segment-local remap, block penalties.
 
@@ -709,9 +703,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     push = [buf.append for buf in bufs]
 
     records = _record_stream(packed, memory, page_shift)
-    chunks = _throttled_chunks(
-        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
-    )
+    chunks = _throttled_chunks(packed, records, memory.peak_bus_free_ps, flush_all)
     engine = manager.engine
     engine.swap_sink = swap_sink
     try:
@@ -756,7 +748,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     return collect_result(manager, trace, end_ps)
 
 
-def _replay_cameo(trace, packed, manager, throttle_cap_ps):
+def _replay_cameo(trace, packed, manager):
     """CAMEO: ``handle`` and its bookkeeping inlined, every transaction
     batched.
 
@@ -816,9 +808,7 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     push = [buf.append for buf in bufs]
 
     records = _record_stream(packed, memory, LINE_SHIFT)
-    chunks = _throttled_chunks(
-        packed, records, throttle_cap_ps, memory.peak_bus_free_ps, flush_all
-    )
+    chunks = _throttled_chunks(packed, records, memory.peak_bus_free_ps, flush_all)
     migrations = first_migrations = manager.total_migrations
     wasted = manager.wasted_migrations
     blocked_hits = manager.blocked_hits
@@ -1016,7 +1006,7 @@ def select_kernel(manager) -> "tuple":
     return globals()[kernel_name], f"specialised:{label}"
 
 
-def fast_simulate(trace, manager, throttle_cap_ps=DEFAULT_THROTTLE_CAP_PS):
+def fast_simulate(trace, manager):
     """Replay ``trace`` through ``manager`` on the fastest exact path.
 
     Drop-in equivalent of
@@ -1035,12 +1025,12 @@ def fast_simulate(trace, manager, throttle_cap_ps=DEFAULT_THROTTLE_CAP_PS):
     kernel, reason = select_kernel(manager)
     last_dispatch = reason
     if kernel is None:
-        return reference_simulate(trace, manager, throttle_cap_ps)
+        return reference_simulate(trace, manager)
     packed = trace.packed()
     if packed.max_address >= manager.geometry.total_bytes:
         # The direct enqueues bypass memory.access bounds checking; an
         # out-of-range record must raise AddressError at exactly the
         # reference loop's point of failure, so replay it the slow way.
         last_dispatch = "fallback:out-of-range-address"
-        return reference_simulate(trace, manager, throttle_cap_ps)
-    return kernel(trace, packed, manager, throttle_cap_ps)
+        return reference_simulate(trace, manager)
+    return kernel(trace, packed, manager)

@@ -24,6 +24,7 @@ from ..common.config import require_in
 from ..geometry import MemoryGeometry
 from ..managers import MemoryManager
 from ..mechanisms.registry import MANAGER_KINDS, build_manager
+from ..trace.io import CHUNK_RECORDS as THROTTLE_SAMPLE_PERIOD
 from ..trace.record import Trace
 from .stats import SimulationResult, collect_result
 
@@ -37,16 +38,17 @@ __all__ = [
     "KERNEL_KINDS",
     "KERNEL_ENV_VAR",
     "DEFAULT_KERNEL",
-    "DEFAULT_THROTTLE_CAP_PS",
+    "THROTTLE_CAP_PS",
     "THROTTLE_SAMPLE_PERIOD",
 ]
 
 
-# CPU back-pressure defaults: how far the memory system may run behind
-# the request stream before the cores are considered fully stalled, and
-# how often the gap is sampled.
-DEFAULT_THROTTLE_CAP_PS = 1_000_000  # 1 us of backlog
-THROTTLE_SAMPLE_PERIOD = 128
+# CPU back-pressure, a fixed part of the modelled machine: how far the
+# memory system may run behind the request stream before the cores are
+# considered fully stalled.  The gap is sampled every
+# THROTTLE_SAMPLE_PERIOD records, the 128-record chunk the columnar
+# trace format aligns its planes to.
+THROTTLE_CAP_PS = 1_000_000  # 1 us of backlog
 
 # Replay kernel selection.  "reference" is the obviously-correct
 # per-record loop below; "fast" is the batched kernel in
@@ -71,7 +73,6 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
 def reference_simulate(
     trace: Trace,
     manager: MemoryManager,
-    throttle_cap_ps: int = DEFAULT_THROTTLE_CAP_PS,
     observe: Optional[Callable[[int], None]] = None,
 ) -> SimulationResult:
     """The reference replay loop: one ``handle`` call per record.
@@ -84,11 +85,11 @@ def reference_simulate(
     otherwise accumulate unbounded queues that no real machine exhibits
     (cores stall once their MSHRs fill, throttling the miss stream).
     Like Ramulator's simple CPU front-end, the replay approximates that
-    resource-induced stall: whenever the furthest-ahead channel runs
-    more than ``throttle_cap_ps`` past the current trace time, the
-    remaining trace is shifted forward by the excess — time the cores
-    spend stalled rather than issuing new misses.  ``throttle_cap_ps=0``
-    disables the throttle (pure open-loop replay).
+    resource-induced stall: every :data:`THROTTLE_SAMPLE_PERIOD`
+    records, if the furthest-ahead channel runs more than
+    :data:`THROTTLE_CAP_PS` past the current trace time, the remaining
+    trace is shifted forward by the excess — time the cores spend
+    stalled rather than issuing new misses.
 
     ``observe``, when given, is called with each record's arrival after
     the record is handled and before the throttle sample; the sanitizer
@@ -103,13 +104,12 @@ def reference_simulate(
         handle(address, bool(is_write), arrival_ps, core)
         if observe is not None:
             observe(arrival_ps)
-        if throttle_cap_ps:
-            countdown -= 1
-            if countdown == 0:
-                countdown = THROTTLE_SAMPLE_PERIOD
-                backlog = memory.peak_bus_free_ps() - arrival_ps
-                if backlog > throttle_cap_ps:
-                    offset_ps += backlog - throttle_cap_ps
+        countdown -= 1
+        if countdown == 0:
+            countdown = THROTTLE_SAMPLE_PERIOD
+            backlog = memory.peak_bus_free_ps() - arrival_ps
+            if backlog > THROTTLE_CAP_PS:
+                offset_ps += backlog - THROTTLE_CAP_PS
     end_ps = manager.finish()
     return collect_result(manager, trace, end_ps)
 
@@ -117,7 +117,6 @@ def reference_simulate(
 def simulate(
     trace: Trace,
     manager: MemoryManager,
-    throttle_cap_ps: int = DEFAULT_THROTTLE_CAP_PS,
     kernel: Optional[str] = None,
     sanitize: Optional[bool] = None,
 ) -> SimulationResult:
@@ -140,12 +139,12 @@ def simulate(
     if resolve_sanitize(sanitize):
         from ..analysis.sanitize import sanitized_simulate
 
-        return sanitized_simulate(trace, manager, throttle_cap_ps)
+        return sanitized_simulate(trace, manager)
     if resolve_kernel(kernel) == "fast":
         from ..kernel.replay import fast_simulate  # lazy: avoids an import cycle
 
-        return fast_simulate(trace, manager, throttle_cap_ps)
-    return reference_simulate(trace, manager, throttle_cap_ps)
+        return fast_simulate(trace, manager)
+    return reference_simulate(trace, manager)
 
 
 def run(
@@ -153,17 +152,10 @@ def run(
     kind: str,
     geometry: MemoryGeometry,
     future_tech: bool = False,
-    window: int = 8,
-    throttle_cap_ps: int = DEFAULT_THROTTLE_CAP_PS,
     kernel: Optional[str] = None,
     sanitize: Optional[bool] = None,
     **params,
 ) -> SimulationResult:
     """One-call convenience: build the manager and replay the trace."""
-    manager = build_manager(
-        kind, geometry, future_tech=future_tech, window=window, **params
-    )
-    return simulate(
-        trace, manager, throttle_cap_ps=throttle_cap_ps, kernel=kernel,
-        sanitize=sanitize,
-    )
+    manager = build_manager(kind, geometry, future_tech=future_tech, **params)
+    return simulate(trace, manager, kernel=kernel, sanitize=sanitize)

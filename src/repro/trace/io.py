@@ -47,10 +47,10 @@ followed by five int64 column planes::
 
 Every plane stores ``count`` int64 values padded with zeros up to
 ``stride = ceil(count / 128) * 128`` values, so plane ``i`` begins at
-byte ``1024 + i * stride * 8``.  The 128-record alignment matches the
-replay throttle's ``THROTTLE_SAMPLE_PERIOD`` chunk, so a streaming
-reader that consumes whole chunks never splits a plane block, and each
-plane begins on a 1024-byte boundary.  The "page" plane holds
+byte ``1024 + i * stride * 8``.  The 128-record alignment is the
+replay throttle's sample period, so a streaming reader that consumes
+whole chunks never splits a plane block, and each plane begins on a
+1024-byte boundary.  The "page" plane holds
 ``address // page_bytes`` for the header's ``page_bytes`` — derived
 data, persisted so mapped replay needs no O(N) page recomputation.
 All five planes deliberately share the int64 dtype: an ``asarray``
@@ -82,8 +82,9 @@ VERSION = 1
 # -- v2 columnar constants (see the format spec in the module docstring) --
 MAGIC2 = b"MPTRACE2"
 VERSION2 = 2
-#: plane padding granularity, in records — matches the replay throttle's
-#: THROTTLE_SAMPLE_PERIOD chunk (asserted in tests/test_trace_store.py)
+#: the 128-record chunk: plane padding granularity, and the replay
+#: throttle's sample period (``repro.system.simulator`` imports it as
+#: THROTTLE_SAMPLE_PERIOD), so streamed windows never split a chunk
 CHUNK_RECORDS = 128
 #: v2 plane names, in directory (and on-disk) order
 PLANE_NAMES = ("arrival", "address", "iswrite", "core", "page")
@@ -234,20 +235,6 @@ def load_text(path: PathLike, name: str = "") -> Trace:
     if page_bytes is None:
         raise TraceError(f"{path}: missing page_bytes header line")
     return Trace(name=name or Path(path).stem, records=records, page_bytes=page_bytes)
-
-
-def dumps(trace: Trace) -> bytes:
-    """v1-serialise to bytes (for tests and in-memory transport)."""
-    buffer = io.BytesIO()
-    buffer.write(_HEADER.pack(MAGIC, VERSION, trace.page_bytes, len(trace.records)))
-    buffer.write(_encode_records_v1(trace.records))
-    return buffer.getvalue()
-
-
-def loads(data: bytes, name: str = "trace") -> Trace:
-    """Rebuild a trace from :func:`dumps` output (header validated)."""
-    records, page_bytes = _parse_v1(data)
-    return Trace(name=name, records=records, page_bytes=page_bytes)
 
 
 # -- v2 columnar format ------------------------------------------------------

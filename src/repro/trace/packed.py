@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .io import CHUNK_RECORDS
+
 try:  # optional accelerator; every path below has a pure-Python twin
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
@@ -194,12 +196,11 @@ class PackedTrace:
         ctrls: Sequence[int],
         banks: Sequence[int],
         rows: Sequence[int],
-        sample: int,
     ) -> list:
         """Throttle chunks regrouped by controller index.
 
-        Splits the trace into runs of ``sample`` records (one run for
-        the whole trace when ``sample`` is 0 — the unthrottled case) and
+        Splits the trace into runs of :data:`~repro.trace.io.CHUNK_RECORDS`
+        records, the CPU throttle's sample period, and
         groups each run's records by the ``ctrls`` decode column,
         preserving arrival order within every controller.  Controllers
         share no state and the throttle offset only changes at chunk
@@ -216,7 +217,7 @@ class PackedTrace:
         yields the same chunks.
         """
         total = self.length
-        step = sample if sample else (total or 1)
+        step = CHUNK_RECORDS
         is_writes = self.is_writes
         arrivals = self.arrivals
         chunks = []
@@ -246,7 +247,7 @@ class PackedTrace:
             ))
         return chunks
 
-    def chunk_groups_streamed(self, decode, sample: int, window: int):
+    def chunk_groups_streamed(self, decode, window: int):
         """Windowed generator form of :meth:`chunk_groups` (numpy only —
         the pure twin is the eager method itself).
 
@@ -256,24 +257,18 @@ class PackedTrace:
         and yields the same chunks, so peak
         memory is O(window) regardless of trace length.  List-backed
         columns are converted one window at a time.  Each window is
-        grouped by :func:`_group_window`.  Exactness: when ``sample`` is
-        positive ``window`` must be a multiple of it, so chunk
-        boundaries land on the same global grid as the eager method;
-        when ``sample`` is 0 the eager method emits one whole-trace
-        chunk and this one emits one chunk per window — equal by batch
-        splitting, because controllers share no state, the
-        per-controller record order is preserved across the split, and
-        no throttle adjustment separates unthrottled chunks.  Nothing is
-        memoised; the differential suite pins generator output to the
-        eager chunks.
+        grouped by :func:`_group_window`.  Exactness: ``window`` must be
+        a multiple of the chunk, so chunk boundaries land on the same
+        global grid as the eager method.  Nothing is memoised; the
+        differential suite pins generator output to the eager chunks.
         """
         total = self.length
-        if sample and window % sample:
+        if window % CHUNK_RECORDS:
             raise ValueError(
-                f"window {window} is not a multiple of throttle sample {sample}"
+                f"window {window} is not a multiple of the {CHUNK_RECORDS}-record "
+                "throttle chunk"
             )
         columns = (self.addresses, self.is_writes, self.arrivals)
-        step = sample if sample else window
         for w_begin in range(0, total, window):
             w_end = w_begin + window
             address_w, write_w, arrival_w = (
@@ -282,12 +277,12 @@ class PackedTrace:
                 else _as_int64(column[w_begin:w_end])
                 for column in columns
             )
-            yield from _group_window(*decode(address_w), write_w, arrival_w, step)
+            yield from _group_window(*decode(address_w), write_w, arrival_w)
 
 
-def _group_window(ctrl, bank, row, is_write, arrival, step: int):
-    """Throttle chunks of ``step`` records over one window, each grouped
-    by controller, as :meth:`PackedTrace.chunk_groups` groups them.
+def _group_window(ctrl, bank, row, is_write, arrival):
+    """Throttle chunks of ``CHUNK_RECORDS`` records over one window, each
+    grouped by controller, as :meth:`PackedTrace.chunk_groups` groups them.
 
     The arguments are int64 arrays over the window's records; controller
     indices are small non-negative ints.  One stable argsort by
@@ -298,6 +293,7 @@ def _group_window(ctrl, bank, row, is_write, arrival, step: int):
     per window, and every chunk's columns are list slices of it.
     """
     span = len(ctrl)
+    step = CHUNK_RECORDS
     key = (_np.arange(span) // step << 32) | ctrl
     order = _np.argsort(key, kind="stable")
     key = key[order]

@@ -19,8 +19,7 @@ Two hardware-motivated details from the paper:
   leaving one of the K counters permanently idle — an off-by-one
   inherited from Misra-Gries' "k-1 counters find k-majorities"
   formulation.  Hardware with K counters uses all K, so this
-  implementation inserts while ``|T| < K``; a ``strict_paper_capacity``
-  flag reproduces the printed variant for side-by-side study.
+  implementation inserts while ``|T| < K``.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class MeaTracker(ActivityTracker):
     tag_bits:
         Page-ID tag width, used only for the storage-cost report
         (21 bits addresses the paper's 1.1 M pages per Pod).
-    strict_paper_capacity:
-        Insert only while ``|T| < K-1`` (Algorithm 1 exactly as
-        printed) instead of the hardware-natural ``|T| < K``.
     min_count:
         :meth:`hot_pages` only nominates entries whose counter is at
         least this value.  The default of 1 returns the whole table
@@ -65,7 +61,6 @@ class MeaTracker(ActivityTracker):
         capacity: int = 64,
         counter_bits: int = 2,
         tag_bits: int = 21,
-        strict_paper_capacity: bool = False,
         min_count: int = 1,
     ) -> None:
         require_positive_int("capacity", capacity)
@@ -76,7 +71,6 @@ class MeaTracker(ActivityTracker):
         self.counter_bits = counter_bits
         self.tag_bits = tag_bits
         self.min_count = min_count
-        self._insert_limit = capacity - 1 if strict_paper_capacity else capacity
         self._max_count = (1 << counter_bits) - 1
         self._table: Dict[int, int] = {}
         # Aggregate event counters, useful for tests and ablations.
@@ -92,7 +86,7 @@ class MeaTracker(ActivityTracker):
             if count < self._max_count:
                 table[page] = count + 1
             self.increments += 1
-        elif len(table) < self._insert_limit:
+        elif len(table) < self.capacity:
             table[page] = 1
             self.insertions += 1
         else:
@@ -119,7 +113,7 @@ class MeaTracker(ActivityTracker):
         if _np is not None and isinstance(pages, _np.ndarray):
             pages = pages.tolist()
         table = self._table
-        limit = self._insert_limit
+        limit = self.capacity
         max_count = self._max_count
         increments = 0
         insertions = 0

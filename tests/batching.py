@@ -7,7 +7,21 @@ The controller's batched entry point takes pending-entry tuples
 the entry list and the runs into entry runs.
 """
 
+from repro.dram.controller import ChannelController
 from repro.dram.request import DEMAND
+
+
+def controller(timing, banks, window=ChannelController.WINDOW, cls=ChannelController):
+    """A controller with reorder window ``window``.
+
+    The shipped machine fixes ``WINDOW``; a contended-path test may
+    shadow it on the instance to stress another width, since the
+    batched engine is exact for any window of 2 or more.
+    """
+    ctrl = cls(timing, banks)
+    if window != cls.WINDOW:
+        ctrl.WINDOW = window
+    return ctrl
 
 
 def enqueue_columns(

@@ -58,7 +58,7 @@ class TestProfile:
         assert len(engines) == len(kinds)
         for engine_line in engines:
             names = re.findall(r"([a-z-]+) \d[\d,]*", engine_line)
-            assert names == ["closed-form", "scan", "scalar-fallback"]
+            assert names == ["closed-form", "scan"]
 
 
 class TestRun:

@@ -43,7 +43,7 @@ from repro.common.rng import DeterministicRng
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.request import DEMAND, MIGRATION
-from tests.batching import assert_conserved, enqueue_columns
+from tests.batching import assert_conserved, controller, enqueue_columns
 
 BANKS = 16
 
@@ -140,10 +140,10 @@ def adversarial_stretch(seed, events, timing):
 
 
 def assert_batch_matches(requests, timing, window):
-    one = ChannelController(timing, BANKS, window=window)
+    one = controller(timing, BANKS, window)
     for bank, row, is_write, arrival, kind in requests:
         one.enqueue(bank, row, is_write, arrival, kind)
-    many = ChannelController(timing, BANKS, window=window)
+    many = controller(timing, BANKS, window)
     bank_col, row_col, write_col, arrival_col, kind_col = map(
         list, zip(*requests)
     )
@@ -180,32 +180,30 @@ class TestAdversarialStretches:
                              ids=lambda t: t.name)
     # One scan engine serves every window of 2 or more, so window 32
     # proves it well past the shipped width of 8.
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_snapshot_equality(self, timing, window, seed):
         requests = adversarial_stretch(seed, 60, timing)
         assert_batch_matches(requests, timing, window)
 
     def test_streams_exercise_every_engine(self):
-        # The generator must actually reach all three counted paths
-        # (plus the uncounted fast path) — otherwise the equality
-        # passes above prove less than they claim.
-        totals = {"closed": 0, "scan": 0, "scalar": 0}
+        # The generator must actually reach both counted paths (plus
+        # the uncounted fast path) — otherwise the equality passes above
+        # prove less than they claim.
+        totals = {"closed": 0, "scan": 0}
         for seed in (101, 202, 303):
             requests = adversarial_stretch(seed, 60, HBM_TIMING)
-            for window in (1, 8, 32):
+            for window in (8, 32):
                 many = assert_batch_matches(requests, HBM_TIMING, window)
                 paths = many.service_paths
                 totals["closed"] += paths.closed_form_served
                 totals["scan"] += paths.scan_served
-                totals["scalar"] += paths.scalar_fallback_served
                 assert paths.batched_served <= many.stats.served
                 if window == 32:
                     # The wide window runs the same scan engine.
                     assert paths.scan_served > 0
         assert totals["closed"] > 0
         assert totals["scan"] > 0
-        assert totals["scalar"] > 0
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_enqueue_run_inside_adversarial_stream(self, seed):
@@ -236,7 +234,7 @@ class TestAdversarialStretches:
         assert snapshot(many) == snapshot(one)
         assert_conserved(many)
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [11, 12])
     def test_runs_inside_enqueue_batch(self, window, seed):
         # The kernels' shape: an adversarial column per chunk with swap
@@ -247,8 +245,8 @@ class TestAdversarialStretches:
         rng = DeterministicRng(seed)
         timing = DDR4_1600_TIMING
         stream = adversarial_stretch(seed, 60, timing)
-        one = ChannelController(timing, BANKS, window=window)
-        many = ChannelController(timing, BANKS, window=window)
+        one = controller(timing, BANKS, window)
+        many = controller(timing, BANKS, window)
         for lo in range(0, len(stream), 128):
             chunk = stream[lo:lo + 128]
             positions = sorted(
@@ -280,7 +278,7 @@ class TestAdversarialStretches:
         if window == 8:
             assert many.service_paths.closed_form_served > 0
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [21, 22])
     def test_cameo_line_swap_stream(self, window, seed):
         # Demand plus its same-arrival swap read is the pair the gated
@@ -332,8 +330,8 @@ def run_pair(timing, window, chunks):
     ``runs`` ``(pos, bank, row, is_write, arrival, count, kind)`` page-copy
     runs, queued right before ``demand[pos]``.
     """
-    one = ChannelController(timing, BANKS, window=window)
-    many = ChannelController(timing, BANKS, window=window)
+    one = controller(timing, BANKS, window)
+    many = controller(timing, BANKS, window)
     for demand, runs in chunks:
         queued = list(runs)
         for i in range(len(demand) + 1):
@@ -413,26 +411,26 @@ def run_then_other_bank_run(seed):
 
 
 class TestTwinPrefixDrain:
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [31, 32])
     def test_run_then_demand_column(self, window, seed):
         many = run_pair(DDR4_1600_TIMING, window, run_then_demand(seed))
         if window == 8:
             assert many.service_paths.closed_form_served > 0
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [41, 42])
     def test_read_run_then_write_run_same_row(self, window, seed):
         many = run_pair(DDR4_1600_TIMING, window, read_then_write_runs(seed))
         if window == 8:
             assert many.service_paths.closed_form_served > 0
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [51, 52])
     def test_run_then_run_on_another_bank(self, window, seed):
         run_pair(HBM_TIMING, window, run_then_other_bank_run(seed))
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     def test_prefix_drain_without_refresh(self, window):
         # No refresh: the batched path tests refresh against a sentinel,
         # and must leave the controller's own cursor at 0.
@@ -441,12 +439,12 @@ class TestTwinPrefixDrain:
         assert many._next_refresh_ps == 0
         assert many.refreshes == 0
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     def test_block_until_then_a_call_that_serves_nothing(self, window):
         # ``block_until`` pushes the bus cursor past the last completion;
         # a call that only buffers must not move ``last_completion_ps``.
-        one = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
-        many = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        one = controller(DDR4_1600_TIMING, BANKS, window)
+        many = controller(DDR4_1600_TIMING, BANKS, window)
         for ctrl in (one, many):
             ctrl.enqueue(0, 3, False, 1_000)
             ctrl.block_until(900_000)
@@ -469,11 +467,11 @@ class TestTwinPrefixDrain:
         requests = [(2, 5, 0, 0, DEMAND)]  # opens bank 2's row 5
         requests += [(b, 1, 0, 1_000, DEMAND) for b in (0, 1, 3)[:window]]
         requests.append((2, 5, 0, 50_000, DEMAND))
-        one = ChannelController(HBM_TIMING, BANKS, window=window)
+        one = controller(HBM_TIMING, BANKS, window)
         for bank, row, is_write, arrival, kind in requests:
             one.enqueue(bank, row, is_write, arrival, kind)
         assert not one._pending  # the lone older entry was served
-        many = ChannelController(HBM_TIMING, BANKS, window=window)
+        many = controller(HBM_TIMING, BANKS, window)
         cols = [list(col) for col in zip(*requests)]
         enqueue_columns(many, cols[0], cols[1], cols[2], cols[3], kinds=cols[4])
         assert snapshot(many) == snapshot(one)

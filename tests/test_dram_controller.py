@@ -23,8 +23,8 @@ HBM_NO_REFRESH = DramTiming(
 BURST = HBM_NO_REFRESH.burst_ps(64)
 
 
-def make_controller(window=8, timing=HBM_NO_REFRESH, banks=16):
-    return ChannelController(timing, banks, window=window)
+def make_controller(timing=HBM_NO_REFRESH, banks=16):
+    return ChannelController(timing, banks)
 
 
 class TestBasicService:
@@ -40,7 +40,7 @@ class TestBasicService:
     def test_idle_channel_services_immediately(self):
         # A request must not wait for the reorder window to fill: the
         # next arrival far in the future triggers eager service.
-        ctrl = make_controller(window=8)
+        ctrl = make_controller()
         ctrl.enqueue(bank=0, row=0, is_write=False, arrival_ps=0)
         ctrl.enqueue(bank=1, row=0, is_write=False, arrival_ps=10_000_000)
         # First request was serviced by the time the second arrived.
@@ -81,7 +81,7 @@ class TestScheduling:
     def test_row_hits_preferred(self):
         # Queue a conflict and a hit for the same bank; the hit is
         # serviced first under FR-FCFS even though it arrived later.
-        ctrl = make_controller(window=8)
+        ctrl = make_controller()
         ctrl.enqueue(0, 0, False, 0)
         ctrl.flush()  # open row 0
         hits_before = ctrl.stats.row_hits
@@ -117,7 +117,7 @@ class TestScheduling:
     def test_write_batching_defers_direction_switch(self):
         # With a read in flight (bus direction = read) and both a write
         # and a read pending with no open-row hits, the read goes first.
-        ctrl = make_controller(window=8)
+        ctrl = make_controller()
         ctrl.enqueue(0, 0, False, 0)
         ctrl.flush()
         ctrl.enqueue(1, 3, True, 1000)   # older write (conflict path)
@@ -166,10 +166,6 @@ class TestValidation:
     def test_rejects_zero_banks(self):
         with pytest.raises(ConfigError):
             ChannelController(HBM_NO_REFRESH, 0)
-
-    def test_rejects_zero_window(self):
-        with pytest.raises(ConfigError):
-            ChannelController(HBM_NO_REFRESH, 16, window=0)
 
     def test_row_hit_rate_property(self):
         ctrl = make_controller()

@@ -25,7 +25,7 @@ from repro.common.rng import DeterministicRng
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.request import BOOKKEEPING, DEMAND, MIGRATION
-from tests.batching import assert_conserved, enqueue_columns
+from tests.batching import assert_conserved, controller, enqueue_columns
 
 BANKS = 16
 
@@ -50,7 +50,7 @@ def snapshot(ctrl):
 def run_pair(
     requests,
     timing=HBM_TIMING,
-    window=8,
+    window=ChannelController.WINDOW,
     kind=DEMAND,
     accounts=None,
     controller_cls=ChannelController,
@@ -60,13 +60,13 @@ def run_pair(
     ``requests`` is a list of ``(bank, row, is_write, arrival_ps)``.
     Returns the per-record controller (post-flush) for scenario checks.
     """
-    one = controller_cls(timing, BANKS, window=window)
+    one = controller(timing, BANKS, window, controller_cls)
     for i, (bank, row, is_write, arrival) in enumerate(requests):
         one.enqueue(
             bank, row, is_write, arrival, kind,
             accounts[i] if accounts is not None else None,
         )
-    many = controller_cls(timing, BANKS, window=window)
+    many = controller(timing, BANKS, window, controller_cls)
     if requests:
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
     else:
@@ -110,7 +110,7 @@ def random_requests(seed, count, row_span=48, hit_bias=True, spacing=6_000):
 class TestRandomStress:
     @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
                              ids=lambda t: t.name)
-    @pytest.mark.parametrize("window", [1, 2, 8])
+    @pytest.mark.parametrize("window", [2, 8])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mixed_workload(self, timing, window, seed):
         run_pair(random_requests(seed, 2_500), timing=timing, window=window)
@@ -123,7 +123,7 @@ class TestRandomStress:
             (rng.randrange(4), rng.randrange(8), int(rng.random() < 0.5), i)
             for i in range(2_000)
         ]
-        for window in (1, 2, 8):
+        for window in (2, 8):
             run_pair(requests, window=window)
 
     def test_migration_kind_batch(self):
@@ -185,13 +185,6 @@ class TestEdgeCases:
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
 
-    def test_fcfs_window_one(self):
-        # window == 1 disables the batch fast path entirely (an
-        # uncontended pair would otherwise skip the forced _choose
-        # service that FCFS applies on every overflow).
-        requests = [(i % 2, 3 if i % 3 else 4, 0, i * 10) for i in range(400)]
-        run_pair(requests, window=1)
-
     def test_dirty_sink_marked(self):
         ctrl = ChannelController(HBM_TIMING, BANKS)
         sink = set()
@@ -207,11 +200,13 @@ class TestEnqueueRun:
     interval boundaries and in ``finish`` (32-64 identical transactions
     per page side)."""
 
-    def run_vs_loop(self, preamble, runs, timing=HBM_TIMING, window=8):
+    def run_vs_loop(
+        self, preamble, runs, timing=HBM_TIMING, window=ChannelController.WINDOW
+    ):
         """``preamble`` seeds both controllers; each run is
         ``(bank, row, is_write, arrival, count, kind)``."""
-        one = ChannelController(timing, BANKS, window=window)
-        many = ChannelController(timing, BANKS, window=window)
+        one = controller(timing, BANKS, window)
+        many = controller(timing, BANKS, window)
         for bank, row, is_write, arrival in preamble:
             one.enqueue(bank, row, is_write, arrival)
             many.enqueue(bank, row, is_write, arrival)
@@ -230,7 +225,7 @@ class TestEnqueueRun:
 
     @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
                              ids=lambda t: t.name)
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_after_random_preamble(self, timing, window):
         rng = DeterministicRng(31)
         preamble = random_requests(31, 400)
@@ -319,11 +314,13 @@ class TestEnqueueBatchRuns:
                 )
         assert not pending_runs
 
-    def calls_vs_loop(self, calls, timing=HBM_TIMING, window=8):
+    def calls_vs_loop(
+        self, calls, timing=HBM_TIMING, window=ChannelController.WINDOW
+    ):
         """Each call is ``(requests, runs)``; snapshots must agree after
         every call and after the final flush."""
-        one = ChannelController(timing, BANKS, window=window)
-        many = ChannelController(timing, BANKS, window=window)
+        one = controller(timing, BANKS, window)
+        many = controller(timing, BANKS, window)
         for requests, runs in calls:
             self.replay(one, requests, runs)
             if requests:
@@ -336,7 +333,7 @@ class TestEnqueueBatchRuns:
         assert snapshot(many) == snapshot(one)
         return many
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_runs_at_start_middle_and_end(self, window):
         requests = random_requests(41, 60, spacing=3_000)
         at = requests[30][3]
@@ -347,7 +344,7 @@ class TestEnqueueBatchRuns:
         ]
         self.calls_vs_loop([(requests, runs)], window=window)
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_two_runs_at_one_position(self, window):
         # The swap shape: a read run, then the write run one phase
         # later, both queued before the same demand element.
@@ -359,7 +356,7 @@ class TestEnqueueBatchRuns:
         ]
         self.calls_vs_loop([(requests, runs)], window=window)
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_runs_only_call(self, window):
         demand = random_requests(47, 50, spacing=2_000)
         at = demand[-1][3]
@@ -370,7 +367,7 @@ class TestEnqueueBatchRuns:
             (random_requests(48, 50, spacing=2_000), []),
         ], window=window)
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_run_behind_contended_backlog(self, window):
         # Zero-gap demand keeps the window full of distinct entries, so
         # the run's first twins take the per-element drain; the episode
@@ -384,7 +381,7 @@ class TestEnqueueBatchRuns:
         if window == 8:
             assert many.service_paths.closed_form_served > 0
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_zero_count_run(self, window):
         requests = random_requests(53, 40)
         runs = [
@@ -393,7 +390,7 @@ class TestEnqueueBatchRuns:
         ]
         self.calls_vs_loop([(requests, runs)], window=window)
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_run_crossing_refresh_boundary(self, window):
         trefi = DDR4_1600_TIMING.trefi_ps
         requests = [(i % 3, 4, 0, trefi - 40_000 + i * 1_000) for i in range(60)]
@@ -408,7 +405,7 @@ class TestEnqueueBatchRuns:
 
     @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
                              ids=lambda t: t.name)
-    @pytest.mark.parametrize("window", [1, 2, 8, 32])
+    @pytest.mark.parametrize("window", [2, 8, 32])
     def test_random_runs_across_calls(self, timing, window):
         rng = DeterministicRng(59 + window)
         calls = []
@@ -459,12 +456,12 @@ class TestAgePromotion:
         return requests
 
     def test_promotion_scenario_matches(self):
-        run_pair(self._starving_stream(), timing=DDR4_1600_TIMING, window=8)
+        run_pair(self._starving_stream(), timing=DDR4_1600_TIMING)
         # 100 ps earlier, hit 125 arrives exactly STARVATION_PS after the
         # parked conflict: on the bound, not past it, so it still wins.
         at_bound = self._starving_stream(first_hit_ps=100)
         assert (0, 1, 0, 100 + ChannelController.STARVATION_PS) in at_bound
-        run_pair(at_bound, timing=DDR4_1600_TIMING, window=8)
+        run_pair(at_bound, timing=DDR4_1600_TIMING)
 
     def test_scenario_actually_promotes(self):
         # Prove the stream crosses the bound: with an effectively
@@ -473,11 +470,9 @@ class TestAgePromotion:
         class NoPromotion(ChannelController):
             STARVATION_PS = 10**15
 
-        promoted = run_pair(
-            self._starving_stream(), timing=DDR4_1600_TIMING, window=8
-        )
+        promoted = run_pair(self._starving_stream(), timing=DDR4_1600_TIMING)
         starved = run_pair(
-            self._starving_stream(), timing=DDR4_1600_TIMING, window=8,
+            self._starving_stream(), timing=DDR4_1600_TIMING,
             controller_cls=NoPromotion,
         )
         assert snapshot(promoted) != snapshot(starved)
@@ -494,7 +489,7 @@ class TestFaultMidBatch:
     @pytest.mark.parametrize("window", [2, 8, 16])
     def test_writebacks_survive_a_bad_bank(self, timing, window):
         for seed in range(1, 21):
-            ctrl = ChannelController(timing, BANKS, window=window)
+            ctrl = controller(timing, BANKS, window)
             # The 50 requests before the bad one are writes, so the last
             # one served before the fault is a write.
             requests = [
@@ -531,12 +526,12 @@ class TestWriteBatching:
         requests = [
             (0, i % 29, i % 2, i) for i in range(600)
         ]
-        run_pair(requests, window=8)
+        run_pair(requests)
         requests = [
             (rng.randrange(2), rng.randrange(32), int(rng.random() < 0.5), i * 3)
             for i in range(800)
         ]
-        run_pair(requests, window=8)
+        run_pair(requests)
 
     def test_turnaround_state_carries_across_batches(self):
         reads = [(0, 1, 0, i * 5_000) for i in range(64)]
@@ -668,13 +663,13 @@ class TestServiceEngine:
             at += rng.choice((0, 0, 5_000, 30_000, 90_000))
         return requests, kinds
 
-    @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 8, 16, 32])
     def test_cameo_shape_kinds_column(self, window):
         requests, kinds = self._cameo_shape(29 + window, 700)
-        one = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        one = controller(DDR4_1600_TIMING, BANKS, window)
         for (bank, row, is_write, arrival), k in zip(requests, kinds):
             one.enqueue(bank, row, is_write, arrival, k)
-        many = ChannelController(DDR4_1600_TIMING, BANKS, window=window)
+        many = controller(DDR4_1600_TIMING, BANKS, window)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         enqueue_columns(
             many, bank_col, row_col, write_col, arrival_col, kinds=kinds
@@ -693,10 +688,10 @@ class TestServiceEngine:
         # be tallied under the wrong kind.
         requests = [(1, 3, 0, 5_000)] * 120
         kinds = [DEMAND] * 50 + [MIGRATION] * 40 + [DEMAND] * 30
-        one = ChannelController(HBM_TIMING, BANKS, window=window)
+        one = controller(HBM_TIMING, BANKS, window)
         for (bank, row, is_write, arrival), k in zip(requests, kinds):
             one.enqueue(bank, row, is_write, arrival, k)
-        many = ChannelController(HBM_TIMING, BANKS, window=window)
+        many = controller(HBM_TIMING, BANKS, window)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         enqueue_columns(
             many, bank_col, row_col, write_col, arrival_col, kinds=kinds
@@ -733,21 +728,13 @@ class TestServiceEngine:
         paths = ctrl.service_paths
         assert paths.closed_form_served >= 0
         assert paths.scan_served >= 0
-        assert paths.scalar_fallback_served >= 0
         assert paths.batched_served <= ctrl.stats.served
-
-    def test_window_one_counts_scalar_fallback(self):
-        requests = [(i % 2, 3 if i % 3 else 4, 0, i * 10) for i in range(400)]
-        ctrl = ChannelController(HBM_TIMING, BANKS, window=1)
-        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
-        assert ctrl.service_paths.scalar_fallback_served > 0
 
     def test_window_eight_counts_scan_engine(self):
         # At the shipped window the contended stretches run the
         # direct-scan engine.
         requests = random_requests(19, 2_000, spacing=400)
-        ctrl = ChannelController(HBM_TIMING, BANKS, window=8)
+        ctrl = ChannelController(HBM_TIMING, BANKS)
         bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
         enqueue_columns(ctrl, bank_col, row_col, write_col, arrival_col)
         assert ctrl.service_paths.scan_served > 0

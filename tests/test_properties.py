@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.dram import DDR4_1600_TIMING, HBM_TIMING
 from repro.dram.controller import ChannelController
 from repro.dram.timing import DramTiming
+from tests.batching import controller
 
 NO_REFRESH_HBM = DramTiming("hbm-nr", 1e9, 128, 1, 7, 7, 7, 17, turnaround=2)
 
@@ -28,9 +29,9 @@ transaction = st.tuples(
 )
 
 
-def replay(transactions, timing=NO_REFRESH_HBM, window=8):
+def replay(transactions, timing=NO_REFRESH_HBM, window=ChannelController.WINDOW):
     """Run transactions through one controller, recording completions."""
-    ctrl = ChannelController(timing, 16, window=window)
+    ctrl = controller(timing, 16, window)
     completions = []
     original = ctrl._service_at
 
@@ -70,7 +71,7 @@ class TestControllerInvariants:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(transaction, min_size=1, max_size=120))
     def test_bus_never_runs_backwards(self, transactions):
-        ctrl = ChannelController(NO_REFRESH_HBM, 16, window=8)
+        ctrl = ChannelController(NO_REFRESH_HBM, 16)
         last_bus = 0
         now = 0
         for bank, row, is_write, gap in transactions:
@@ -90,7 +91,7 @@ class TestControllerInvariants:
         assert sum(ctrl.stats.count_by_kind.values()) == ctrl.stats.served
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(transaction, min_size=1, max_size=60), st.integers(min_value=1, max_value=16))
+    @given(st.lists(transaction, min_size=1, max_size=60), st.integers(min_value=2, max_value=16))
     def test_window_size_does_not_lose_transactions(self, transactions, window):
         ctrl, _ = replay(transactions, window=window)
         assert ctrl.stats.served == len(transactions)

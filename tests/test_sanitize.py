@@ -79,16 +79,6 @@ class TestResultIdentity:
         ambient = simulate(trace, build_manager("thm", geometry))
         assert asdict(ambient) == asdict(reference)
 
-    def test_unthrottled(self, geometry):
-        trace = _trace(geometry, length=2_000)
-        reference = reference_simulate(
-            trace, build_manager("hma", geometry), throttle_cap_ps=0
-        )
-        sanitized = sanitized_simulate(
-            trace, build_manager("hma", geometry), throttle_cap_ps=0
-        )
-        assert asdict(sanitized) == asdict(reference)
-
     def test_empty_trace(self, geometry):
         trace = Trace(name="empty", records=[])
         reference = reference_simulate(trace, build_manager("tlm", geometry))
@@ -112,33 +102,42 @@ class TestResultIdentity:
 
 
 class TestCheckCadence:
-    """The exact cycles the sanitizer sweeps at, derived from the trace.
+    """The exact cycles the sanitizer sweeps at, derived from the arrivals.
 
     A sweep runs at the arrival of every record that moves the manager's
     interval boundary, and otherwise at every CHECK_PERIOD-th record
     since the last sweep; the final sweep runs at ``duration_ps``.  The
-    throttle is off, so arrivals are the trace's own timestamps.
+    arrivals are the ones ``observe`` receives: the CPU throttle may
+    shift them past the trace's own timestamps.
     """
 
     @staticmethod
     def _sweeps(monkeypatch, trace, manager):
+        """``(sweep cycles, observed arrivals, result)`` of one run."""
         cycles = []
-        original = SimulationSanitizer.check
+        arrivals = []
+        check = SimulationSanitizer.check
+        observe = SimulationSanitizer.observe
 
         def recording(self, cycle_ps):
             cycles.append(cycle_ps)
-            original(self, cycle_ps)
+            check(self, cycle_ps)
+
+        def observing(self, arrival_ps):
+            arrivals.append(arrival_ps)
+            observe(self, arrival_ps)
 
         monkeypatch.setattr(SimulationSanitizer, "check", recording)
-        result = sanitized_simulate(trace, manager, throttle_cap_ps=0)
-        return cycles, result
+        monkeypatch.setattr(SimulationSanitizer, "observe", observing)
+        result = sanitized_simulate(trace, manager)
+        assert len(arrivals) == len(trace)
+        return cycles, arrivals, result
 
     def test_periodic_only(self, geometry, monkeypatch):
         trace = _trace(geometry)
-        cycles, result = self._sweeps(
+        cycles, arrivals, result = self._sweeps(
             monkeypatch, trace, build_manager("thm", geometry)
         )
-        arrivals = [record[0] for record in trace.records]
         expected = arrivals[CHECK_PERIOD - 1::CHECK_PERIOD]
         assert len(expected) == 3
         assert cycles == expected + [result.duration_ps]
@@ -146,7 +145,7 @@ class TestCheckCadence:
     def test_boundaries_restart_the_countdown(self, geometry, monkeypatch):
         interval_ps = 10_000_000
         trace = _trace(geometry)
-        cycles, result = self._sweeps(
+        cycles, arrivals, result = self._sweeps(
             monkeypatch,
             trace,
             build_manager("mempod", geometry, interval_ps=interval_ps),
@@ -155,7 +154,7 @@ class TestCheckCadence:
         boundary_sweeps = periodic_sweeps = 0
         next_boundary = interval_ps
         countdown = CHECK_PERIOD
-        for arrival, _address, _is_write, _core in trace.records:
+        for arrival in arrivals:
             crossed = arrival >= next_boundary
             while arrival >= next_boundary:
                 next_boundary += interval_ps
@@ -263,7 +262,7 @@ class TestMeaInvariants:
     def test_capacity_overflow(self, geometry):
         manager = _warmed(geometry, "mempod")
         mea = manager.pods[0].mea
-        mea._table = {page: 1 for page in range(mea._insert_limit + 1)}
+        mea._table = {page: 1 for page in range(mea.capacity + 1)}
         with pytest.raises(SanitizerError) as excinfo:
             SimulationSanitizer(manager).check(0)
         assert _invariant(excinfo) == "mea-capacity"

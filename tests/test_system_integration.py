@@ -74,19 +74,6 @@ class TestResultSanity:
         assert a.migrations == b.migrations
 
 
-class TestThrottle:
-    def test_throttle_bounds_backlog(self, geometry, trace):
-        unthrottled = run(trace, "cameo", geometry, throttle_cap_ps=0)
-        throttled = run(trace, "cameo", geometry, throttle_cap_ps=us(1))
-        # The throttle can only reduce counted latency.
-        assert throttled.ammat_ns <= unthrottled.ammat_ns
-
-    def test_throttle_noop_when_unsaturated(self, geometry, trace):
-        free = run(trace, "tlm", geometry, throttle_cap_ps=0)
-        capped = run(trace, "tlm", geometry)
-        assert capped.ammat_ns == pytest.approx(free.ammat_ns, rel=0.01)
-
-
 class TestBuildManager:
     def test_unknown_kind_rejected(self, geometry):
         with pytest.raises(ConfigError):

@@ -8,14 +8,7 @@ import repro.trace.io
 from repro.common.errors import TraceError
 from repro.geometry import scaled_geometry
 from repro.trace import Trace, build_trace, get_workload
-from repro.trace.io import (
-    dumps,
-    load_binary,
-    load_text,
-    loads,
-    save_binary,
-    save_text,
-)
+from repro.trace.io import load_binary, load_text, save_binary, save_text
 
 
 @pytest.fixture
@@ -59,33 +52,21 @@ class TestBinary:
         with pytest.raises(TraceError):
             load_binary(path)
 
-    def test_dumps_matches_file(self, sample_trace, tmp_path):
-        path = tmp_path / "t.bin"
-        save_binary(sample_trace, path)
-        assert dumps(sample_trace) == path.read_bytes()
-
-    def test_loads_roundtrips_dumps(self, sample_trace):
-        loaded = loads(dumps(sample_trace), name=sample_trace.name)
-        assert loaded.records == sample_trace.records
-        assert loaded.page_bytes == sample_trace.page_bytes
-        assert loaded.name == sample_trace.name
-
-    def test_loads_rejects_garbage(self):
-        with pytest.raises(TraceError):
-            loads(b"NOTATRACE" + b"\0" * 64)
-
     def test_pure_twin_bytes_identical(self, sample_trace, tmp_path, monkeypatch):
         """The vectorised v1 codec and the pure loop agree byte for byte."""
-        numpy_bytes = dumps(sample_trace)
-        numpy_records = loads(numpy_bytes).records
+        numpy_path = tmp_path / "numpy.bin"
+        save_binary(sample_trace, numpy_path)
+        numpy_records = load_binary(numpy_path).records
         monkeypatch.setattr(repro.trace.io, "_np", None)
         clone = Trace(
             name=sample_trace.name,
             records=list(sample_trace.records),
             page_bytes=sample_trace.page_bytes,
         )
-        assert dumps(clone) == numpy_bytes
-        assert loads(numpy_bytes).records == numpy_records
+        pure_path = tmp_path / "pure.bin"
+        save_binary(clone, pure_path)
+        assert pure_path.read_bytes() == numpy_path.read_bytes()
+        assert load_binary(numpy_path).records == numpy_records
 
 
 class TestText:

@@ -67,11 +67,11 @@ def _grouping_fixture(seed=4, count=1_000):
 
 
 class TestChunkGroups:
-    def _reference_groups(self, packed, ctrls, banks, rows, sample):
-        """Obviously-correct regrouping: per chunk, stable-partition the
-        record indices by controller."""
+    def _reference_groups(self, packed, ctrls, banks, rows):
+        """Obviously-correct regrouping: per 128-record chunk,
+        stable-partition the record indices by controller."""
         total = packed.length
-        step = sample if sample else (total or 1)
+        step = 128
         chunks = []
         for begin in range(0, total, step):
             end = min(begin + step, total)
@@ -94,21 +94,21 @@ class TestChunkGroups:
             ))
         return chunks
 
-    @pytest.mark.parametrize("sample", [0, 128, 100, 1_000, 5_000])
-    def test_matches_reference_partition(self, sample):
-        packed, ctrls, banks, rows = _grouping_fixture()
-        chunks = packed.chunk_groups(ctrls, banks, rows, sample)
-        assert chunks == self._reference_groups(packed, ctrls, banks, rows, sample)
+    # Trace lengths around the 128-record chunk: none, one ragged, one
+    # whole, and many chunks with a ragged tail.
+    @pytest.mark.parametrize("count", [0, 100, 128, 1_000, 5_000])
+    def test_matches_reference_partition(self, count):
+        packed, ctrls, banks, rows = _grouping_fixture(count=count)
+        chunks = packed.chunk_groups(ctrls, banks, rows)
+        assert chunks == self._reference_groups(packed, ctrls, banks, rows)
 
     def test_empty_trace(self):
         packed = PackedTrace([])
-        assert packed.chunk_groups([], [], [], 128) == []
+        assert packed.chunk_groups([], [], []) == []
 
     def test_preserves_intra_controller_order(self):
         packed, ctrls, banks, rows = _grouping_fixture(seed=6, count=700)
-        for count, arrivals, _, _, _, spans in packed.chunk_groups(
-            ctrls, banks, rows, 128
-        ):
+        for count, arrivals, _, _, _, spans in packed.chunk_groups(ctrls, banks, rows):
             assert count == len(arrivals) == sum(hi - lo for _, lo, hi in spans)
             group_ids = [g[0] for g in spans]
             assert group_ids == sorted(group_ids)
@@ -144,10 +144,10 @@ class TestStreamedAgainstEager:
     """The windowed grouping (one stable sort per window) against the
     eager dict-accumulation grouping, chunk for chunk."""
 
-    def _eager(self, records, sample):
+    def _eager(self, records):
         packed = PackedTrace(records)
         planes = _twelve_controller_decode(_np.asarray(packed.addresses, dtype=_np.int64))
-        return packed.chunk_groups(*(plane.tolist() for plane in planes), sample)
+        return packed.chunk_groups(*(plane.tolist() for plane in planes))
 
     def _packed(self, records, backing):
         if backing == "list":
@@ -156,26 +156,18 @@ class TestStreamedAgainstEager:
         return column_trace("t", 2048, columns).packed()
 
     def test_fixture_chunks(self):
-        chunks = self._eager(_streaming_fixture(), 128)
+        chunks = self._eager(_streaming_fixture())
         assert [len(chunk[-1]) for chunk in chunks[:2]] == [1, 12]
         assert chunks[-1][0] == 1_037 % 128
 
     # 1_280 is one chunk more than the trace, rounded up to whole chunks.
     @pytest.mark.parametrize("backing", ["list", "array"])
-    @pytest.mark.parametrize("sample", [0, 128])
     @pytest.mark.parametrize("window", [128, 256, 4_096, 1_280])
-    def test_streamed_matches_eager(self, backing, sample, window):
+    def test_streamed_matches_eager(self, backing, window):
         records = _streaming_fixture()
         packed = self._packed(records, backing)
-        streamed = list(
-            packed.chunk_groups_streamed(_twelve_controller_decode, sample, window)
-        )
-        # Unthrottled, the streamed form emits one chunk per window: the
-        # eager grouping of window-sized chunks, which is the eager
-        # whole-trace chunk once the window covers the trace.
-        assert streamed == self._eager(records, sample or window)
-        if window > len(records) and not sample:
-            assert streamed == self._eager(records, 0)
+        streamed = list(packed.chunk_groups_streamed(_twelve_controller_decode, window))
+        assert streamed == self._eager(records)
 
     def test_regrouped_on_every_call(self):
         # Nothing is memoised: every call regroups, to equal chunks.
@@ -184,10 +176,10 @@ class TestStreamedAgainstEager:
         planes = [plane.tolist() for plane in _twelve_controller_decode(
             packed.np_addresses()
         )]
-        first = packed.chunk_groups(*planes, 128)
-        again = packed.chunk_groups(*planes, 128)
+        first = packed.chunk_groups(*planes)
+        again = packed.chunk_groups(*planes)
         assert again == first and again is not first
-        streamed = packed.chunk_groups_streamed(_twelve_controller_decode, 128, 256)
+        streamed = packed.chunk_groups_streamed(_twelve_controller_decode, 256)
         assert list(streamed) == first
         assert packed.planes == {}
 

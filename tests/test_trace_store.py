@@ -24,7 +24,6 @@ from repro.experiments.common import ExperimentConfig, clear_trace_cache, trace_
 from repro.geometry import scaled_geometry
 from repro.system.simulator import (
     MANAGER_KINDS,
-    THROTTLE_SAMPLE_PERIOD,
     build_manager,
     reference_simulate,
     simulate,
@@ -67,11 +66,6 @@ def _file_backed(trace):
 
 
 class TestColumnarFormat:
-    def test_chunk_matches_throttle_period(self):
-        # The format's padding unit IS the replay throttle chunk: a
-        # streaming reader never needs to split a chunk across reads.
-        assert CHUNK_RECORDS == THROTTLE_SAMPLE_PERIOD
-
     def test_roundtrip(self, sample_trace, tmp_path):
         path = tmp_path / "t.mpt"
         save_columnar(sample_trace, path)
@@ -470,56 +464,27 @@ class TestStreamedChunkGroups:
     def _columns(self, packed):
         return self._decode(packed.np_addresses())
 
-    def _eager(self, packed, sample):
+    def _eager(self, packed):
         ctrls, banks, rows = self._columns(packed)
-        return packed.chunk_groups(ctrls, banks, rows, sample)
+        return packed.chunk_groups(ctrls, banks, rows)
 
     @pytest.mark.parametrize("window", [128, 256, 1024, 2048])
     def test_throttled_windows_match_eager(self, sample_trace, window):
         packed = sample_trace.packed()
-        eager = self._eager(packed, THROTTLE_SAMPLE_PERIOD)
-        streamed = list(
-            packed.chunk_groups_streamed(
-                self._decode, THROTTLE_SAMPLE_PERIOD, window
-            )
-        )
-        assert streamed == eager
-
-    @pytest.mark.parametrize("window", [128, 512, 4096])
-    def test_unthrottled_concatenation_matches_eager(self, sample_trace, window):
-        # sample == 0: the eager method emits one whole-trace chunk, the
-        # streamed one a chunk per window.  Per-controller concatenation
-        # across streamed chunks must reproduce the eager groups.
-        packed = sample_trace.packed()
-        (eager_count, *eager_columns, eager_spans), = self._eager(packed, 0)
-        merged = {}
-        total = 0
-        for count, *columns, spans in packed.chunk_groups_streamed(
-            self._decode, 0, window
-        ):
-            total += count
-            for ctrl, lo, hi in spans:
-                merged.setdefault(ctrl, []).extend(zip(*(c[lo:hi] for c in columns)))
-        assert total == eager_count
-        assert sorted(merged.items()) == [
-            (ctrl, list(zip(*(c[lo:hi] for c in eager_columns))))
-            for ctrl, lo, hi in eager_spans
-        ]
+        streamed = list(packed.chunk_groups_streamed(self._decode, window))
+        assert streamed == self._eager(packed)
 
     def test_window_must_align_with_sample(self, sample_trace):
         packed = sample_trace.packed()
         with pytest.raises(ValueError):
-            list(packed.chunk_groups_streamed(self._decode, 128, 192))
+            list(packed.chunk_groups_streamed(self._decode, 192))
 
     def test_mapped_trace_streams(self, sample_trace, tmp_path):
         path = tmp_path / "s.mpt"
         save_columnar(sample_trace, path)
         packed = open_columnar(path, window=256).packed()
-        eager = self._eager(sample_trace.packed(), THROTTLE_SAMPLE_PERIOD)
-        streamed = list(
-            packed.chunk_groups_streamed(self._decode, THROTTLE_SAMPLE_PERIOD, 256)
-        )
-        assert streamed == eager
+        streamed = list(packed.chunk_groups_streamed(self._decode, 256))
+        assert streamed == self._eager(sample_trace.packed())
 
 
 class TestMappedReplayDifferential:

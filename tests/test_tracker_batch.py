@@ -78,20 +78,13 @@ class TestMeaBatch:
 
     @pytest.mark.parametrize("counter_bits", [1, 2, 16])
     @pytest.mark.parametrize("capacity", [4, 64])
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("stream_name", ["zipf", "uniform", "narrow"])
-    def test_batch_equals_per_record(
-        self, mode, counter_bits, capacity, strict, stream_name
-    ):
+    def test_batch_equals_per_record(self, mode, counter_bits, capacity, stream_name):
         stream = _streams()[stream_name]
-        reference = MeaTracker(
-            capacity=capacity, counter_bits=counter_bits, strict_paper_capacity=strict
-        )
+        reference = MeaTracker(capacity=capacity, counter_bits=counter_bits)
         for page in stream:
             reference.record(page)
-        batched = MeaTracker(
-            capacity=capacity, counter_bits=counter_bits, strict_paper_capacity=strict
-        )
+        batched = MeaTracker(capacity=capacity, counter_bits=counter_bits)
         for chunk in _chunked(stream):
             batched.record_batch(_column(chunk, mode))
         assert self._mea_state(batched) == self._mea_state(reference)

@@ -40,13 +40,6 @@ class TestAlgorithmSemantics:
         mea.record(3)  # now there is room again
         assert 3 in mea
 
-    def test_strict_paper_capacity_keeps_one_slot_idle(self):
-        mea = MeaTracker(capacity=3, counter_bits=8, strict_paper_capacity=True)
-        mea.record(1)
-        mea.record(2)
-        mea.record(3)  # |T| == K-1 == 2 already: decrement round instead
-        assert len(mea) == 0
-
     def test_event_counters(self):
         mea = MeaTracker(capacity=2, counter_bits=8)
         mea.record(1)  # insert
