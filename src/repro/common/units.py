@@ -49,11 +49,6 @@ def to_ns(picos: int) -> float:
     return picos / NS
 
 
-def to_us(picos: int) -> float:
-    """Express a picosecond count in microseconds (for reporting only)."""
-    return picos / US
-
-
 # --- capacity ---------------------------------------------------------------
 
 KIB = 1024

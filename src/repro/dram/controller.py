@@ -28,17 +28,20 @@ Two service datapaths share the same semantics:
 
 * :meth:`ChannelController.enqueue` — the reference path, one
   transaction per call;
-* :meth:`ChannelController.enqueue_batch` — the batched path the
-  replay kernels use: a list of pending-entry tuples per controller,
-  built by the kernel in the buffer's own layout, and the page-copy
-  runs queued between its elements, handed down at once, serviced
-  with controller, bank, and stats state hoisted into locals, an
-  idle-channel drain fast path for the uncontended common case, and
-  run-length row-hit streaming.  It must stay bit-for-bit equal to
-  calling ``enqueue`` per element — ``tests/test_dram_controller_batch.py``
-  and the kernel differential suite enforce it, so an edit to a
-  scheduling function it inlines (``enqueue``, ``_choose``,
-  ``_service_at``, ``Bank.access``) must be mirrored there.
+* :meth:`ChannelController.enqueue_batch` — the batched path the replay
+  kernels use: a list of pending-entry tuples per controller, built by
+  the kernel in the buffer's own layout, and the page-copy runs queued
+  between its elements, handed down at once, serviced with controller,
+  bank, and stats state hoisted into locals, an idle-channel drain fast
+  path for the uncontended common case and two overtaking shapes FR-FCFS
+  serves in a fixed order — a same-arrival pair on one row whose next
+  element arrives after the pair can start (the pair rule), and a row
+  hit held ahead of such a pair (the hold rule) — and run-length row-hit
+  streaming.  It must stay bit-for-bit equal to calling ``enqueue`` per
+  element — ``tests/test_dram_controller_batch.py`` and the kernel
+  differential suite enforce it, so an edit to a scheduling function it
+  inlines (``enqueue``, ``_choose``, ``_service_at``, ``Bank.access``)
+  must be mirrored there.
 
 Controllers also report *dirty-channel* hints: every entry point that
 may advance the data bus adds the controller's key to a sink set shared
@@ -148,6 +151,7 @@ class ServicePathStats:
 
     Idle-channel fast-path services are the remainder: a controller's
     ``stats.served`` minus these two minus any reference-path services.
+    The idle path's pair- and hold-rule services count there too.
     """
 
     closed_form_served: int = 0
@@ -306,7 +310,25 @@ class ChannelController:
           holds the single in-flight entry in locals and never touches
           the pending buffer; consecutive same-bank same-row
           transactions stream as a run-length row-hit burst with the
-          bank's fields cached in locals too.
+          bank's fields cached in locals too.  Two exact rules keep it
+          going where the next arrival overtakes the held entry ``p``,
+          as in CAMEO's line swaps (a demand and its swap read share
+          arrival, bank and row):
+
+          - **pair rule** — the next entry shares ``p``'s arrival, bank
+            and row, the element after them arrives after ``p``'s start,
+            and the window (3 or more) cannot overflow on it.  The
+            reference serves the pair on that element's arrival: ``p``
+            first, or the partner when ``p``'s row is closed, only the
+            partner matches the bus direction and that element is no
+            row hit.  The row-hit streak serves the second, gated by
+            that element's arrival as the reference's drain is.
+          - **hold rule** — ``p`` is a row hit, the next two entries are
+            such a pair, ``p`` can start before the element after them,
+            and the window is 4 or more.  ``_choose`` picks ``p`` (the
+            first row hit, at the head) on each of those enqueues, so
+            the reference serves it first on that element's arrival,
+            and the pair, sharing an arrival, could not start before it.
         * **scan engine** — contended stretches run the window-bounded
           FR-FCFS drain on the reference pending list, exact at any
           window: one loop per appended element with ``_choose``'s scan
@@ -437,7 +459,38 @@ class ChannelController:
                         busy = bank.busy_until_ps
                         start = p_arr if p_arr > busy else busy
                         if start >= entry[0]:
-                            break  # contended: buffer it, take the general path
+                            # Contended, unless the pair or hold rule holds.
+                            j = i + 1
+                            if j >= stop:
+                                break
+                            nxt = entries[j]
+                            if nxt[0] > start:
+                                if (
+                                    entry[0] != p_arr
+                                    or entry[3] != p_row
+                                    or entry[2] != p_bank
+                                    or window < 3
+                                ):
+                                    break
+                                if (
+                                    entry[4] == last_was_write
+                                    and p_w != last_was_write
+                                    and bank.open_row != p_row
+                                    and bank_list[nxt[2]].open_row != nxt[3]
+                                ):
+                                    # The partner goes first.
+                                    entry, p = p, entry
+                                    p_arr, p_acc, p_bank, p_row, p_w, p_kind = p
+                            elif (
+                                j + 1 >= stop
+                                or entries[j + 1][0] <= start
+                                or nxt[0] != entry[0]
+                                or nxt[3] != entry[3]
+                                or nxt[2] != entry[2]
+                                or bank.open_row != p_row
+                                or window < 4
+                            ):
+                                break
                         # Service the held transaction (== _service_at on a
                         # lone pending entry).
                         if p_arr >= next_refresh:

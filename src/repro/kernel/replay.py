@@ -764,14 +764,15 @@ def _replay_cameo(trace, packed, manager):
     count.  Those counts and the blocked hits live in locals; the
     ``finally`` writes them back and adds one ``note_swap`` line swap
     per migration to ``engine.stats``.  Nothing reaches a controller
-    directly.  The demand and each
-    swap's ``MigrationEngine.swap_lines`` pattern — a read then a write
-    on the fast slot's controller and on the slow line's, always two
-    distinct devices — append to the :func:`_swap_merged_buffers`
-    buffers as pending entries, the swap's tagged ``MIGRATION``, and
-    flush through one ``enqueue_batch`` per controller per throttle
-    chunk.  Exact because CAMEO's bookkeeping never reads controller
-    state, controllers share no state, each controller's buffer is in
+    directly.  The demand and each swap's ``MigrationEngine.swap_lines``
+    pattern — a read then a write on the fast slot's controller and on
+    the slow line's, always two distinct devices — append to the
+    :func:`_swap_merged_buffers` buffers as pending entries, the swap's
+    tagged ``MIGRATION``, and flush through one ``enqueue_batch`` per
+    controller per throttle chunk, whose idle-path pair and hold rules
+    serve the demand and its swap read (one arrival, bank and row).
+    Exact because CAMEO's bookkeeping never reads controller state,
+    controllers share no state, each controller's buffer is in
     reference enqueue order (demand, then the swap's read and write on
     its side), and the arrival offset only changes at chunk boundaries.
     A remapped line decodes ``current * 64`` with the mappers' shifts

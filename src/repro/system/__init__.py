@@ -12,7 +12,6 @@ from .stats import (
     SimulationResult,
     arithmetic_mean,
     collect_result,
-    geometric_mean,
 )
 
 _SIMULATOR_NAMES = {"MANAGER_KINDS", "build_manager", "run", "simulate"}
@@ -31,7 +30,6 @@ __all__ = [
     "build_device",
     "build_manager",
     "collect_result",
-    "geometric_mean",
     "run",
     "simulate",
 ]

@@ -119,17 +119,6 @@ def collect_result(manager, trace, end_ps: int) -> SimulationResult:
     return result
 
 
-def geometric_mean(values) -> float:
-    """Geometric mean (used for normalised-AMMAT summaries)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def arithmetic_mean(values) -> float:
     """Plain mean, tolerant of empty input."""
     values = list(values)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..common.config import require_fraction, require_positive_int
 from .record import Trace
@@ -38,18 +38,6 @@ class TraceProfile:
     # Interval dynamics (see interval_churn): mean fraction of each
     # interval's top pages that were NOT top in the previous interval.
     hot_set_churn: float
-
-    def summary(self) -> str:
-        """One human-readable paragraph (used by the CLI)."""
-        return (
-            f"{self.name}: {self.requests:,} requests over "
-            f"{self.duration_us:.0f} us ({self.requests_per_us:.0f}/us), "
-            f"{self.distinct_pages:,} pages touched, "
-            f"{self.write_fraction:.0%} writes; "
-            f"half the traffic hits {self.pages_for_half_traffic:.1%} of pages, "
-            f"reuse {self.reuse_factor:.1f}x, "
-            f"hot-set churn {self.hot_set_churn:.0%}/interval"
-        )
 
 
 def concentration(counts: Counter, fraction: float) -> float:
@@ -99,27 +87,6 @@ def interval_churn(
             samples += 1
         previous = top
     return churn_total / samples if samples else 0.0
-
-
-def reuse_histogram(page_sequence: Sequence[int], buckets: Sequence[int] = (1, 2, 4, 8, 16, 32)) -> Dict[str, int]:
-    """Distribution of per-page access counts into count buckets.
-
-    Returns ``{"1": n, "2-3": n, ..., ">=32": n}`` — the shape that
-    separates streams (mass at 1-2) from hot-set workloads (long tail).
-    """
-    counts = Counter(page_sequence)
-    histogram: Dict[str, int] = {}
-    edges = list(buckets)
-    for i, low in enumerate(edges):
-        high = edges[i + 1] - 1 if i + 1 < len(edges) else None
-        if high is None:
-            label = f">={low}"
-            histogram[label] = sum(1 for c in counts.values() if c >= low)
-        elif low == high:
-            histogram[str(low)] = sum(1 for c in counts.values() if c == low)
-        else:
-            histogram[f"{low}-{high}"] = sum(1 for c in counts.values() if low <= c <= high)
-    return histogram
 
 
 def profile_trace(trace: Trace, interval_requests: int = 5500) -> TraceProfile:

@@ -647,9 +647,9 @@ class TestServiceEngine:
     def _cameo_shape(seed, count):
         """CAMEO's per-controller column: each demand followed by its line
         swap's read/write migration pair on the same bank and row, the
-        write one line-phase later.  A demand read and its swap read are
-        twins in everything but kind, and zero gaps pile them up into
-        contended backlogs."""
+        write one line-phase later.  A demand and its swap read share
+        arrival, bank and row (the idle path's pair rule), and zero gaps
+        pile them up into contended backlogs."""
         rng = DeterministicRng(seed)
         requests, kinds = [], []
         at = 0
@@ -663,7 +663,7 @@ class TestServiceEngine:
             at += rng.choice((0, 0, 5_000, 30_000, 90_000))
         return requests, kinds
 
-    @pytest.mark.parametrize("window", [2, 8, 16, 32])
+    @pytest.mark.parametrize("window", [2, 3, 4, 8, 16, 32])
     def test_cameo_shape_kinds_column(self, window):
         requests, kinds = self._cameo_shape(29 + window, 700)
         one = controller(DDR4_1600_TIMING, BANKS, window)
@@ -746,3 +746,164 @@ class TestServiceEngine:
         requests = [(1, 3, 0, 5_000)] * 100
         one = run_pair(requests)
         assert one.service_paths.closed_form_served == 0
+
+
+def scan_served(requests, timing=DDR4_1600_TIMING, window=ChannelController.WINDOW):
+    """Scan-engine services of ``requests`` in one batched call."""
+    ctrl = controller(timing, BANKS, window)
+    enqueue_columns(ctrl, *map(list, zip(*requests)))
+    return ctrl.service_paths.scan_served
+
+
+class TestPairAndHoldRules:
+    """The idle path's pair and hold rules, branch by branch.
+
+    Each input is ``(bank, row, is_write, arrival)`` with every bank
+    closed and the bus reading.  The differential runs at windows 2, 3
+    and 4 (at and around the rules' guards) and 8; the scan count at the
+    shipped window shows whether a rule kept the stretch in the idle
+    path.
+    """
+
+    WINDOWS = [2, 3, 4, 8]
+
+    #: same-arrival pair on bank 0 row 5: a write, then a read
+    PAIR = [(0, 5, 1, 1_000), (0, 5, 0, 1_000)]
+
+    #: bank 0 row 4 and bank 6 row 9 opened; a write to bank 0 row 4
+    #: held, a row hit that cannot start before 18.75 ns
+    HOLD = [(0, 4, 0, 0), (6, 9, 0, 1_000), (0, 4, 1, 2_000)]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_partner_goes_first(self, window):
+        # Row closed, the held write against the reading bus, its read
+        # partner with it, and ``nxt`` no row hit: FR-FCFS's direction
+        # pick serves the partner first.
+        requests = self.PAIR + [(3, 2, 0, 100_000), (4, 1, 0, 900_000)]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) == 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_next_is_a_row_hit_on_another_bank(self, window):
+        # As above, but ``nxt`` hits bank 3's open row: it is the first
+        # row hit, cannot start yet, and the head goes first instead.
+        requests = (
+            [(3, 2, 0, 0)]
+            + [(0, 5, 1, 200_000), (0, 5, 0, 200_000)]
+            + [(3, 2, 0, 300_000), (4, 1, 0, 900_000)]
+        )
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) == 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_partner_arriving_earlier_is_no_pair(self, window):
+        # The read partner arrived before the held write: FR-FCFS's
+        # direction pick serves it first, from its own arrival.
+        requests = [(0, 5, 1, 2_000), (0, 5, 0, 1_000), (3, 2, 0, 100_000),
+                    (4, 1, 0, 900_000)]
+        run_pair(requests, DDR4_1600_TIMING, window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_partner_on_another_bank_is_no_pair(self, window):
+        # Same arrival and row number, but the partner's bank has that
+        # row open: it is the first row hit and goes first.
+        requests = [(1, 5, 0, 0), (0, 5, 0, 200_000), (1, 5, 1, 200_000),
+                    (3, 2, 0, 300_000), (4, 1, 0, 900_000)]
+        run_pair(requests, DDR4_1600_TIMING, window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_first_service_gated_at_next(self, window):
+        # ``nxt`` arrives with the pair, before either can start: no
+        # rule fires, and the stretch serves ``nxt``'s open row first.
+        requests = [(3, 2, 0, 0)] + self.PAIR + [(3, 2, 0, 1_000), (4, 1, 0, 500_000)]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) > 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_refresh_due_at_the_pair(self, window):
+        # The pair arrives past a tREFI boundary: the rule gates on the
+        # start before the refresh, the first service stalls behind it,
+        # and the second still starts before ``nxt``.
+        at = DDR4_1600_TIMING.trefi_ps + 1_000
+        requests = [
+            (0, 5, 0, at), (0, 5, 1, at), (2, 2, 0, at + 400_000),
+            (4, 1, 0, at + 900_000),
+        ]
+        one = run_pair(requests, DDR4_1600_TIMING, window)
+        assert one.refreshes == 1
+        assert scan_served(requests) == 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_second_gated_by_conflict_past_the_line_phase(self, window):
+        # CAMEO's slow side: a demand write, its swap read with it and
+        # the swap write one line phase later.  The demand's row
+        # conflict keeps the read from starting before that write, so
+        # the streak stops at it, and the next record's pair overtakes
+        # the write: the scan engine takes the rest of the stretch.
+        line_phase = 32_500
+        requests = [(0, 7, 0, 0)]
+        for bank, at in ((0, 100_000), (4, 130_000)):
+            requests += [
+                (bank, 5, 1, at), (bank, 5, 0, at), (bank, 5, 1, at + line_phase),
+            ]
+        requests.append((9, 9, 0, 900_000))
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) > 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_overtaken_hold_served_first(self, window):
+        # A held row hit, overtaken by a same-arrival pair, starts before
+        # the element after the pair.
+        requests = self.HOLD + [
+            (3, 1, 0, 5_000), (3, 1, 1, 5_000), (6, 9, 0, 30_000),
+            (8, 0, 0, 900_000),
+        ]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) == 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_overtaken_hold_on_closed_row(self, window):
+        # The held entry is a row conflict, so the overtaking pair's open
+        # row is FR-FCFS's first pick once ``nxt`` arrives: no rule may
+        # serve the held entry first.
+        requests = [
+            (0, 7, 0, 0), (2, 3, 0, 1_000), (0, 5, 0, 2_000),
+            (2, 3, 0, 10_000), (2, 3, 1, 10_000), (5, 1, 0, 30_000),
+            (8, 0, 0, 900_000),
+        ]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) > 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_overtaken_hold_cannot_start_before_next(self, window):
+        # The held row hit cannot start before the element after the
+        # overtaking pair, which hits bank 6's open row: the reference
+        # serves that one right after the hold, ahead of the pair.
+        requests = self.HOLD + [
+            (3, 1, 0, 5_000), (3, 1, 1, 5_000), (6, 9, 0, 10_000),
+            (8, 0, 0, 40_000),
+        ]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) > 0
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_overtaking_arrivals_rise(self, window):
+        # The two overtaking entries do not share an arrival: the first
+        # could start before the second's if the hold were gone, and the
+        # reference serves the second's open row before it.
+        requests = self.HOLD + [
+            (3, 1, 0, 5_000), (6, 9, 0, 8_000), (8, 0, 0, 30_000),
+            (9, 9, 0, 900_000),
+        ]
+        run_pair(requests, DDR4_1600_TIMING, window)
+        assert scan_served(requests) > 0
+
+    def test_twin_column_takes_the_closed_form(self):
+        # A twin column on an open row: each held twin is a row hit the
+        # rest of the column overtakes, so no rule fires and the column
+        # stays with the prefix drain.
+        requests = self.HOLD + [(6, 9, 0, 30_000)] * 40 + [(9, 9, 0, 900_000)]
+        run_pair(requests, DDR4_1600_TIMING)
+        ctrl = ChannelController(DDR4_1600_TIMING, BANKS)
+        enqueue_columns(ctrl, *map(list, zip(*requests)))
+        assert ctrl.service_paths.closed_form_served > 0

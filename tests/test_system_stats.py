@@ -6,7 +6,6 @@ from repro import build_manager, build_trace, get_workload, scaled_geometry, sim
 from repro.system.stats import (
     SimulationResult,
     arithmetic_mean,
-    geometric_mean,
 )
 
 
@@ -67,12 +66,3 @@ class TestMeans:
 
     def test_arithmetic_mean_empty(self):
         assert arithmetic_mean([]) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_empty(self):
-        assert geometric_mean([]) == 0.0
-
-    def test_geometric_mean_identity(self):
-        assert geometric_mean([5.0]) == pytest.approx(5.0)

@@ -11,7 +11,6 @@ from repro.trace.analysis import (
     concentration,
     interval_churn,
     profile_trace,
-    reuse_histogram,
 )
 from repro.trace.record import Trace
 
@@ -54,21 +53,6 @@ class TestChurn:
         assert 0.3 < churn < 0.7
 
 
-class TestReuseHistogram:
-    def test_buckets(self):
-        sequence = [1] + [2] * 2 + [3] * 5 + [4] * 40
-        hist = reuse_histogram(sequence)
-        assert hist["1"] == 1
-        assert hist["2-3"] == 1
-        assert hist["4-7"] == 1
-        assert hist[">=32"] == 1
-
-    def test_totals_match_distinct_pages(self):
-        sequence = [i % 7 for i in range(100)]
-        hist = reuse_histogram(sequence)
-        assert sum(hist.values()) == 7
-
-
 class TestProfile:
     @pytest.fixture(scope="class")
     def geometry(self):
@@ -101,7 +85,6 @@ class TestProfile:
         assert profile.reuse_factor == pytest.approx(
             profile.requests / profile.distinct_pages
         )
-        assert profile.summary().startswith("mix4:")
 
     def test_compare_renders_all_rows(self, geometry):
         profiles = [

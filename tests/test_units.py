@@ -24,9 +24,6 @@ class TestTimeUnits:
     def test_roundtrip_to_ns(self):
         assert units.to_ns(units.ns(123.5)) == pytest.approx(123.5)
 
-    def test_roundtrip_to_us(self):
-        assert units.to_us(units.us(50)) == pytest.approx(50.0)
-
 
 class TestCapacityUnits:
     def test_kib(self):
