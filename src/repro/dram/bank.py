@@ -33,15 +33,12 @@ OUTCOME_NAMES = {ROW_HIT: "hit", ROW_CLOSED: "closed", ROW_CONFLICT: "conflict"}
 class Bank:
     """One DRAM bank: open-row register plus availability bookkeeping."""
 
-    __slots__ = ("open_row", "busy_until_ps", "activated_ps", "hits", "misses", "conflicts")
+    __slots__ = ("open_row", "busy_until_ps", "activated_ps")
 
     def __init__(self) -> None:
         self.open_row: int = -1  # -1 means precharged / no open row
         self.busy_until_ps: int = 0
         self.activated_ps: int = 0
-        self.hits: int = 0
-        self.misses: int = 0
-        self.conflicts: int = 0
 
     def access(self, row: int, at_ps: int, timing: DramTiming, burst_ps: int) -> "tuple[int, int]":
         """Perform a column access to ``row`` no earlier than ``at_ps``.
@@ -61,17 +58,14 @@ class Bank:
         """
         start = at_ps if at_ps > self.busy_until_ps else self.busy_until_ps
         if self.open_row == row:
-            self.hits += 1
             outcome = ROW_HIT
             cas_issue = start
         elif self.open_row == -1:
-            self.misses += 1
             outcome = ROW_CLOSED
             self.activated_ps = start
             self.open_row = row
             cas_issue = start + timing.trcd_ps
         else:
-            self.conflicts += 1
             outcome = ROW_CONFLICT
             # A precharge may not begin before the open row has been
             # active for tRAS.
@@ -84,8 +78,3 @@ class Bank:
         ready = cas_issue + timing.tcas_ps
         self.busy_until_ps = cas_issue + burst_ps
         return ready, outcome
-
-    @property
-    def total_accesses(self) -> int:
-        """Number of column accesses this bank has served."""
-        return self.hits + self.misses + self.conflicts

@@ -34,11 +34,12 @@ Two service datapaths share the same semantics:
   between its elements, handed down at once, serviced with controller,
   bank, and stats state hoisted into locals, an idle-channel drain fast
   path for the uncontended common case and two overtaking shapes FR-FCFS
-  serves in a fixed order — a same-arrival pair on one row whose next
-  element arrives after the pair can start (the pair rule), and a row
-  hit held ahead of such a pair (the hold rule) — and run-length row-hit
-  streaming.  It must stay bit-for-bit equal to calling ``enqueue`` per
-  element — ``tests/test_dram_controller_batch.py`` and the kernel
+  serves in a fixed order — a held row hit whose overtakers arrive in
+  non-increasing order (the hold rule), and a same-arrival pair on one
+  row whose next element arrives after the pair can start (the pair
+  rule) — and run-length row-hit streaming.  It must stay bit-for-bit
+  equal to calling ``enqueue`` per element —
+  ``tests/test_dram_controller_batch.py`` and the kernel
   differential suite enforce it, so an edit to a scheduling function it
   inlines (``enqueue``, ``_choose``, ``_service_at``, ``Bank.access``)
   must be mirrored there.
@@ -151,7 +152,9 @@ class ServicePathStats:
 
     Idle-channel fast-path services are the remainder: a controller's
     ``stats.served`` minus these two minus any reference-path services.
-    The idle path's pair- and hold-rule services count there too.
+    That includes what the idle path serves under its hold rule (a held
+    row hit whose overtakers arrive in non-increasing order) and its
+    pair rule (a same-arrival pair on one row).
     """
 
     closed_form_served: int = 0
@@ -311,24 +314,30 @@ class ChannelController:
           the pending buffer; consecutive same-bank same-row
           transactions stream as a run-length row-hit burst with the
           bank's fields cached in locals too.  Two exact rules keep it
-          going where the next arrival overtakes the held entry ``p``,
-          as in CAMEO's line swaps (a demand and its swap read share
-          arrival, bank and row):
+          going where the next arrivals *overtake* the held entry ``p``
+          (arrive no later than its start), as in CAMEO's line swaps (a
+          demand and its swap read share arrival, bank and row):
 
-          - **pair rule** — the next entry shares ``p``'s arrival, bank
-            and row, the element after them arrives after ``p``'s start,
-            and the window (3 or more) cannot overflow on it.  The
-            reference serves the pair on that element's arrival: ``p``
-            first, or the partner when ``p``'s row is closed, only the
-            partner matches the bus direction and that element is no
-            row hit.  The row-hit streak serves the second, gated by
+          - **hold rule** — ``p`` is a row hit, the next entry is not
+            its twin (twin columns stay with the prefix drain), the
+            overtakers arrive in non-increasing order, and either an
+            element arriving after ``p``'s start follows them inside
+            the call or there are at least ``WINDOW`` of them.
+            ``_choose`` picks ``p`` (the first row hit, at the head; age
+            promotion also returns the head) on each of their enqueues,
+            nothing is served before it, so its timing cannot change,
+            and no overtaker can start before a later one arrives.  So
+            the reference serves ``p`` first, on that element's arrival
+            or on the window's overflow, and the idle path serves it at
+            once and holds the next entry.
+          - **pair rule** — ``p`` is no row hit, the next entry shares
+            its arrival, bank and row, the element after them arrives
+            after ``p``'s start, and the window (3 or more) cannot
+            overflow on it.  The reference serves the pair on that
+            element's arrival: ``p`` first, or the partner when only
+            the partner matches the bus direction and that element is
+            no row hit.  The row-hit streak serves the second, gated by
             that element's arrival as the reference's drain is.
-          - **hold rule** — ``p`` is a row hit, the next two entries are
-            such a pair, ``p`` can start before the element after them,
-            and the window is 4 or more.  ``_choose`` picks ``p`` (the
-            first row hit, at the head) on each of those enqueues, so
-            the reference serves it first on that element's arrival,
-            and the pair, sharing an arrival, could not start before it.
         * **scan engine** — contended stretches run the window-bounded
           FR-FCFS drain on the reference pending list, exact at any
           window: one loop per appended element with ``_choose``'s scan
@@ -459,14 +468,35 @@ class ChannelController:
                         busy = bank.busy_until_ps
                         start = p_arr if p_arr > busy else busy
                         if start >= entry[0]:
-                            # Contended, unless the pair or hold rule holds.
+                            # Contended, unless the hold or pair rule holds.
                             j = i + 1
-                            if j >= stop:
-                                break
-                            nxt = entries[j]
-                            if nxt[0] > start:
+                            if bank.open_row == p_row:
+                                # Hold rule: the overtakers must not rise,
+                                # and an element past ``start`` (or the
+                                # window's overflow) must end them.
+                                if entry == p:
+                                    break
+                                end = i + window
+                                if end > stop:
+                                    end = stop
+                                last = entry[0]
+                                while j < end:
+                                    o_arr = entries[j][0]
+                                    if o_arr > start or o_arr > last:
+                                        break
+                                    last = o_arr
+                                    j += 1
+                                if j - i < window and (
+                                    j == stop or entries[j][0] <= start
+                                ):
+                                    break
+                            else:
+                                if j >= stop:
+                                    break
+                                nxt = entries[j]
                                 if (
-                                    entry[0] != p_arr
+                                    nxt[0] <= start
+                                    or entry[0] != p_arr
                                     or entry[3] != p_row
                                     or entry[2] != p_bank
                                     or window < 3
@@ -475,22 +505,11 @@ class ChannelController:
                                 if (
                                     entry[4] == last_was_write
                                     and p_w != last_was_write
-                                    and bank.open_row != p_row
                                     and bank_list[nxt[2]].open_row != nxt[3]
                                 ):
                                     # The partner goes first.
                                     entry, p = p, entry
                                     p_arr, p_acc, p_bank, p_row, p_w, p_kind = p
-                            elif (
-                                j + 1 >= stop
-                                or entries[j + 1][0] <= start
-                                or nxt[0] != entry[0]
-                                or nxt[3] != entry[3]
-                                or nxt[2] != entry[2]
-                                or bank.open_row != p_row
-                                or window < 4
-                            ):
-                                break
                         # Service the held transaction (== _service_at on a
                         # lone pending entry).
                         if p_arr >= next_refresh:
@@ -508,16 +527,13 @@ class ChannelController:
                             start = p_arr if p_arr > busy else busy
                         open_row = bank.open_row
                         if open_row == p_row:
-                            bank.hits += 1
                             row_hits += 1
                             cas_issue = start
                         elif open_row == -1:
-                            bank.misses += 1
                             bank.activated_ps = start
                             bank.open_row = p_row
                             cas_issue = start + trcd
                         else:
-                            bank.conflicts += 1
                             earliest_pre = bank.activated_ps + tras
                             pre_start = start if start > earliest_pre else earliest_pre
                             act_start = pre_start + trp
@@ -592,7 +608,6 @@ class ChannelController:
                             if p_bank != s_bank or p_row != s_row:
                                 break
                         if run_hits:
-                            bank.hits += run_hits
                             row_hits += run_hits
                             bank.busy_until_ps = bank_busy
                     pending.append(p)
@@ -738,7 +753,6 @@ class ChannelController:
                                 bank.busy_until_ps = start + t * burst
                                 bus_free = completion + (t - 1) * burst
                                 lat = t * (completion - head[1]) + burst * t * (t - 1) // 2
-                                bank.hits += t
                                 row_hits += t
                                 if head[4]:
                                     n_writes += t
@@ -820,16 +834,13 @@ class ChannelController:
                             start = c_arr if c_arr > busy else busy
                         open_row = bank.open_row
                         if open_row == c_row:
-                            bank.hits += 1
                             row_hits += 1
                             cas_issue = start
                         elif open_row == -1:
-                            bank.misses += 1
                             bank.activated_ps = start
                             bank.open_row = c_row
                             cas_issue = start + trcd
                         else:
-                            bank.conflicts += 1
                             earliest_pre = bank.activated_ps + tras
                             pre_start = start if start > earliest_pre else earliest_pre
                             act_start = pre_start + trp
@@ -946,10 +957,8 @@ class ChannelController:
                 bank.busy_until_ps = ps
 
     def row_buffer_stats(self) -> "tuple[int, int]":
-        """Return ``(row_hits, total_accesses)`` summed over banks."""
-        hits = sum(b.hits for b in self.banks)
-        total = sum(b.total_accesses for b in self.banks)
-        return hits, total
+        """Return ``(row_hits, served)``: every service is one column access."""
+        return self.stats.row_hits, self.stats.served
 
     # -- internals -------------------------------------------------------
 

@@ -769,9 +769,12 @@ def _replay_cameo(trace, packed, manager):
     the slow line's, always two distinct devices — append to the
     :func:`_swap_merged_buffers` buffers as pending entries, the swap's
     tagged ``MIGRATION``, and flush through one ``enqueue_batch`` per
-    controller per throttle chunk, whose idle-path pair and hold rules
-    serve the demand and its swap read (one arrival, bank and row).
-    Exact because CAMEO's bookkeeping never reads controller state,
+    controller per throttle chunk.  The idle path's hold rule serves a
+    held row hit that the swap traffic overtakes in non-increasing
+    order, such as a demand its swap read arrives with, or a swap's
+    write that the next record's traffic overtakes; its pair rule
+    serves a demand and swap read (one arrival, bank and row) on a row
+    not yet open.  Exact because CAMEO's bookkeeping never reads controller state,
     controllers share no state, each controller's buffer is in
     reference enqueue order (demand, then the swap's read and write on
     its side), and the arrival offset only changes at chunk boundaries.

@@ -57,10 +57,7 @@ def snapshot(ctrl):
         "last_was_write": bool(ctrl._last_was_write),
         "next_refresh_ps": ctrl._next_refresh_ps,
         "pending": list(ctrl._pending),
-        "banks": [
-            (b.open_row, b.busy_until_ps, b.activated_ps, b.hits, b.misses, b.conflicts)
-            for b in ctrl.banks
-        ],
+        "banks": [(b.open_row, b.busy_until_ps, b.activated_ps) for b in ctrl.banks],
     }
 
 

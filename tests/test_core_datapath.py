@@ -101,8 +101,7 @@ class TestBatchedSwapEquivalence:
                 state.append((
                     asdict(ctrl.stats), ctrl.bus_free_ps,
                     ctrl.last_completion_ps, list(ctrl._pending),
-                    [(b.open_row, b.busy_until_ps, b.hits, b.misses,
-                      b.conflicts) for b in ctrl.banks],
+                    [(b.open_row, b.busy_until_ps) for b in ctrl.banks],
                 ))
         return state
 

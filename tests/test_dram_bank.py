@@ -83,13 +83,3 @@ class TestTiming:
         busy = bank.busy_until_ps
         ready, _ = bank.access(5, 0, HBM_TIMING, BURST)
         assert ready >= busy
-
-
-class TestStats:
-    def test_counts_accumulate(self):
-        bank = make_bank()
-        bank.access(1, 0, HBM_TIMING, BURST)
-        bank.access(1, 0, HBM_TIMING, BURST)
-        bank.access(2, 0, HBM_TIMING, BURST)
-        assert (bank.misses, bank.hits, bank.conflicts) == (1, 1, 1)
-        assert bank.total_accesses == 3
