@@ -57,7 +57,6 @@ from .tracking import (
 from .trace import (
     Trace,
     WorkloadSpec,
-    all_workloads,
     build_trace,
     get_workload,
     homogeneous_spec,
@@ -90,7 +89,6 @@ __all__ = [
     "ThmManager",
     "Trace",
     "WorkloadSpec",
-    "all_workloads",
     "build_manager",
     "build_trace",
     "get_mechanism",

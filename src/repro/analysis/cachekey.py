@@ -63,12 +63,6 @@ ACCOUNTED_ENV: Dict[str, str] = {
         "suite pins the two representations byte-identical, so the "
         "flag changes residency, not results"
     ),
-    "REPRO_TRACE_WINDOW": (
-        "sizes the streaming window for memory-mapped replay; windows "
-        "are whole throttle chunks and the streamed grouping is proven "
-        "equal to the eager grouping (windowed-vs-in-memory "
-        "differential), so batching granularity cannot reach results"
-    ),
 }
 
 #: Module-level mutable globals readable on the simulate() path because

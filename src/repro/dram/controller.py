@@ -956,10 +956,6 @@ class ChannelController:
             if bank.busy_until_ps < ps:
                 bank.busy_until_ps = ps
 
-    def row_buffer_stats(self) -> "tuple[int, int]":
-        """Return ``(row_hits, served)``: every service is one column access."""
-        return self.stats.row_hits, self.stats.served
-
     # -- internals -------------------------------------------------------
 
     #: FR-FCFS reorder window, in buffered transactions: a fixed part of

@@ -175,14 +175,10 @@ class MemoryDevice:
         return merged
 
     def row_buffer_hit_rate(self) -> float:
-        """Row-buffer hit fraction across all banks of all channels."""
-        hits = 0
-        total = 0
-        for ctrl in self.controllers:
-            h, t = ctrl.row_buffer_stats()
-            hits += h
-            total += t
-        return hits / total if total else 0.0
+        """Row-buffer hit fraction over every service of every channel
+        (each service is one column access)."""
+        stats = self.merged_stats()
+        return stats.row_hits / stats.served if stats.served else 0.0
 
 
 def hbm_device(timing: DramTiming = HBM_TIMING) -> MemoryDevice:

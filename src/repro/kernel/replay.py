@@ -8,7 +8,7 @@ mutations with the per-record overhead hoisted out:
 
 * input comes from a :class:`~repro.trace.packed.PackedTrace`: columnar
   record fields plus page numbers and address decodes
-  (channel/bank/row), computed one bounded window at a time and
+  (channel/bank/row), computed one fixed-size block at a time and
   vectorised through numpy when available;
 * one specialised loop per manager type inlines ``handle`` with every
   attribute lookup bound to a local and the common case fast-pathed —
@@ -34,18 +34,18 @@ Each mechanism has one kernel, chosen because it measured fastest:
   direct kernel, :func:`_replay_tlm`: the memory's tier table decodes
   a two-tier and a one-tier memory alike, into flat controller
   indices.  It replays every chunk pre-grouped by controller:
-  ``PackedTrace.chunk_groups_streamed`` decodes a window, sorts it once
+  ``PackedTrace.chunk_groups_streamed`` decodes a block, sorts it once
   by (chunk, controller) and yields each chunk's columns in that order,
   with each controller's span;
   numpy-free installs group through the eager ``chunk_groups``;
 * mempod, thm, hma and cameo are per-record loops over
-  :func:`_record_stream`, which decodes the trace one bounded window
-  at a time.  MemPod's per-pod MEA and THM's competing counters are
+  :func:`_record_stream`, which decodes the trace one block at a
+  time.  MemPod's per-pod MEA and THM's competing counters are
   per-access state machines, and batched numpy recurrences for them
   measured slower than these loops; hma checks its epoch ticks and due
   swaps inline, as mempod checks its interval boundaries, and defers
   its full-counter updates into one ``FullCountersTracker.record_batch``
-  call per epoch or window.  All four share one chunk loop
+  call per epoch or block.  All four share one chunk loop
   (:func:`_throttled_chunks`) and one buffered datapath
   (:func:`_swap_merged_buffers`): demand and swap traffic append to
   per-controller entry buffers that flush through one ``enqueue_batch`` call
@@ -75,14 +75,16 @@ The fallback *is* the reference loop, so ``fast_simulate`` is total:
 anything it cannot accelerate it still simulates correctly.
 
 **Streaming.** Every trace replays without trace-length derived
-columns: the direct kernel consumes ``chunk_groups_streamed`` and the
-per-record loops read :func:`_record_stream` windows, whether the
-columns are memory-mapped planes of a columnar trace file, in-memory
-synthesised columns (``packed.mapped`` for both, see
-:mod:`repro.trace.store`) or an eager record list converted per window.
-Peak Python-heap usage is bounded by the streaming window instead of
-the trace length; results are pinned byte-identical to the eager path
-by ``tests/test_trace_store.py``.
+columns, in fixed blocks of :data:`~repro.trace.io.BLOCK_RECORDS`
+records (64 throttle chunks): the direct kernel consumes
+``chunk_groups_streamed`` and the per-record loops read
+:func:`_record_stream` blocks, whether the columns are memory-mapped
+planes of a columnar trace file, in-memory synthesised columns
+(``packed.mapped`` for both, see :mod:`repro.trace.store`) or an eager
+record list converted per block.  Peak Python-heap usage is bounded by
+the block instead of the trace length; results are pinned
+byte-identical to the eager path, at several block sizes, by
+``tests/test_trace_store.py``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from ..system.simulator import (
     reference_simulate,
 )
 from ..system.stats import collect_result
-from ..trace.store import DEFAULT_TRACE_WINDOW
+from ..trace import io as _trace_io
 
 try:  # optional accelerator; plane builders have pure-Python twins
     import numpy as _np
@@ -118,7 +120,7 @@ LINE_SHIFT = LINE_BYTES.bit_length() - 1
 # cached on a PackedTrace under a key derived from the memory layout —
 # two managers over the same geometry share planes.  Only the numpy-free
 # leg of the direct kernel builds planes; with numpy it decodes one
-# window at a time inside chunk_groups_streamed.
+# block at a time inside chunk_groups_streamed.
 
 
 def _mapper_key(mapper) -> tuple:
@@ -162,15 +164,15 @@ def _hybrid_plane(packed, memory):
     return plane
 
 
-# -- windowed decode -------------------------------------------------------
+# -- blockwise decode ------------------------------------------------------
 #
-# The decode formulas, packaged as callables over one window of
+# The decode formulas, packaged as callables over one block of
 # addresses: chunk_groups_streamed takes the numpy forms, and
 # _record_stream the list form of either leg.
 
 
 def _hybrid_decode_np(memory):
-    """Windowed (ctrl, bank, row) array decoder for a tiered memory.
+    """Blockwise (ctrl, bank, row) array decoder for a tiered memory.
 
     Controller indices are flat across every tier — tier 0's channels
     first — matching ``TieredMemory._controllers``.  The table is walked
@@ -202,7 +204,7 @@ def _hybrid_decode_np(memory):
 
 
 def _hybrid_decode(memory):
-    """Windowed (ctrl, bank, row) *list* decoder for a tiered memory:
+    """Blockwise (ctrl, bank, row) *list* decoder for a tiered memory:
     :func:`_hybrid_decode_np` over an int64 array with numpy, else the
     same tier-table walk through each tier's ``mapper.fast_decode``."""
     if _np is not None:
@@ -238,35 +240,27 @@ def _hybrid_decode(memory):
     return decode
 
 
-def _stream_window(packed) -> int:
-    """The streaming window in records: a mapped trace's own (a positive
-    multiple of the 128-record throttle chunk, validated at open), else
-    the default."""
-    return packed.window or DEFAULT_TRACE_WINDOW
-
-
 def _record_stream(packed, memory, page_shift):
-    """The trace's records for the per-record loops, one window at a time.
+    """The trace's records for the per-record loops, one block at a time.
 
-    Returns an iterator of ``(arrival, is_write, address, core, page,
-    ctrl, bank, row)`` tuples: ``page`` is ``address >> page_shift`` and
+    Returns an iterator of ``(arrival, is_write, address, page, ctrl,
+    bank, row)`` tuples: ``page`` is ``address >> page_shift`` and
     ``ctrl/bank/row`` decode the original address through
-    :func:`_hybrid_decode`.  Windows of :func:`_stream_window` records
-    are decoded lazily as the loop reaches them, so at most one window
-    of derived columns is alive — for mapped and in-memory traces alike
+    :func:`_hybrid_decode`.  Blocks of ``BLOCK_RECORDS`` records are
+    decoded lazily as the loop reaches them, so at most one block of
+    derived columns is alive — for mapped and in-memory traces alike
     — and nothing is memoised on ``packed``.
     """
-    window = _stream_window(packed)
+    block = _trace_io.BLOCK_RECORDS
     decode = _hybrid_decode(memory)
     arrivals = packed.arrivals
     is_writes = packed.is_writes
     addresses = packed.addresses
-    cores = packed.cores
     mapped_col = packed.np_addresses() if packed.mapped and _np is not None else None
 
-    def windows():
-        for lo in range(0, packed.length, window):
-            hi = lo + window
+    def blocks():
+        for lo in range(0, packed.length, block):
+            hi = lo + block
             address_w = addresses[lo:hi]
             if _np is None:
                 col = address_w
@@ -280,11 +274,10 @@ def _record_stream(packed, memory, page_shift):
                 pages = (col >> page_shift).tolist()
             ctrls, banks, rows = decode(col)
             yield zip(
-                arrivals[lo:hi], is_writes[lo:hi], address_w, cores[lo:hi], pages,
-                ctrls, banks, rows,
+                arrivals[lo:hi], is_writes[lo:hi], address_w, pages, ctrls, banks, rows
             )
 
-    return chain.from_iterable(windows())
+    return chain.from_iterable(blocks())
 
 
 # -- replay loops ----------------------------------------------------------
@@ -306,13 +299,13 @@ def _replay_tlm(trace, packed, manager):
     either shape).
 
     Fully batched: every throttle chunk arrives already regrouped by
-    flat controller index — from the windowed ``chunk_groups_streamed``
-    generator (O(window) memory), or the eager ``chunk_groups`` on
+    flat controller index — from the blockwise ``chunk_groups_streamed``
+    generator (O(block) memory), or the eager ``chunk_groups`` on
     numpy-free installs (identical chunks) — so the replay zips the
     chunk's ``DEMAND`` pending entries once and makes one
     ``enqueue_batch`` call per (chunk, controller), plus the throttle
-    sample.  Entries are built one chunk at a time, never a window at a
-    time: a window's worth of live tuples would wake the cyclic garbage
+    sample.  Entries are built one chunk at a time, never a block at a
+    time: a block's worth of live tuples would wake the cyclic garbage
     collector over and over, a chunk's never does.
     """
     memory = manager.memory
@@ -320,7 +313,7 @@ def _replay_tlm(trace, packed, manager):
         chunks = packed.chunk_groups(*_hybrid_plane(packed, memory))
     else:
         chunks = packed.chunk_groups_streamed(
-            _hybrid_decode_np(memory), _stream_window(packed)
+            _hybrid_decode_np(memory), _trace_io.BLOCK_RECORDS
         )
     batch = [ctrl.enqueue_batch for ctrl in memory._controllers]
     peak_bus = memory.peak_bus_free_ps
@@ -474,9 +467,9 @@ def _replay_hma(trace, packed, manager):
 
     Full-counter updates are deferred and applied with one
     ``FullCountersTracker.record_batch`` call right before each epoch
-    runs and at the top of the first chunk after :func:`_stream_window`
+    runs and at the top of the first chunk after ``BLOCK_RECORDS``
     records — the tracker is only *read* at epochs and never touches
-    the controllers, so deferral commutes, and the window keeps the
+    the controllers, so deferral commutes, and the block bound keeps the
     deferred list (and the peak heap) independent of the trace length.
     The ``finally`` uninstalls the sink, writes the epoch cursor back
     and applies the updates of every record already replayed, so an
@@ -508,7 +501,7 @@ def _replay_hma(trace, packed, manager):
     bufs, flush_all, swap_sink = _swap_merged_buffers(memory)
     push = [buf.append for buf in bufs]
 
-    window = _stream_window(packed)
+    block = _trace_io.BLOCK_RECORDS
     deferred = []  # pages whose full-counter updates are pending
     defer = deferred.append
     records = _record_stream(packed, memory, page_shift)
@@ -517,10 +510,10 @@ def _replay_hma(trace, packed, manager):
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
-            if len(deferred) >= window:
+            if len(deferred) >= block:
                 record_batch(deferred)
                 deferred.clear()
-            for arrival, is_write, address, _, page, ci, bank, row in chunk:
+            for arrival, is_write, address, page, ci, bank, row in chunk:
                 arrival += offset
                 if arrival >= next_boundary:
                     # The epoch reads the counters, so they catch up
@@ -623,7 +616,7 @@ def _replay_mempod(trace, packed, manager):
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
-            for arrival, is_write, address, _, page, ci, bank, row in chunk:
+            for arrival, is_write, address, page, ci, bank, row in chunk:
                 arrival += offset
                 while arrival >= next_boundary:
                     run_boundary(next_boundary)
@@ -708,7 +701,7 @@ def _replay_thm(trace, packed, manager):
     engine.swap_sink = swap_sink
     try:
         for chunk, offset in chunks:
-            for arrival, is_write, address, _, page, ci, bank, row in chunk:
+            for arrival, is_write, address, page, ci, bank, row in chunk:
                 arrival += offset
                 if blocked or expiry:
                     penalty = block_penalty(page, arrival)
@@ -818,7 +811,7 @@ def _replay_cameo(trace, packed, manager):
     blocked_hits = manager.blocked_hits
     try:
         for chunk, offset in chunks:
-            for arrival, is_write, _, _, line, ci, bank, row in chunk:
+            for arrival, is_write, _, line, ci, bank, row in chunk:
                 arrival += offset
                 # MemoryManager._block_penalty_ps: prune the blocks due
                 # by now, then charge what is left of this line's.

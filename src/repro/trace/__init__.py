@@ -33,10 +33,7 @@ from .workloads import (
     HOMOGENEOUS_NAMES,
     MIX_MEMBERS,
     MIX_NAMES,
-    all_workloads,
     get_workload,
-    homogeneous_workloads,
-    mixed_workloads,
     workload_names,
 )
 
@@ -69,14 +66,11 @@ __all__ = [
     "WavefrontPattern",
     "WorkloadSpec",
     "ZipfPattern",
-    "all_workloads",
     "benchmark_names",
     "build_trace",
     "get_benchmark",
     "get_workload",
     "homogeneous_spec",
-    "homogeneous_workloads",
     "mixed_spec",
-    "mixed_workloads",
     "workload_names",
 ]

@@ -84,8 +84,14 @@ MAGIC2 = b"MPTRACE2"
 VERSION2 = 2
 #: the 128-record chunk: plane padding granularity, and the replay
 #: throttle's sample period (``repro.system.simulator`` imports it as
-#: THROTTLE_SAMPLE_PERIOD), so streamed windows never split a chunk
+#: THROTTLE_SAMPLE_PERIOD), so decode blocks never split a chunk
 CHUNK_RECORDS = 128
+#: the replay decode block, in records (64 chunks): the kernels decode,
+#: group and zip this many records at a time, as Python lists, so a
+#: replay's transient heap above the mechanism's own state is 1.0-1.8 MB
+#: (tracemalloc, 65,536-record mcf trace, tlm/mempod/thm/hma; 7.6-11.3 MB
+#: at a 65,536-record block).  Read at call time, so tests may shadow it.
+BLOCK_RECORDS = 64 * CHUNK_RECORDS
 #: v2 plane names, in directory (and on-disk) order
 PLANE_NAMES = ("arrival", "address", "iswrite", "core", "page")
 _PLANE_DTYPE = b"<i8"

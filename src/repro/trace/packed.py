@@ -23,8 +23,9 @@ int64 columns: the ``np.memmap`` planes of a v2 columnar trace file (see
 data in on demand, or the in-memory columns synthesis writes (see
 :func:`repro.trace.store.column_trace`).  Such a trace is *mapped*
 (:attr:`mapped` is true) and the replay kernels stream it — decode
-planes are computed per bounded window instead of trace-length lists,
-so peak RSS stays flat for traces much larger than memory.  Columns are
+planes are computed per block of :data:`~repro.trace.io.BLOCK_RECORDS`
+records instead of trace-length lists, so peak RSS stays flat for
+traces much larger than memory.  Columns are
 wrapped in :class:`_IntColumn` so every scalar read is a plain Python
 int (numpy scalar types must never leak into controller stats — the
 JSON result cache cannot serialise them).
@@ -101,7 +102,6 @@ class PackedTrace:
         "max_address",
         "planes",
         "mapped",
-        "window",
         "_np_addresses",
         "_pages",
     )
@@ -121,9 +121,6 @@ class PackedTrace:
         self.planes: Dict[tuple, tuple] = {}
         #: true when the columns are int64 arrays (mapped or in memory)
         self.mapped: bool = False
-        #: streaming window (records) for mapped replay; ``None`` for the
-        #: kernels' default
-        self.window = None
         self._np_addresses = None
         self._pages: Dict[int, Sequence[int]] = {}
 
@@ -133,7 +130,6 @@ class PackedTrace:
         planes: Dict[str, Sequence[int]],
         max_address: int,
         page_shift: int,
-        window: int = None,
     ) -> "PackedTrace":
         """Columnar view over int64 record columns.
 
@@ -143,7 +139,8 @@ class PackedTrace:
         synthesised columns.  With numpy the view is zero-copy over
         int64 arrays (lists are converted once), columns are wrapped in
         :class:`_IntColumn`, and the trace is flagged :attr:`mapped` so
-        kernels stream decode work per ``window`` records; without numpy
+        kernels stream decode work per
+        :data:`~repro.trace.io.BLOCK_RECORDS` records; without numpy
         it is an ordinary eager packed trace.  The ``page`` plane is
         registered under ``page_shift`` when that is 0 or more;
         ``page_shift`` below 0 leaves the page memo empty, so
@@ -154,7 +151,6 @@ class PackedTrace:
         self.max_address = max_address
         self.planes = {}
         self.mapped = _np is not None
-        self.window = window if self.mapped else None
         column = _IntColumn if self.mapped else list
         self.arrivals, self.addresses, self.is_writes, self.cores = (
             column(planes[name]) for name in ("arrival", "address", "iswrite", "core")

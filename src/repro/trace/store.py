@@ -24,9 +24,10 @@ Environment knobs (all folded into — or provably excluded from — the
 result-cache key; see ``repro.analysis.cachekey``):
 
 * ``REPRO_TRACE_DIR``       — store root (default ``~/.cache/repro/traces``),
-* ``REPRO_NO_TRACE_STORE``  — set to 1 to bypass the store entirely,
-* ``REPRO_TRACE_WINDOW``    — streaming window in records (default
-  65,536; must be a positive multiple of the 128-record chunk).
+* ``REPRO_NO_TRACE_STORE``  — set to 1 to bypass the store entirely.
+
+Replay streams every trace in fixed blocks of
+:data:`~repro.trace.io.BLOCK_RECORDS` records; no knob sizes them.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Union
 
 from ..common.errors import ConfigError, TraceError
+from . import io as _io
 from .io import (
-    CHUNK_RECORDS,
     PLANE_NAMES,
     load_columnar_planes,
     read_columnar_header,
@@ -50,11 +51,6 @@ from .record import PAGE_BYTES, Trace, TraceRecord
 
 TRACE_DIR_ENV_VAR = "REPRO_TRACE_DIR"
 NO_STORE_ENV_VAR = "REPRO_NO_TRACE_STORE"
-WINDOW_ENV_VAR = "REPRO_TRACE_WINDOW"
-
-#: default streaming window, in records (512 throttle chunks — ~2.5 MB
-#: of decode planes at 5 int64 columns, far below one trace-length list)
-DEFAULT_TRACE_WINDOW = 65_536
 
 #: default picoseconds per tracehm tick (1 ns — captures count in
 #: request ticks, not picoseconds)
@@ -82,34 +78,6 @@ def store_enabled() -> bool:
     return os.environ.get(NO_STORE_ENV_VAR, "").strip() in ("", "0")
 
 
-def resolve_trace_window() -> int:
-    """The streaming window from ``REPRO_TRACE_WINDOW`` (validated).
-
-    Excluded from the result-cache key on purpose: the window only
-    changes how many records are decoded per batch, and batch splitting
-    is result-identical (see
-    :meth:`~repro.trace.packed.PackedTrace.chunk_groups_streamed`);
-    the differential suite pins several windows against the in-memory
-    path.  Invalid values raise :class:`ConfigError` naming the
-    variable.
-    """
-    value = os.environ.get(WINDOW_ENV_VAR)
-    if value is None or not value.strip():
-        return DEFAULT_TRACE_WINDOW
-    try:
-        window = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be an integer, got {value!r}"
-        ) from None
-    if window <= 0 or window % CHUNK_RECORDS:
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be a positive multiple of "
-            f"{CHUNK_RECORDS}, got {window}"
-        )
-    return window
-
-
 class _ColumnRecords:
     """Record-tuple view over a column-backed :class:`PackedTrace`.
 
@@ -117,7 +85,7 @@ class _ColumnRecords:
     indexing, slicing, iteration, ``==`` and ``repr`` behave as on the
     eager record list of the same ``(arrival, address, is_write, core)``
     tuples of Python ints, but nothing trace-length is kept —
-    iteration converts one window of each column at a time and slices
+    iteration converts one block of each column at a time and slices
     convert only their span.
     """
 
@@ -139,7 +107,7 @@ class _ColumnRecords:
         return tuple(column[index] for column in self._columns())
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        columns, block = self._columns(), DEFAULT_TRACE_WINDOW
+        columns, block = self._columns(), _io.BLOCK_RECORDS
         return chain.from_iterable(
             zip(*(column[begin:begin + block] for column in columns))
             for begin in range(0, len(self), block)
@@ -182,26 +150,19 @@ def _packed_trace(name: str, page_bytes: int, packed: PackedTrace) -> Trace:
     return trace
 
 
-def open_columnar(
-    path: PathLike, name: str = "", window: Optional[int] = None
-) -> Trace:
+def open_columnar(path: PathLike, name: str = "") -> Trace:
     """Open a v2 columnar trace file for replay.
 
-    With numpy, returns a :class:`MappedTrace` streaming at ``window``
-    records (``REPRO_TRACE_WINDOW`` when not given); without numpy, the
-    pure twin reads the planes chunk-at-a-time into an ordinary eager
-    :class:`Trace` holding the identical records.  Validation already
-    happened in :func:`~repro.trace.io.read_columnar_header`; the
-    stored columns were validated when written, so neither leg re-runs
-    the O(n) record validation.
+    With numpy, returns a :class:`MappedTrace` that replay streams one
+    block at a time; without numpy, the pure twin reads the planes
+    chunk-at-a-time into an ordinary eager :class:`Trace` holding the
+    identical records.  Validation already happened in
+    :func:`~repro.trace.io.read_columnar_header`; the stored columns
+    were validated when written, so neither leg re-runs the O(n) record
+    validation.
     """
     info, planes = load_columnar_planes(path)
-    packed = PackedTrace.from_planes(
-        planes,
-        info.max_address,
-        info.page_shift,
-        window if window is not None else resolve_trace_window(),
-    )
+    packed = PackedTrace.from_planes(planes, info.max_address, info.page_shift)
     return _packed_trace(name or Path(path).stem, info.page_bytes, packed)
 
 
@@ -252,9 +213,7 @@ class TraceStore:
                 pass
         return path
 
-    def open(
-        self, key: str, name: str = "", window: Optional[int] = None
-    ) -> Optional[Trace]:
+    def open(self, key: str, name: str = "") -> Optional[Trace]:
         """Open entry ``key``, or ``None`` when it was never stored.
 
         A present-but-invalid file raises :class:`TraceError` — unlike
@@ -264,7 +223,7 @@ class TraceStore:
         path = self.path_for(key)
         if not path.exists():
             return None
-        return open_columnar(path, name=name, window=window)
+        return open_columnar(path, name=name)
 
 
 def synth_trace_key(workload: str, scale: int, length: int, seed: int) -> str:
@@ -345,19 +304,16 @@ def import_tracehm_tsv(
 
 
 __all__ = [
-    "DEFAULT_TRACE_WINDOW",
     "DEFAULT_TSV_TICK_PS",
     "MappedTrace",
     "NO_STORE_ENV_VAR",
     "TRACE_DIR_ENV_VAR",
     "TraceStore",
-    "WINDOW_ENV_VAR",
     "column_trace",
     "default_store_dir",
     "import_tracehm_tsv",
     "open_columnar",
     "read_columnar_header",
-    "resolve_trace_window",
     "store_enabled",
     "synth_trace_key",
 ]

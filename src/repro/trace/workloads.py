@@ -57,21 +57,6 @@ MIX_MEMBERS: Dict[str, List[str]] = {
 MIX_NAMES: List[str] = sorted(MIX_MEMBERS, key=lambda n: int(n[3:]))
 
 
-def homogeneous_workloads() -> List[WorkloadSpec]:
-    """The 15 homogeneous 8-core workloads."""
-    return [homogeneous_spec(name) for name in HOMOGENEOUS_NAMES]
-
-
-def mixed_workloads() -> List[WorkloadSpec]:
-    """The 12 Table 3 mixes, normalised to 8 cores each."""
-    return [mixed_spec(name, MIX_MEMBERS[name]) for name in MIX_NAMES]
-
-
-def all_workloads() -> List[WorkloadSpec]:
-    """Every evaluated workload: homogeneous first, then mixes."""
-    return homogeneous_workloads() + mixed_workloads()
-
-
 def get_workload(name: str) -> WorkloadSpec:
     """Resolve one workload by paper name (benchmark name or ``mixN``)."""
     if name in MIX_MEMBERS:

@@ -173,7 +173,6 @@ class TestValidation:
         ctrl.enqueue(0, 0, False, 0)
         ctrl.flush()
         assert (ctrl.stats.row_hits, ctrl.stats.served) == (1, 2)
-        assert ctrl.row_buffer_stats() == (1, 2)
 
 
 class TestControllerStatsFields:

@@ -10,7 +10,6 @@ from repro.trace import (
     MIX_NAMES,
     PagePlacer,
     WorkloadSpec,
-    all_workloads,
     build_trace,
     get_workload,
     homogeneous_spec,
@@ -111,8 +110,9 @@ class TestWorkloadRegistry:
         assert len(MIX_NAMES) == 12
 
     def test_all_workloads_is_27(self):
-        assert len(all_workloads()) == 27
-        assert len(workload_names()) == 27
+        specs = [get_workload(name) for name in workload_names()]
+        assert len(specs) == 27
+        assert all(isinstance(spec, WorkloadSpec) for spec in specs)
 
     def test_homogeneous_spec_is_homogeneous(self):
         spec = homogeneous_spec("lbm")

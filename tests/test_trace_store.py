@@ -9,7 +9,7 @@ Three layers of proof:
   representations;
 * the streamed replay path — windowed ``chunk_groups_streamed`` and the
   mapped kernels — matches the in-memory path result-for-result while
-  keeping peak memory bounded by the window, not the trace.
+  keeping peak memory bounded by the decode block, not the trace.
 """
 
 import pytest
@@ -36,12 +36,10 @@ from repro.trace.io import (
     save_columnar,
 )
 from repro.trace.store import (
-    DEFAULT_TRACE_WINDOW,
     MappedTrace,
     TraceStore,
     import_tracehm_tsv,
     open_columnar,
-    resolve_trace_window,
     store_enabled,
     synth_trace_key,
 )
@@ -389,15 +387,6 @@ class TestTraceForIntegration:
         assert not _file_backed(trace)
         clear_trace_cache()
 
-    def test_window_env_validation(self, monkeypatch):
-        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW
-        monkeypatch.setenv("REPRO_TRACE_WINDOW", "256")
-        assert resolve_trace_window() == 256
-        for bad in ("abc", "-128", "0", "100"):
-            monkeypatch.setenv("REPRO_TRACE_WINDOW", bad)
-            with pytest.raises(ConfigError):
-                resolve_trace_window()
-
 
 class TestTracehmImport:
     def test_import(self, tmp_path):
@@ -482,7 +471,7 @@ class TestStreamedChunkGroups:
     def test_mapped_trace_streams(self, sample_trace, tmp_path):
         path = tmp_path / "s.mpt"
         save_columnar(sample_trace, path)
-        packed = open_columnar(path, window=256).packed()
+        packed = open_columnar(path).packed()
         streamed = list(packed.chunk_groups_streamed(self._decode, 256))
         assert streamed == self._eager(sample_trace.packed())
 
@@ -508,10 +497,11 @@ class TestMappedReplayDifferential:
 
     @pytest.mark.parametrize("kind", ["tlm", "mempod", "thm", "hma", "cameo"])
     @pytest.mark.parametrize("window", [128, 512, 1920])
-    def test_windows_identical(self, pair, kind, window):
+    def test_windows_identical(self, pair, kind, window, monkeypatch):
         geometry, trace, path = pair
-        mapped = open_columnar(path, name=trace.name, window=window)
-        expected = simulate(trace, build_manager(kind, geometry))
+        expected = simulate(trace, build_manager(kind, geometry))  # one block
+        monkeypatch.setattr(repro.trace.io, "BLOCK_RECORDS", window)
+        mapped = open_columnar(path, name=trace.name)
         assert simulate(mapped, build_manager(kind, geometry)) == expected
 
     @pytest.mark.parametrize("kind", ["mempod", "cameo"])
@@ -527,11 +517,13 @@ class TestMappedReplayDifferential:
 
 @pytest.mark.skipif(_np is None, reason="the RSS guard targets mapped replay")
 class TestStreamingPeakMemory:
-    """Replaying ≥16x the window must not materialise trace-length columns.
+    """Replaying many decode blocks must not materialise trace-length
+    columns.
 
     tracemalloc tracks numpy's allocations, so a whole-trace decode
-    shows up as a multi-plane-sized peak while the windowed replay stays
-    near the window's working set.
+    shows up as a multi-plane-sized peak while the blockwise replay
+    stays near the block's working set.  A leg that replays at another
+    block size shadows ``repro.trace.io.BLOCK_RECORDS``.
     """
 
     @staticmethod
@@ -543,13 +535,13 @@ class TestStreamingPeakMemory:
         return geometry, path
 
     @staticmethod
-    def _measure(geometry, path, kind, window):
+    def _measure(geometry, path, kind):
         """``(peak, retained)`` traced bytes of one mapped replay: the
         peak during it and what is still allocated right after (the
         mechanism's state, the result, anything memoised on the trace)."""
         import tracemalloc
 
-        mapped = open_columnar(path, window=window)
+        mapped = open_columnar(path)
         manager = build_manager(kind, geometry)
         tracemalloc.start()
         simulate(mapped, manager)
@@ -557,20 +549,22 @@ class TestStreamingPeakMemory:
         tracemalloc.stop()
         return peak, retained
 
-    def test_peak_bounded_by_window(self, tmp_path):
+    def test_peak_bounded_by_window(self, tmp_path, monkeypatch):
+        """The shipped block, unshadowed, against one block spanning the
+        whole trace."""
         length = 65_536
-        window = 4_096
         geometry, path = self._mapped(tmp_path, length)
-        whole = length + CHUNK_RECORDS  # one window spanning everything
-        self._measure(geometry, path, "tlm", window)  # warm one-time caches
-        windowed_peak, _ = self._measure(geometry, path, "tlm", window)
-        whole_peak, _ = self._measure(geometry, path, "tlm", whole)
+        self._measure(geometry, path, "tlm")  # warm one-time caches
+        windowed_peak, _ = self._measure(geometry, path, "tlm")
+        whole = length + CHUNK_RECORDS  # one block spanning everything
+        monkeypatch.setattr(repro.trace.io, "BLOCK_RECORDS", whole)
+        whole_peak, _ = self._measure(geometry, path, "tlm")
         plane_bytes = 5 * 8 * length
         assert windowed_peak < whole_peak / 2
         assert windowed_peak < plane_bytes / 2
 
     @pytest.mark.parametrize("kind", ["mempod", "thm", "cameo"])
-    def test_per_record_kernels_bounded_by_window(self, tmp_path, kind):
+    def test_per_record_kernels_bounded_by_window(self, tmp_path, kind, monkeypatch):
         """The per-record loops' working set above the state they retain.
 
         THM and CAMEO keep remap state for everything they have swapped
@@ -583,28 +577,27 @@ class TestStreamingPeakMemory:
         to the ratio only.
         """
         length = 16_384
-        window = 1_024
         geometry, path = self._mapped(tmp_path, length)
-        peak, retained = self._measure(geometry, path, kind, window)
-        whole_peak, whole_retained = self._measure(
-            geometry, path, kind, length + CHUNK_RECORDS
-        )
+        monkeypatch.setattr(repro.trace.io, "BLOCK_RECORDS", 1_024)
+        peak, retained = self._measure(geometry, path, kind)
+        monkeypatch.setattr(repro.trace.io, "BLOCK_RECORDS", length + CHUNK_RECORDS)
+        whole_peak, whole_retained = self._measure(geometry, path, kind)
         excess = peak - retained
         assert excess < (whole_peak - whole_retained) / 2
         if kind != "cameo":
             assert excess < 5 * 8 * length / 2
 
-    def test_hma_excess_flat_in_trace_length(self, tmp_path):
+    def test_hma_excess_flat_in_trace_length(self, tmp_path, monkeypatch):
         """HMA's kernel defers full-counter updates to the next
         epoch, and the default 100 ms epoch spans any of these traces.
-        Applying the deferred updates at least once per window keeps the
+        Applying the deferred updates at least once per block keeps the
         working set above the retained state flat as the trace grows; one
         whole-trace ``record_batch`` would grow with it.
         """
-        window = 512
         geometry, short = self._mapped(tmp_path, 8_192)
         _, long = self._mapped(tmp_path, 32_768)
-        self._measure(geometry, short, "hma", window)  # warm one-time caches
-        short_peak, short_retained = self._measure(geometry, short, "hma", window)
-        long_peak, long_retained = self._measure(geometry, long, "hma", window)
+        monkeypatch.setattr(repro.trace.io, "BLOCK_RECORDS", 512)
+        self._measure(geometry, short, "hma")  # warm one-time caches
+        short_peak, short_retained = self._measure(geometry, short, "hma")
+        long_peak, long_retained = self._measure(geometry, long, "hma")
         assert long_peak - long_retained < 1.5 * (short_peak - short_retained)
